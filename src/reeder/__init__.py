@@ -7,7 +7,6 @@ from .diagram import (
     Labeling,
     ResourceError,
     disjoint_union,
-    nullity_f2,
     parse_dsl,
 )
 from .f2 import F2Matrix
@@ -50,7 +49,6 @@ __all__ = [
     "enumerate_classes",
     "eta",
     "move_matrix",
-    "nullity_f2",
     "parse_dsl",
     "parse_family",
     "xi",

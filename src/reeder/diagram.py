@@ -349,11 +349,6 @@ def _mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
-def nullity_f2(m: F2Matrix) -> int:
-    """Dimension of the right nullspace of m over GF(2)."""
-    return m.nullity()
-
-
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     """Place d2 after d1 with vertex indices shifted by d1.n_vertices."""
     off = d1.n_vertices

@@ -37,6 +37,42 @@ def state_cap(override: int | None = None) -> int:
     return DEFAULT_CAP
 
 
+_MEMINFO = "/proc/meminfo"
+# int64 class ids, states and sort keys plus uint8 popcounts are live at once
+# while ClassPartition.build ranks the classes
+_RANK_BYTES_PER_STATE = 25
+
+
+def available_memory() -> int:
+    """Bytes the system can still hand out: MemAvailable, else free pages."""
+    try:
+        with open(_MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def build_bytes(n_states: int, n_moves: int) -> int:
+    """Upper bound on the array bytes ClassPartition.build holds at once."""
+    return max(
+        _kernel.kernel_bytes(n_states, n_moves), _RANK_BYTES_PER_STATE * n_states
+    )
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ResourceError, before anything is allocated, when need bytes
+    exceed the memory available."""
+    avail = available_memory()
+    if need > avail:
+        raise ResourceError(
+            f"{what} needs about {need >> 20} MB, "
+            f"but only {avail >> 20} MB of memory is available"
+        )
+
+
 # -- single moves ---------------------------------------------------------
 
 
@@ -68,16 +104,6 @@ def move_matrix(diagram: Diagram, i: int) -> F2Matrix:
     return F2Matrix(diagram.n_vertices, diagram.n_vertices, tuple(rows))
 
 
-@dataclass(frozen=True)
-class MoveOperator:
-    vertex: int
-    as_matrix: F2Matrix
-
-
-def move_operator(diagram: Diagram, i: int) -> MoveOperator:
-    return MoveOperator(i, move_matrix(diagram, i))
-
-
 # -- state encoding -------------------------------------------------------
 
 
@@ -94,10 +120,14 @@ def decode_state(diagram: Diagram, state: int) -> Labeling:
 
 
 def _move_tables(diagram: Diagram):
-    """Per-free-vertex (mask, const, bit) triples over the free encoding."""
+    """Per-free-vertex transvection triples (a, b, c) over the free encoding.
+
+    The move at free bit j flips bit j (b) when the parity of its free
+    effective neighbors (a) differs from that of its pinned ones (c).
+    """
     free = diagram.free_vertices
     pos = {v: j for j, v in enumerate(free)}
-    masks, consts, bits = [], [], []
+    a, b, c = [], [], []
     for j, i in enumerate(free):
         mask = 0
         const = 0
@@ -106,10 +136,10 @@ def _move_tables(diagram: Diagram):
                 mask |= 1 << pos[k]
             else:
                 const ^= 1
-        masks.append(mask)
-        consts.append(const)
-        bits.append(j)
-    return masks, consts, bits
+        a.append(mask)
+        b.append(1 << j)
+        c.append(const)
+    return a, b, c
 
 
 def expand_states(diagram: Diagram, states: np.ndarray) -> np.ndarray:
@@ -192,24 +222,33 @@ class ClassPartition:
                 f"would require {1 << f} states"
             )
         n_states = 1 << f
-        masks, consts, bits = _move_tables(diagram)
-        roots = _kernel.orbit_roots(n_states, masks, consts, bits)
+        a, b, c = _move_tables(diagram)
+        require_memory(build_bytes(n_states, len(a)), f"enumerating {n_states} states")
+        roots = _kernel.orbit_roots(n_states, a, b, c)
         states = np.arange(n_states, dtype=np.int64)
         # every root is its class's minimum state, so ranking roots by value
         # is a counting pass rather than a sort
         is_root = roots == states
-        root_rank = np.cumsum(is_root) - 1
-        class_id = root_rank[roots]
-        n_classes = int(is_root.sum())
-        key = (np.bitwise_count(states).astype(np.int64) << f) | states
-        order = np.argsort(class_id, kind="stable")
-        starts = np.searchsorted(class_id[order], np.arange(n_classes))
-        min_keys = np.minimum.reduceat(key[order], starts)
+        n_classes = int(np.count_nonzero(is_root))
+        root_rank = np.cumsum(is_root)
+        del is_root
+        root_rank -= 1
+        class_id = np.take(root_rank, roots, out=roots)  # reuses the roots buffer
+        del root_rank
+        key = np.bitwise_count(states).astype(np.int64)
+        key <<= f
+        key |= states
+        del states
+        min_keys = np.full(n_classes, np.iinfo(np.int64).max)
+        np.minimum.at(min_keys, class_id, key)
+        del key
         reps = min_keys & (n_states - 1)
         # reindex classes by their minimal representative's integer value
         perm = np.argsort(reps, kind="stable")
         rank = np.empty_like(perm)
         rank[perm] = np.arange(len(perm))
+        # the ids the partition keeps get a fresh array: holding on to the
+        # kernel's buffer raised peak RSS by 10 MB on `classes flower:17`
         return cls(diagram, rank[class_id], reps[perm])
 
     @cached_property
@@ -327,10 +366,3 @@ def are_equivalent(
         frontier = nxt
     return False
 
-
-def class_of(partition: ClassPartition, a: Labeling) -> int:
-    return partition.class_of(a)
-
-
-def minimal_representative(partition: ClassPartition, class_index: int) -> Labeling:
-    return partition.minimal_representative(class_index)

@@ -69,9 +69,12 @@ def enumerate_sigma_orbits(diagram: Diagram, cap: int | None = None) -> np.ndarr
         raise moves.ResourceError(
             f"{n} vertices exceed the cap: would require {1 << n} states"
         )
-    masks = [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)]
-    bits = list(range(n))
-    return _kernel.orbit_roots(1 << n, masks, [0] * n, bits, sigma=True)
+    moves.require_memory(
+        _kernel.kernel_bytes(1 << n, n), f"enumerating {1 << n} sigma states"
+    )
+    a = [1 << i for i in range(n)]
+    b = [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)]
+    return _kernel.orbit_roots(1 << n, a, b, [0] * n)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,26 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))
 
 
+def check_kernels(n_states: int, a, b, c, classes) -> None:
+    """Both orbit kernels against oracle classes of state indices.
+
+    The numpy kernel and the union-find (plain Python when numba is absent)
+    must each root every state at its class's minimum member, and the public
+    entry point must induce the oracle's partition.
+    """
+    from reeder import _kernel
+
+    want = np.empty(n_states, dtype=np.int64)
+    for cls in classes:
+        idx = np.fromiter(cls, dtype=np.int64)
+        want[idx] = idx.min()
+    f = n_states.bit_length() - 1
+    a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
+    assert np.array_equal(_kernel._orbits_numpy(f, a, b, c), want)
+    assert np.array_equal(_kernel._union_find_orbits(n_states, a, b, c), want)
+    assert same_partition(_kernel.orbit_roots(n_states, a, b, c), want)
+
+
 def family_corpus(max_vertices: int) -> list[tuple[str, Diagram]]:
     """One constructed diagram per family/parameter up to a vertex budget."""
     out = []

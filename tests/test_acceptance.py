@@ -177,10 +177,11 @@ def test_criterion_3_representative_validity():
 
 def _vector_successors(diagram, states):
     """(successor state array, free bit index) per free vertex, vectorized."""
-    masks, consts, bits = moves._move_tables(diagram)
-    for mask, const, bit in zip(masks, consts, bits):
-        p = (np.bitwise_count(states & mask) + const) & 1
-        yield states ^ (p << bit), bit
+    a, b, c = moves._move_tables(diagram)
+    for bit, (mask, flip, const) in enumerate(zip(a, b, c)):
+        # widen the uint8 popcount: in uint8, a flip above bit 7 is lost
+        p = (np.bitwise_count(states & mask).astype(np.int64) ^ const) & 1
+        yield states ^ (p * flip), bit
 
 
 def test_criterion_4_invariant_suites(tree_corpus_14):

@@ -78,6 +78,15 @@ def test_count_cap_exit_4(runner):
     assert res.exit_code == 4
 
 
+def test_count_memory_short_exit_4(runner, monkeypatch):
+    from reeder import moves
+
+    monkeypatch.setattr(moves, "available_memory", lambda: 1 << 10)
+    res = runner.invoke(main, ["count", "A:10"])
+    assert res.exit_code == 4
+    assert "memory" in res.output
+
+
 # -- classes ---------------------------------------------------------------
 
 

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reeder import families, moves
-from reeder.diagram import Diagram, DiagramError, Edge, Labeling, ResourceError
+from reeder.diagram import (
+    Diagram,
+    DiagramError,
+    Edge,
+    Labeling,
+    ResourceError,
+    parse_dsl,
+)
 from reeder.f2 import F2Matrix
-from conftest import oracle_classes
+from conftest import check_kernels, oracle_classes
 
 
 def fam(text):
@@ -103,11 +110,12 @@ def test_move_matrix_isolated_and_pinned():
     assert moves.move_matrix(boxed, 3) == F2Matrix.identity(4)
 
 
-def test_move_operator():
+def test_move_matrix_vertex_action():
     d = fam("A:2")
-    op = moves.move_operator(d, 1)
-    assert op.vertex == 1
-    assert op.as_matrix == moves.move_matrix(d, 1)
+    t1 = moves.move_matrix(d, 1)
+    assert t1.to_lists() == [[1, 0], [1, 1]]
+    for bits in range(4):
+        assert t1.mul_vec(bits) == moves.apply_move(d, Labeling(2, bits), 1).bits
 
 
 # -- state encoding --------------------------------------------------------
@@ -214,11 +222,6 @@ def test_are_equivalent_and_class_of():
     assert part.class_of(a) == part.class_of(b)
     zero = d.labeling(0)
     assert not moves.are_equivalent(d, zero, a)
-    assert moves.class_of(part, a) == part.class_of(a)
-    assert (
-        moves.minimal_representative(part, 0).bits
-        == part.minimal_representative(0).bits
-    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -239,6 +242,31 @@ def test_resource_error_states_required_count():
     d = fam("A:8")
     with pytest.raises(ResourceError, match="256"):
         moves.enumerate_classes(d, cap=5)
+
+
+def test_build_fails_before_allocating(monkeypatch):
+    d = fam("A:12")
+    need = moves.build_bytes(1 << 12, 12)
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran although memory is short")
+
+    monkeypatch.setattr(moves._kernel, "orbit_roots", no_kernel)
+    monkeypatch.setattr(moves, "available_memory", lambda: need - 1)
+    with pytest.raises(ResourceError, match="MB"):
+        moves.enumerate_classes(d)
+    monkeypatch.undo()
+    monkeypatch.setattr(moves, "available_memory", lambda: need)
+    assert moves.enumerate_classes(d).class_count == 7
+
+
+def test_available_memory_sources(monkeypatch, tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal: 8000 kB\nMemAvailable: 2048 kB\n")
+    monkeypatch.setattr(moves, "_MEMINFO", str(meminfo))
+    assert moves.available_memory() == 2048 * 1024
+    monkeypatch.setattr(moves, "_MEMINFO", str(tmp_path / "missing"))
+    assert moves.available_memory() > 0  # sysconf fallback
 
 
 def test_cap_precedence(monkeypatch):
@@ -306,12 +334,70 @@ def test_product_law_example():
     assert u.class_count == ca * cb
 
 
-def test_numpy_fallback_matches_kernel():
+# -- orbit kernels -----------------------------------------------------------
+
+
+def check_reeder_kernels(d):
+    a, b, c = moves._move_tables(d)
+    classes = [
+        {moves.encode_state(d, Labeling(d.n_vertices, bits)) for bits in cls}
+        for cls in oracle_classes(d)
+    ]
+    check_kernels(1 << len(d.free_vertices), a, b, c, classes)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "A:1",  # f = 1: the label array is one axis
+        "B:10",  # double edges; f >= 9 puts moves at bits >= 8
+        "C:10",
+        "X:4",
+        "affD:9",
+        "flower:9",
+        "Abox:6:ends=1",  # pinned neighbors
+        "Bbox_1:4",
+    ],
+)
+def test_kernels_match_oracle(target):
+    d = fam(target)
+    check_reeder_kernels(d)
+    if d.pinned:
+        assert any(moves._move_tables(d)[2])  # pinned neighbors give c = 1
+
+
+@st.composite
+def dsl_graphs(draw, max_vertices=9):
+    """Random DSL diagrams: any multiplicities and arrows, some pins."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = [f"vertices {n}"]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)):
+            mult = draw(st.integers(1, 4))
+            line = f"edge {u} {v} mult={mult}"
+            if mult % 2 == 0:
+                longer, shorter = draw(st.permutations([u, v]))
+                line += f" dir={longer}>{shorter}"
+            lines.append(line)
+    for p in draw(st.sets(st.integers(0, n - 1), max_size=n // 3)):
+        lines.append(f"pin {p}")
+    return parse_dsl("\n".join(lines))
+
+
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs())
+def test_kernels_match_oracle_on_random_graphs(d):
+    check_reeder_kernels(d)
+
+
+def test_kernel_rejects_odd_overlap():
     from reeder import _kernel
 
-    d = fam("affD:6")
-    masks, consts, bits = moves._move_tables(d)
-    n_states = 1 << len(d.free_vertices)
-    fast = _kernel.orbit_roots(n_states, masks, consts, bits)
-    slow = _kernel._orbits_numpy(n_states, masks, consts, bits, sigma=False)
-    assert np.array_equal(fast, slow)
+    # a & b = 0b01 has odd parity: the move is not an involution
+    with pytest.raises(DiagramError, match="parity"):
+        _kernel.orbit_roots(4, [0b11], [0b01], [0])
+    # even overlap is allowed: parity(s & 0b111) reads the same at s ^ 0b011
+    odd = [s for s in range(8) if bin(s).count("1") % 2]
+    classes = [{1, 2}, {4, 7}] + [{s} for s in range(8) if s not in odd]
+    check_kernels(8, [0b111], [0b011], [0], classes)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reeder import families, moves, sigma
-from reeder.diagram import Diagram, DiagramError, Edge, Labeling
+from reeder.diagram import Diagram, DiagramError, Edge, Labeling, parse_dsl
 from reeder.f2 import F2Matrix
+from conftest import check_kernels
 
 
 def fam(text):
@@ -165,6 +166,43 @@ def test_orbit_bijection_on_invertible_corpus(small_corpus):
         else:
             assert report.bijection_verified is None, name
     assert checked >= 5
+
+
+def check_sigma_kernels(d):
+    """The sigma move at i is the transvection a = 1 << i, b = neighbors."""
+    n = d.n_vertices
+    a = [1 << i for i in range(n)]
+    b = [sum(1 << k for k in d.neighbors(i)) for i in range(n)]
+    check_kernels(1 << n, a, b, [0] * n, oracle_sigma_orbits(d))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        fam("A:1"),  # f = 1, and its one move is the identity
+        fam("A:10"),  # bits >= 8
+        fam("flower:9"),
+        Diagram(4, [Edge(0, 1), Edge(1, 2)]),  # vertex 3 is isolated: b = 0
+    ],
+    ids=["A:1", "A:10", "flower:9", "isolated"],
+)
+def test_sigma_kernels_match_oracle(d):
+    check_sigma_kernels(d)
+
+
+@st.composite
+def simple_graphs(draw, max_vertices=9):
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"vertices {n}"] + [f"edge {u} {v}" for u, v in chosen]
+    return parse_dsl("\n".join(lines))
+
+
+@settings(deadline=None, max_examples=40)
+@given(simple_graphs())
+def test_sigma_kernels_match_oracle_on_random_graphs(d):
+    check_sigma_kernels(d)
 
 
 def test_sigma_cap():
