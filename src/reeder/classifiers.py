@@ -56,10 +56,8 @@ class E6TreePrediction:
 
     def key_ids(self) -> np.ndarray:
         """Predicted class id of every state (ids are arbitrary but stable)."""
-        d = self.diagram
-        states = np.arange(1 << d.n_vertices, dtype=np.int64)
-        comps = moves.component_counts(d, states)
-        ids = (comps & 1).astype(np.int64)  # 0 = even class, 1 = odd class
+        # 0 = even class, 1 = odd class
+        ids = moves.component_counts(self.diagram) & 1
         for j, lab in enumerate(self.fixed):
             ids[lab.bits] = 2 + j
         return ids
@@ -84,8 +82,7 @@ def e6_tree_classify(diagram: Diagram, cap: int | None = None) -> E6TreePredicti
         raise moves.ResourceError(
             f"{n} vertices exceed the cap: would require {1 << n} states"
         )
-    states = np.arange(1 << n, dtype=np.int64)
-    odd = (moves.component_counts(diagram, states) & 1).astype(bool)
+    odd = (moves.component_counts(diagram) & 1).astype(bool)
     fixed_bits = [lab.bits for lab in fixed]
     fixed_odd = sum(1 for b in fixed_bits if odd[b])
     nonfixed_odd = int(odd.sum()) - fixed_odd

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import families, moves, sigma
-from .diagram import Diagram, DiagramError, Labeling, ResourceError, parse_dsl
+from .diagram import Diagram, DiagramError, ResourceError, parse_dsl
 
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
@@ -53,12 +53,12 @@ def _load_target(target: str) -> tuple[Diagram, families.FamilySpec | None]:
 
 
 def _format_labeling(
-    spec: families.FamilySpec | None, diagram: Diagram, a: Labeling
+    spec: families.FamilySpec | None, diagram: Diagram, bits: str
 ) -> str:
     if spec is None:
-        return a.bitstring()
+        return bits
     order, leads_with_zero = families.display_layout(spec, diagram)
-    chars = [str(a[i]) for i in order]
+    chars = [bits[i] for i in order]
     if leads_with_zero:
         return chars[0] + ";" + "".join(chars[1:])
     return "".join(chars)
@@ -114,6 +114,8 @@ def count(ctx, target, formula):
 def classes(ctx, target, reps, full, fmt):
     """Class table with sizes, minimal representatives, and components."""
     diagram, spec = _load_target(target)
+    if reps and spec is None:
+        raise DiagramError("--reps requires a family target")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt == "json":
         click.echo(part.to_json())
@@ -123,25 +125,22 @@ def classes(ctx, target, reps, full, fmt):
         click.echo(f"target={target} vertices={diagram.n_vertices} "
                    f"free={len(diagram.free_vertices)} classes={part.class_count}")
         click.echo("class size min_rep components")
-        for c, s in enumerate(part.summaries):
-            hist = ";".join(f"{k}:{v}" for k, v in sorted(s.components.items()))
-            tag = " fixed" if s.is_singleton_fixed else ""
+        for c, (size, rep, row) in enumerate(part.table_rows()):
+            tag = " fixed" if size == 1 else ""
             click.echo(
-                f"{c} {s.size} {_format_labeling(spec, diagram, s.min_representative)} {hist}{tag}"
+                f"{c} {size} {_format_labeling(spec, diagram, rep)} "
+                f"{moves.histogram_text(row)}{tag}"
             )
             if full:
                 for member in part.members(c):
-                    click.echo(f"  {_format_labeling(spec, diagram, member)}")
+                    click.echo(f"  {_format_labeling(spec, diagram, member.bitstring())}")
     if reps:
-        if spec is None:
-            click.echo("error: --reps requires a family target", err=True)
-            sys.exit(EXIT_PARSE)
         rep_set = families.canonical_representatives(spec)
         problems = families.check_representatives(spec, part)
         if rep_set is not None:
             for lab, tag in zip(rep_set.labelings, rep_set.provenance):
                 click.echo(
-                    f"rep {tag} {_format_labeling(spec, diagram, lab)} "
+                    f"rep {tag} {_format_labeling(spec, diagram, lab.bitstring())} "
                     f"-> class {part.class_of(lab)}"
                 )
         for p in problems:
@@ -193,11 +192,18 @@ def census(ctx, family_name, range_str, fmt, out):
     if out is None:
         click.echo(buf.getvalue(), nl=False)
     else:
-        out_path = Path(out)
-        fd, tmp = tempfile.mkstemp(dir=out_path.parent or Path("."), suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, out_path)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=Path(out).parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(buf.getvalue())
+                os.replace(tmp, out)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            click.echo(f"error: cannot write {out}: {exc.strerror or exc}", err=True)
+            sys.exit(EXIT_PARSE)
     if any_mismatch:
         sys.exit(EXIT_MISMATCH)
 
@@ -223,9 +229,8 @@ def verify(ctx, target):
 
     fixed = diagram.fixed_labelings()
     singletons = {
-        part.minimal_representative(c).bits
-        for c in range(part.class_count)
-        if int(part.sizes[c]) == 1
+        part.minimal_representative(int(c)).bits
+        for c in (part.sizes == 1).nonzero()[0]
     }
     check(
         "singleton classes are exactly the fixed labelings",

@@ -19,7 +19,7 @@ class DiagramError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A computation would exceed the configured state-space cap."""
+    """A computation would exceed the state-space cap or the available memory."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -142,61 +141,59 @@ def _move_tables(diagram: Diagram):
     return a, b, c
 
 
-def expand_states(diagram: Diagram, states: np.ndarray) -> np.ndarray:
-    """Free-encoded state integers -> full labeling integers (pins set)."""
-    full = np.full(states.shape, diagram.pinned_bits, dtype=np.int64)
-    for j, v in enumerate(diagram.free_vertices):
-        full |= ((states >> j) & 1) << v
-    return full
+# labels and floors of one block of states take at most this many bytes each
+_COMPONENT_BLOCK_BYTES = 1 << 18
 
 
-def component_counts(diagram: Diagram, states: np.ndarray) -> np.ndarray:
-    """Component count of every free-encoded state, vectorized.
+def component_counts(diagram: Diagram) -> np.ndarray:
+    """Lit-component count of every free-encoded state 0..2^f-1.
 
-    Forests need only a popcount and an edge sum; a single independent cycle
-    adds a correction when the whole cycle is lit.  Anything else falls back
-    to the per-state graph walk.
+    Minimum labels propagate over the edges for a block of states at once,
+    row v holding vertex v's label.  A lit vertex starts at its own index,
+    an unlit one at n; its floor is 0 if lit, n if not, so an edge update
+    max(min(ends), floor) never lights it.  Gauss-Seidel sweeps, in
+    alternating edge order, stop at the first that changes nothing; then
+    only the least vertex of each component holds its own index.
     """
-    full = expand_states(diagram, states)
-    cycles = diagram.n_independent_cycles
-    if cycles > 1:
-        return np.array(
-            [diagram.count_components(diagram.labeling(int(b))) for b in full],
-            dtype=np.int64,
-        )
-    comps = np.bitwise_count(full).astype(np.int64)
-    for e in diagram.edges:
-        comps -= (full >> e.u) & (full >> e.v) & 1
-    if cycles == 1:
-        cyc = _cycle_mask(diagram)
-        comps += (full & cyc) == cyc
-    return comps
-
-
-def _cycle_mask(diagram: Diagram) -> int:
-    deg = [diagram.degree(v) for v in range(diagram.n_vertices)]
-    alive = set(range(diagram.n_vertices))
-    leaves = [v for v in alive if deg[v] <= 1]
-    while leaves:
-        v = leaves.pop()
-        alive.discard(v)
-        for u in diagram.neighbors(v):
-            if u in alive:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    leaves.append(u)
-    return sum(1 << v for v in alive)
+    n = diagram.n_vertices
+    free = diagram.free_vertices
+    f = len(free)
+    dtype = np.int8 if n < np.iinfo(np.int8).max else np.int32
+    fit = _COMPONENT_BLOCK_BYTES // (max(n, 1) * np.dtype(dtype).itemsize)
+    k = min(f, max(fit.bit_length() - 1, 0))
+    block = 1 << k
+    floor = np.zeros((n, block), dtype=dtype)
+    for j, v in enumerate(free[:k]):
+        # bit j of the states in a block repeats in runs of 2^j
+        floor[v].reshape(-1, 2, 1 << j)[:, 0] = n
+    own = np.arange(n, dtype=dtype)[:, None]
+    counts = np.empty(1 << f, dtype=np.int64)
+    low = np.empty(block, dtype=dtype)
+    for start in range(0, 1 << f, block):
+        for j, v in enumerate(free[k:], start=k):
+            floor[v] = 0 if start >> j & 1 else n
+        label = np.maximum(floor, own)
+        order = diagram.edges
+        while True:
+            before = label.copy()
+            for e in order:
+                np.minimum(label[e.u], label[e.v], out=low)
+                np.maximum(low, floor[e.u], out=label[e.u])
+                np.maximum(low, floor[e.v], out=label[e.v])
+            if np.array_equal(label, before):
+                break
+            order = order[::-1]
+        counts[start : start + block] = np.count_nonzero(label == own, axis=0)
+    return counts
 
 
 # -- class partition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassSummary:
-    size: int
-    min_representative: Labeling
-    components: dict[int, int]
-    is_singleton_fixed: bool
+def histogram_text(row) -> str:
+    """A component histogram row as ``k:count`` pairs joined by ``;``, over
+    its nonzero counts in increasing k."""
+    return ";".join(f"{k}:{v}" for k, v in enumerate(row) if v)
 
 
 class ClassPartition:
@@ -204,6 +201,8 @@ class ClassPartition:
 
     Classes are indexed by increasing integer value of their minimal
     representative (least 1-count, ties by least integer, vertex 0 = LSB).
+    The class table is kept as arrays indexed by class: ``sizes``, the
+    minimal representatives' states and ``component_histograms``.
     """
 
     def __init__(self, diagram: Diagram, class_id: np.ndarray, reps: np.ndarray):
@@ -256,31 +255,27 @@ class ClassPartition:
         return np.bincount(self._class_id, minlength=self.class_count)
 
     @cached_property
-    def _component_histograms(self) -> list[dict[int, int]]:
-        states = np.arange(len(self._class_id), dtype=np.int64)
-        comps = component_counts(self.diagram, states)
-        cmax = int(comps.max(initial=0))
-        flat = np.bincount(
-            self._class_id * (cmax + 1) + comps,
-            minlength=self.class_count * (cmax + 1),
-        ).reshape(self.class_count, cmax + 1)
-        return [
-            {c: int(row[c]) for c in range(cmax + 1) if row[c]}
-            for row in flat
-        ]
+    def component_histograms(self) -> np.ndarray:
+        """Read-only class x component-count matrix: entry [c, k] counts the
+        members of class c whose lit vertices form k components."""
+        key = component_counts(self.diagram)
+        width = int(key.max(initial=0)) + 1
+        key += self._class_id * width
+        hist = np.bincount(key, minlength=self.class_count * width)
+        hist = hist.reshape(self.class_count, width)
+        hist.flags.writeable = False
+        return hist
 
-    @cached_property
-    def summaries(self) -> list[ClassSummary]:
-        hists = self._component_histograms
-        return [
-            ClassSummary(
-                size=int(self.sizes[c]),
-                min_representative=self.minimal_representative(c),
-                components=hists[c],
-                is_singleton_fixed=int(self.sizes[c]) == 1,
-            )
-            for c in range(self.class_count)
-        ]
+    def table_rows(self):
+        """(size, vertex-0-first bitstring of the minimal representative,
+        component histogram row) of every class, in class order."""
+        n = self.diagram.n_vertices
+        chars = np.full((self.class_count, n), ord("1"), dtype=np.uint8)
+        for j, v in enumerate(self.diagram.free_vertices):
+            chars[:, v] = ord("0") + (self._rep_states >> j & 1)
+        text = chars.tobytes().decode("ascii")
+        reps = [text[c * n : (c + 1) * n] for c in range(self.class_count)]
+        return zip(self.sizes.tolist(), reps, self.component_histograms.tolist())
 
     def class_of(self, a: Labeling) -> int:
         return int(self._class_id[encode_state(self.diagram, a)])
@@ -311,12 +306,12 @@ class ClassPartition:
             "class_count": self.class_count,
             "classes": [
                 {
-                    "size": s.size,
-                    "min_representative": s.min_representative.bitstring(),
-                    "components": {str(k): v for k, v in sorted(s.components.items())},
-                    "is_singleton_fixed": s.is_singleton_fixed,
+                    "size": size,
+                    "min_representative": rep,
+                    "components": {str(k): v for k, v in enumerate(row) if v},
+                    "is_singleton_fixed": size == 1,
                 }
-                for s in self.summaries
+                for size, rep, row in self.table_rows()
             ],
         }
 
@@ -327,9 +322,8 @@ class ClassPartition:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["class", "size", "min_representative", "components", "is_singleton_fixed"])
-        for c, s in enumerate(self.summaries):
-            hist = ";".join(f"{k}:{v}" for k, v in sorted(s.components.items()))
-            w.writerow([c, s.size, s.min_representative.bitstring(), hist, int(s.is_singleton_fixed)])
+        for c, (size, rep, row) in enumerate(self.table_rows()):
+            w.writerow([c, size, rep, histogram_text(row), int(size == 1)])
         return buf.getvalue()
 
 

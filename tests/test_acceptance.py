@@ -198,7 +198,7 @@ def test_criterion_4_invariant_suites(tree_corpus_14):
     # simply-laced trees with at most 14 vertices in the corpus
     for name, d in tree_corpus_14:
         states = np.arange(1 << d.n_vertices, dtype=np.int64)
-        comps = moves.component_counts(d, states)
+        comps = moves.component_counts(d)
         for succ, bit in _vector_successors(d, states):
             if d.degree(bit) <= 2 and not np.array_equal(comps[succ], comps):
                 failures.append(f"{name}: degree-{d.degree(bit)} move at "

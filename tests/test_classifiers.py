@@ -46,8 +46,7 @@ def test_classify_by_components_rejects_non_paths():
 def test_path_classifier_induces_brute_partition(n):
     d = fam(f"A:{n}")
     part = moves.enumerate_classes(d)
-    states = np.arange(1 << n, dtype=np.int64)
-    keys = moves.component_counts(d, states)
+    keys = moves.component_counts(d)
     assert same_partition(part.class_id_array(), keys)
     assert int(keys.max()) == -(-n // 2)  # maximal component count
 

@@ -2,11 +2,15 @@
 
 import json
 import os
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from reeder import families
 from reeder.cli import main
+from reeder.diagram import parse_dsl
+from conftest import oracle_classes
 
 
 @pytest.fixture()
@@ -111,6 +115,8 @@ def test_classes_reps_requires_family(runner, tmp_path):
     path.write_text("vertices 2\nedge 0 1\n")
     res = runner.invoke(main, ["classes", str(path), "--reps"])
     assert res.exit_code == 2
+    assert "--reps requires a family target" in res.stderr
+    assert res.stdout == ""  # rejected before the class table is enumerated
 
 
 def test_classes_json(runner):
@@ -134,6 +140,90 @@ def test_classes_affine_prints_leading_zero_vertex(runner):
     assert res.exit_code == 0
     # affine labelings print as a0;a1..an
     assert "0;0000" in res.output
+
+
+# two independent cycles through vertex 2, a double and a triple edge, and a
+# pinned vertex on the second cycle
+PINNED_CYCLES_DSL = """\
+vertices 7
+edge 0 1
+edge 1 2
+edge 2 0
+edge 2 3 mult=2 dir=2>3
+edge 3 4
+edge 4 5
+edge 5 2
+edge 5 6 mult=3
+pin 4
+"""
+
+
+def oracle_table(d):
+    """(size, vertex-0-first minimal representative, component histogram)
+    per class, in class order, from the BFS oracle classes and the
+    per-labeling walker."""
+    rows = []
+    for cls in oracle_classes(d):
+        rep = min(cls, key=lambda bits: (bin(bits).count("1"), bits))
+        hist = Counter(d.count_components(d.labeling(bits)) for bits in cls)
+        rows.append((rep, len(cls), dict(sorted(hist.items()))))
+    rows.sort()
+    n = d.n_vertices
+    return [(size, format(rep, f"0{n}b")[::-1], hist) for rep, size, hist in rows]
+
+
+def hist_text(hist):
+    return ";".join(f"{k}:{v}" for k, v in hist.items())
+
+
+@pytest.mark.parametrize("target", ["dsl", "affA:7", "affD:6"])
+def test_class_table_matches_oracle(runner, tmp_path, target):
+    if target == "dsl":
+        path = tmp_path / "cycles.dg"
+        path.write_text(PINNED_CYCLES_DSL)
+        d = parse_dsl(PINNED_CYCLES_DSL)
+        target = str(path)
+    else:
+        d = families.construct(families.parse_family(target))
+    rows = oracle_table(d)
+
+    obj = json.loads(runner.invoke(main, ["classes", target, "--format", "json"]).stdout)
+    assert obj == {
+        "n_vertices": d.n_vertices,
+        "free_vertices": [v for v in range(d.n_vertices) if v not in d.pinned],
+        "class_count": len(rows),
+        "classes": [
+            {
+                "size": size,
+                "min_representative": rep,
+                "components": {str(k): v for k, v in hist.items()},
+                "is_singleton_fixed": size == 1,
+            }
+            for size, rep, hist in rows
+        ],
+    }
+
+    csv_out = runner.invoke(main, ["classes", target, "--format", "csv"]).stdout
+    assert csv_out.splitlines() == [
+        "class,size,min_representative,components,is_singleton_fixed"
+    ] + [
+        f"{c},{size},{rep},{hist_text(hist)},{int(size == 1)}"
+        for c, (size, rep, hist) in enumerate(rows)
+    ]
+
+    def shown(rep):
+        # an affine labeling prints its last internal vertex first, as a0;a1..an
+        return rep[-1] + ";" + rep[:-1] if ":" in target else rep
+
+    text = runner.invoke(main, ["classes", target]).stdout
+    assert text.splitlines() == [
+        f"target={target} vertices={d.n_vertices} "
+        f"free={d.n_vertices - len(d.pinned)} classes={len(rows)}",
+        "class size min_rep components",
+    ] + [
+        f"{c} {size} {shown(rep)} {hist_text(hist)}" + (" fixed" if size == 1 else "")
+        for c, (size, rep, hist) in enumerate(rows)
+    ]
 
 
 # -- census ----------------------------------------------------------------
@@ -187,6 +277,32 @@ def test_census_out_atomic(runner, tmp_path):
     assert out.exists()
     assert len(out.read_text().splitlines()) == 5
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def test_census_out_missing_dir_exit_2(runner, tmp_path):
+    out = tmp_path / "no-such-dir" / "census.csv"
+    res = runner.invoke(
+        main,
+        ["census", "--family", "A", "--range", "1..2", "--out", str(out)],
+    )
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and str(out) in res.stderr
+
+
+def test_census_out_failed_rename_removes_temp(runner, tmp_path, monkeypatch):
+    def no_replace(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    out = tmp_path / "census.csv"
+    res = runner.invoke(
+        main,
+        ["census", "--family", "A", "--range", "1..2", "--out", str(out)],
+    )
+    assert res.exit_code == 2
+    assert f"error: cannot write {out}: Permission denied" in res.stderr
+    assert os.listdir(tmp_path) == []
 
 
 # -- verify / duality ------------------------------------------------------

@@ -28,6 +28,25 @@ def partition_as_sets(part):
     }
 
 
+@st.composite
+def dsl_graphs(draw, max_vertices=9):
+    """Random DSL diagrams: any multiplicities and arrows, some pins."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = [f"vertices {n}"]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)):
+            mult = draw(st.integers(1, 4))
+            line = f"edge {u} {v} mult={mult}"
+            if mult % 2 == 0:
+                longer, shorter = draw(st.permutations([u, v]))
+                line += f" dir={longer}>{shorter}"
+            lines.append(line)
+    for p in draw(st.sets(st.integers(0, n - 1), max_size=n // 3)):
+        lines.append(f"pin {p}")
+    return parse_dsl("\n".join(lines))
+
+
 # -- single moves ----------------------------------------------------------
 
 
@@ -135,25 +154,44 @@ def test_encode_decode_roundtrip_with_pins():
 
 @pytest.mark.parametrize(
     "target",
-    ["A:6", "D:5", "affA:5", "affA:6", "B:5", "flower:4", "Abox:4", "Y:5"],
+    [
+        "A:6", "D:5", "affA:5", "affA:6", "B:5", "flower:4", "Abox:4", "Y:5",
+        pytest.param(
+            Diagram(4, [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 0), Edge(0, 2)]),
+            id="theta",
+        ),
+        # 140 vertex labels do not fit in int8; all but six vertices are pinned
+        pytest.param(
+            Diagram(
+                140,
+                [Edge(i, i + 1) for i in range(139)] + [Edge(0, 139), Edge(10, 60)],
+                frozenset(range(140)) - {0, 1, 30, 60, 61, 139},
+            ),
+            id="140-vertices-pinned",
+        ),
+    ],
 )
 def test_component_counts_match_walker(target):
-    d = fam(target)
-    f = len(d.free_vertices)
-    states = np.arange(1 << f, dtype=np.int64)
-    got = moves.component_counts(d, states)
-    for s in states:
-        lab = moves.decode_state(d, int(s))
-        assert got[s] == d.count_components(lab)
+    d = fam(target) if isinstance(target, str) else target
+    check_component_counts(d)
 
 
-def test_component_counts_multicycle_fallback():
-    # theta graph: two independent cycles, exercises the per-state walk
-    d = Diagram(4, [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 0), Edge(0, 2)])
-    states = np.arange(1 << 4, dtype=np.int64)
-    got = moves.component_counts(d, states)
-    for s in states:
-        assert got[s] == d.count_components(Labeling(4, int(s)))
+def check_component_counts(d):
+    want = [
+        d.count_components(moves.decode_state(d, s))
+        for s in range(1 << len(d.free_vertices))
+    ]
+    assert moves.component_counts(d).tolist() == want
+    # blocks of at most four states, so the high state bits vary by block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moves, "_COMPONENT_BLOCK_BYTES", 4 * d.n_vertices)
+        assert moves.component_counts(d).tolist() == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(dsl_graphs())
+def test_component_counts_match_walker_on_random_graphs(d):
+    check_component_counts(d)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -207,9 +245,9 @@ def test_partition_sanity(small_corpus):
             if int(part.sizes[c]) == 1
         }
         assert singletons == {lab.bits for lab in d.fixed_labelings()}, name
-        for s in part.summaries:
-            assert s.is_singleton_fixed == (s.size == 1)
-            assert sum(s.components.values()) == s.size
+        for row in part.to_json_obj()["classes"]:
+            assert row["is_singleton_fixed"] == (row["size"] == 1)
+            assert sum(row["components"].values()) == row["size"]
 
 
 def test_are_equivalent_and_class_of():
@@ -364,25 +402,6 @@ def test_kernels_match_oracle(target):
     check_reeder_kernels(d)
     if d.pinned:
         assert any(moves._move_tables(d)[2])  # pinned neighbors give c = 1
-
-
-@st.composite
-def dsl_graphs(draw, max_vertices=9):
-    """Random DSL diagrams: any multiplicities and arrows, some pins."""
-    n = draw(st.integers(1, max_vertices))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    lines = [f"vertices {n}"]
-    if pairs:
-        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)):
-            mult = draw(st.integers(1, 4))
-            line = f"edge {u} {v} mult={mult}"
-            if mult % 2 == 0:
-                longer, shorter = draw(st.permutations([u, v]))
-                line += f" dir={longer}>{shorter}"
-            lines.append(line)
-    for p in draw(st.sets(st.integers(0, n - 1), max_size=n // 3)):
-        lines.append(f"pin {p}")
-    return parse_dsl("\n".join(lines))
 
 
 @settings(deadline=None, max_examples=40)
