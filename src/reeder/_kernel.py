@@ -12,16 +12,16 @@ kernel requires parity(a & b) = 0.  Then the condition reads the same at s
 and at t, so every move is an involution pairing s with t = s ^ b wherever
 the condition holds.
 
-The class root of each state is its minimum member.  A numba union-find is
-used when numba is installed.  Otherwise the numpy kernel propagates minimum
-labels in place over a label array viewed as shape (2,)*f: with j the lowest
-bit of b, the bit-j-clear slice holds one end of every pair and the bit-j-set
-slice, flipped along the other bits of b, holds the partner end.  Each sweep
-takes the minimum of both ends wherever the move's edge mask holds, writing
-it back at once (Gauss-Seidel, alternate sweeps in reverse move order), then
-pointer-jumps the labels to a fixpoint.  It stops at the first sweep that
-changes nothing.  Memory is O(2^f): a few int32 label buffers, one bool
-edge mask over half the states per move, and the int64 result.
+The class root of each state is its minimum member.  Minimum labels
+propagate in place over an int32 label array viewed as shape (2,)*f: with j
+the lowest bit of b, the bit-j-clear slice holds one end of every pair and
+the bit-j-set slice, flipped along the other bits of b, holds the partner
+end.  Each sweep takes the minimum of both ends wherever the move's edge
+mask holds, writing it back at once (Gauss-Seidel, alternate sweeps in
+reverse move order), then pointer-jumps the labels to a fixpoint.  It stops
+at the first sweep that changes nothing.  Memory is O(2^f): a few int32
+label buffers, one bool edge mask over half the states per move, and the
+int64 result.
 """
 
 from __future__ import annotations
@@ -30,52 +30,9 @@ import numpy as np
 
 from .diagram import DiagramError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-@njit(cache=True)
-def _union_find_orbits(n_states, a, b, c):
-    parent = np.arange(n_states, dtype=np.int64)
-    n_moves = a.shape[0]
-    for s in range(n_states):
-        for m in range(n_moves):
-            v = s & a[m]
-            v ^= v >> 32
-            v ^= v >> 16
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            t = s ^ (((v ^ c[m]) & 1) * b[m])
-            if t == s:
-                continue
-            x = s
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = t
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
-    # parent[x] <= x throughout, so one ascending pass fully compresses
-    for s in range(n_states):
-        parent[s] = parent[parent[s]]
-    return parent
+# The numpy kernel below is the only backend; perfbench/run.py records the
+# backend it measured from this flag.
+HAVE_NUMBA = False
 
 
 def kernel_bytes(n_states: int, n_moves: int) -> int:
@@ -149,12 +106,6 @@ def _propagate(label, pairs: list) -> None:
             np.copyto(label, jumped)
 
 
-def _orbits_numpy(f: int, a, b, c):
-    label = np.arange(1 << f, dtype=np.int32)
-    _propagate(label, _move_pairs(label, f, a, b, c))
-    return label.astype(np.int64)
-
-
 def orbit_roots(n_states: int, a, b, c):
     """Root (minimum member) of each state's orbit, as an int64 array.
 
@@ -173,8 +124,6 @@ def orbit_roots(n_states: int, a, b, c):
             f"move {m} (a={int(a[m]):#x}, b={int(b[m]):#x}) has odd "
             "parity(a & b), so it is not an involution"
         )
-    if len(a) == 0 or n_states == 1:
-        return np.arange(n_states, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _union_find_orbits(n_states, a, b, c)
-    return _orbits_numpy(n_states.bit_length() - 1, a, b, c)
+    label = np.arange(n_states, dtype=np.int32)
+    _propagate(label, _move_pairs(label, n_states.bit_length() - 1, a, b, c))
+    return label.astype(np.int64)

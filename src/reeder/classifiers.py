@@ -63,6 +63,12 @@ class E6TreePrediction:
         return ids
 
 
+# the parity pass holds the int64 component counts, an int64 parity copy
+# (unless numpy reuses the temporary; 9 bytes a state traced at n = 20) and
+# two bool masks at once
+_PARITY_BYTES_PER_STATE = 18
+
+
 def e6_tree_classify(diagram: Diagram, cap: int | None = None) -> E6TreePrediction:
     """Predict the partition of a branching tree: fixed labelings are
     singletons and the rest splits into the odd- and even-parity classes.
@@ -76,12 +82,9 @@ def e6_tree_classify(diagram: Diagram, cap: int | None = None) -> E6TreePredicti
         raise DiagramError(
             "classifier requires a branch vertex with two arms of length >= 2"
         )
-    fixed = tuple(diagram.fixed_labelings())
     n = diagram.n_vertices
-    if n > moves.state_cap(cap):
-        raise moves.ResourceError(
-            f"{n} vertices exceed the cap: would require {1 << n} states"
-        )
+    moves.require_states(n, _PARITY_BYTES_PER_STATE << n, cap)
+    fixed = tuple(diagram.fixed_labelings())
     odd = (moves.component_counts(diagram) & 1).astype(bool)
     fixed_bits = [lab.bits for lab in fixed]
     fixed_odd = sum(1 for b in fixed_bits if odd[b])
@@ -160,28 +163,10 @@ def swallowing_check(diagram: Diagram, a: Labeling) -> list[int] | None:
     if tail_bits == 0:
         return None
     start = diagram.labeling(tail_bits | 1 << (n - 1))
-    target_bits = tail_bits
-    prev: dict[int, tuple[int, int]] = {start.bits: (-1, -1)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for i in range(n):
-                t = moves.apply_move(diagram, cur, i)
-                if t.bits in prev:
-                    continue
-                prev[t.bits] = (cur.bits, i)
-                if t.bits == target_bits:
-                    witness = []
-                    b = t.bits
-                    while prev[b][1] >= 0:
-                        b, mv = prev[b][0], prev[b][1]
-                        witness.append(mv)
-                    witness.reverse()
-                    return witness
-                nxt.append(t)
-        frontier = nxt
-    raise AssertionError("swallowing witness not found; states exhausted")
+    witness = moves.shortest_moves(diagram, start, diagram.labeling(tail_bits))
+    if witness is None:
+        raise AssertionError("swallowing witness not found; states exhausted")
+    return witness
 
 
 # -- random tree corpus ----------------------------------------------------

@@ -149,18 +149,9 @@ class Diagram:
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj), default=0)
 
-    @cached_property
+    @property
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for k in self._adj[stack.pop()]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        return len(seen) == self.n_vertices
+        return self.n_graph_components <= 1
 
     @cached_property
     def n_graph_components(self) -> int:

@@ -38,7 +38,7 @@ def state_cap(override: int | None = None) -> int:
 
 _MEMINFO = "/proc/meminfo"
 # int64 class ids, states and sort keys plus uint8 popcounts are live at once
-# while ClassPartition.build ranks the classes
+# while enumerate_classes ranks the classes
 _RANK_BYTES_PER_STATE = 25
 
 
@@ -55,19 +55,28 @@ def available_memory() -> int:
 
 
 def build_bytes(n_states: int, n_moves: int) -> int:
-    """Upper bound on the array bytes ClassPartition.build holds at once."""
+    """Upper bound on the array bytes enumerate_classes holds at once."""
     return max(
         _kernel.kernel_bytes(n_states, n_moves), _RANK_BYTES_PER_STATE * n_states
     )
 
 
-def require_memory(need: int, what: str) -> None:
-    """Raise ResourceError, before anything is allocated, when need bytes
-    exceed the memory available."""
+def require_states(f: int, need: int, cap: int | None = None) -> None:
+    """Refuse, before anything is allocated, to enumerate 2^f states.
+
+    Raises ResourceError when f exceeds the cap (see state_cap) or when the
+    need bytes estimated for the enumeration exceed the available memory.
+    """
+    cap = state_cap(cap)
+    if f > cap:
+        raise ResourceError(
+            f"{f} free vertices exceed the cap of {cap}: "
+            f"would require {1 << f} states"
+        )
     avail = available_memory()
     if need > avail:
         raise ResourceError(
-            f"{what} needs about {need >> 20} MB, "
+            f"enumerating {1 << f} states needs about {need >> 20} MB, "
             f"but only {avail >> 20} MB of memory is available"
         )
 
@@ -122,23 +131,12 @@ def _move_tables(diagram: Diagram):
     """Per-free-vertex transvection triples (a, b, c) over the free encoding.
 
     The move at free bit j flips bit j (b) when the parity of its free
-    effective neighbors (a) differs from that of its pinned ones (c).
+    effective neighbors (a, row j of the fixed-labeling system) differs from
+    that of its pinned ones (c, bit j of the system's right-hand side).
     """
-    free = diagram.free_vertices
-    pos = {v: j for j, v in enumerate(free)}
-    a, b, c = [], [], []
-    for j, i in enumerate(free):
-        mask = 0
-        const = 0
-        for k in diagram.effective_neighbors(i):
-            if k in pos:
-                mask |= 1 << pos[k]
-            else:
-                const ^= 1
-        a.append(mask)
-        b.append(1 << j)
-        c.append(const)
-    return a, b, c
+    m, rhs = diagram.effective_system()
+    f = len(m.rows)
+    return list(m.rows), [1 << j for j in range(f)], [rhs >> j & 1 for j in range(f)]
 
 
 # labels and floors of one block of states take at most this many bytes each
@@ -200,8 +198,8 @@ class ClassPartition:
     """Partition of all 2^f states into equivalence classes.
 
     Classes are indexed by increasing integer value of their minimal
-    representative (least 1-count, ties by least integer, vertex 0 = LSB).
-    The class table is kept as arrays indexed by class: ``sizes``, the
+    representative (least 1-count, ties by least integer, vertex 0 = LSB);
+    enumerate_classes builds it.  The class table is kept as arrays indexed by class: ``sizes``, the
     minimal representatives' states and ``component_histograms``.
     """
 
@@ -210,45 +208,6 @@ class ClassPartition:
         self._class_id = class_id
         self._rep_states = reps
         self.class_count = len(reps)
-
-    @classmethod
-    def build(cls, diagram: Diagram, cap: int | None = None) -> "ClassPartition":
-        f = len(diagram.free_vertices)
-        cap = state_cap(cap)
-        if f > cap:
-            raise ResourceError(
-                f"{f} free vertices exceed the cap of {cap}: "
-                f"would require {1 << f} states"
-            )
-        n_states = 1 << f
-        a, b, c = _move_tables(diagram)
-        require_memory(build_bytes(n_states, len(a)), f"enumerating {n_states} states")
-        roots = _kernel.orbit_roots(n_states, a, b, c)
-        states = np.arange(n_states, dtype=np.int64)
-        # every root is its class's minimum state, so ranking roots by value
-        # is a counting pass rather than a sort
-        is_root = roots == states
-        n_classes = int(np.count_nonzero(is_root))
-        root_rank = np.cumsum(is_root)
-        del is_root
-        root_rank -= 1
-        class_id = np.take(root_rank, roots, out=roots)  # reuses the roots buffer
-        del root_rank
-        key = np.bitwise_count(states).astype(np.int64)
-        key <<= f
-        key |= states
-        del states
-        min_keys = np.full(n_classes, np.iinfo(np.int64).max)
-        np.minimum.at(min_keys, class_id, key)
-        del key
-        reps = min_keys & (n_states - 1)
-        # reindex classes by their minimal representative's integer value
-        perm = np.argsort(reps, kind="stable")
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(len(perm))
-        # the ids the partition keeps get a fresh array: holding on to the
-        # kernel's buffer raised peak RSS by 10 MB on `classes flower:17`
-        return cls(diagram, rank[class_id], reps[perm])
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -328,8 +287,68 @@ class ClassPartition:
 
 
 def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:
-    """Union-find closure of the full state space under all moves."""
-    return ClassPartition.build(diagram, cap)
+    """Partition of the full state space into classes under all moves."""
+    f = len(diagram.free_vertices)
+    n_states = 1 << f
+    require_states(f, build_bytes(n_states, f), cap)
+    roots = _kernel.orbit_roots(n_states, *_move_tables(diagram))
+    states = np.arange(n_states, dtype=np.int64)
+    # every root is its class's minimum state, so ranking roots by value
+    # is a counting pass rather than a sort
+    is_root = roots == states
+    n_classes = int(np.count_nonzero(is_root))
+    root_rank = np.cumsum(is_root)
+    del is_root
+    root_rank -= 1
+    class_id = np.take(root_rank, roots, out=roots)  # reuses the roots buffer
+    del root_rank
+    key = np.bitwise_count(states).astype(np.int64)
+    key <<= f
+    key |= states
+    del states
+    min_keys = np.full(n_classes, np.iinfo(np.int64).max)
+    np.minimum.at(min_keys, class_id, key)
+    del key
+    reps = min_keys & (n_states - 1)
+    # reindex classes by their minimal representative's integer value
+    perm = np.argsort(reps, kind="stable")
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    # the ids the partition keeps get a fresh array: holding on to the
+    # kernel's buffer raised peak RSS by 10 MB on `classes flower:17`
+    return ClassPartition(diagram, rank[class_id], reps[perm])
+
+
+def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | None:
+    """A shortest move sequence taking a to b, or None when b is unreachable.
+
+    Breadth-first, trying the free vertices in increasing order, so the
+    sequence found is always the same one.
+    """
+    a = diagram.labeling(a)
+    b = diagram.labeling(b)
+    if a == b:
+        return []
+    prev = {a.bits: None}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for i in diagram.free_vertices:
+                t = apply_move(diagram, cur, i)
+                if t.bits in prev:
+                    continue
+                prev[t.bits] = (cur.bits, i)
+                if t == b:
+                    path = []
+                    s = t.bits
+                    while s != a.bits:
+                        s, i = prev[s]
+                        path.append(i)
+                    return path[::-1]
+                nxt.append(t)
+        frontier = nxt
+    return None
 
 
 def are_equivalent(
@@ -339,24 +358,6 @@ def are_equivalent(
     partition: ClassPartition | None = None,
 ) -> bool:
     """Reachability of b from a; BFS when no partition is supplied."""
-    a = diagram.labeling(a)
-    b = diagram.labeling(b)
     if partition is not None:
         return partition.class_of(a) == partition.class_of(b)
-    if a.bits == b.bits:
-        return True
-    seen = {a.bits}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for i in diagram.free_vertices:
-                t = apply_move(diagram, cur, i)
-                if t.bits == b.bits:
-                    return True
-                if t.bits not in seen:
-                    seen.add(t.bits)
-                    nxt.append(t)
-        frontier = nxt
-    return False
-
+    return shortest_moves(diagram, a, b) is not None

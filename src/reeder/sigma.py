@@ -65,13 +65,7 @@ def enumerate_sigma_orbits(diagram: Diagram, cap: int | None = None) -> np.ndarr
     """Orbit root (minimum member) of every state under sigma moves."""
     _require_sigma(diagram)
     n = diagram.n_vertices
-    if n > moves.state_cap(cap):
-        raise moves.ResourceError(
-            f"{n} vertices exceed the cap: would require {1 << n} states"
-        )
-    moves.require_memory(
-        _kernel.kernel_bytes(1 << n, n), f"enumerating {1 << n} sigma states"
-    )
+    moves.require_states(n, _kernel.kernel_bytes(1 << n, n), cap)
     a = [1 << i for i in range(n)]
     b = [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)]
     return _kernel.orbit_roots(1 << n, a, b, [0] * n)

@@ -41,9 +41,17 @@ AFF_F4_PUBLISHED_CLASS = {"10000", "11000", "01000"}
 
 
 @lru_cache(maxsize=None)
-def brute_count(family: str, n: int) -> int:
+def enumerated(family: str, n: int) -> tuple[int, tuple[str, ...]]:
+    """Brute-force class count and representative-list problems of one
+    family instance.  Criteria 1, 3 and 7 share this one enumeration; the
+    partition itself is not kept, since its class ids are 8 bytes a state."""
     spec = families.FamilySpec(family, n)
-    return moves.enumerate_classes(families.construct(spec)).class_count
+    part = moves.enumerate_classes(families.construct(spec))
+    return part.class_count, tuple(families.check_representatives(spec, part))
+
+
+def brute_count(family: str, n: int) -> int:
+    return enumerated(family, n)[0]
 
 
 VERDICT_LINES: list[str] = []
@@ -159,8 +167,7 @@ def test_criterion_3_representative_validity():
     ] + [(family, families.FamilySpec(family).n) for family in FIXED_SIZE_COUNTS]
     for family, n in targets:
         spec = families.FamilySpec(family, n)
-        part = moves.enumerate_classes(families.construct(spec))
-        for problem in families.check_representatives(spec, part):
+        for problem in enumerated(family, n)[1]:
             failures.append(f"{spec}: {problem}")
     worked = {
         ("affB", 4): 7, ("affB", 5): 6, ("affD", 6): 10, ("affD", 7): 7,

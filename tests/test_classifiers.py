@@ -13,7 +13,7 @@ from reeder.classifiers import (
     swallowing_check,
     tree_from_pruefer,
 )
-from reeder.diagram import Diagram, DiagramError, Edge, Labeling
+from reeder.diagram import Diagram, DiagramError, Edge, Labeling, ResourceError
 from conftest import same_partition
 
 
@@ -114,6 +114,20 @@ def test_e6_tree_classify_preconditions():
         e6_tree_classify(fam("D:5"))
     with pytest.raises(DiagramError):
         e6_tree_classify(fam("A:8"))
+
+
+def test_e6_tree_classify_fails_before_allocating(monkeypatch):
+    d = fam("E8:8")
+
+    def no_counts(*args):
+        raise AssertionError("component counts ran although memory is short")
+
+    monkeypatch.setattr(moves, "component_counts", no_counts)
+    monkeypatch.setattr(moves, "available_memory", lambda: 1 << 10)
+    with pytest.raises(ResourceError, match="memory"):
+        e6_tree_classify(d)
+    monkeypatch.undo()
+    assert e6_tree_classify(d).class_count == 3
 
 
 # -- flower classifier -----------------------------------------------------

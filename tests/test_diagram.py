@@ -223,6 +223,8 @@ def test_shape_predicates():
     assert not aff.is_forest and aff.n_independent_cycles == 1
     two = Diagram(4, [Edge(0, 1), Edge(2, 3)])
     assert two.is_forest and not two.is_tree and two.n_graph_components == 2
+    assert not two.is_connected
+    assert Diagram(0).is_connected and Diagram(1).is_connected
 
 
 # -- labelings -------------------------------------------------------------

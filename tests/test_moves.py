@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeder import families, moves
+from reeder import classifiers, families, moves, sigma
 from reeder.diagram import (
     Diagram,
     DiagramError,
@@ -262,6 +262,18 @@ def test_are_equivalent_and_class_of():
     assert not moves.are_equivalent(d, zero, a)
 
 
+def test_shortest_moves():
+    d = fam("B:5")
+    a = d.labeling(0b00001)
+    assert moves.shortest_moves(d, a, a) == []
+    assert moves.shortest_moves(d, d.labeling(0), a) is None
+    # a lit vertex moves one step per two moves; vertices are tried in
+    # increasing order, so the first of the shortest sequences is returned
+    witness = moves.shortest_moves(d, a, d.labeling(0b00100))
+    assert witness == [1, 0, 2, 1]
+    assert moves.apply_sequence(d, a, witness).bits == 0b00100
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 7), st.data())
 def test_path_equivalence_iff_equal_components(n, data):
@@ -296,6 +308,28 @@ def test_build_fails_before_allocating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(moves, "available_memory", lambda: need)
     assert moves.enumerate_classes(d).class_count == 7
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        moves.enumerate_classes,
+        sigma.enumerate_sigma_orbits,
+        classifiers.e6_tree_classify,
+    ],
+    ids=["classes", "sigma", "e6-tree"],
+)
+def test_entry_points_share_state_gate(entry, monkeypatch):
+    d = fam("E8:8")
+    with pytest.raises(ResourceError, match="8 free vertices exceed the cap of 7"):
+        entry(d, cap=7)
+    monkeypatch.setenv("REEDER_MAX_VERTICES", "7")
+    with pytest.raises(ResourceError, match="cap of 7"):
+        entry(d)
+    monkeypatch.delenv("REEDER_MAX_VERTICES")
+    monkeypatch.setattr(moves, "available_memory", lambda: 1 << 10)
+    with pytest.raises(ResourceError, match="memory is available"):
+        entry(d)
 
 
 def test_available_memory_sources(monkeypatch, tmp_path):
