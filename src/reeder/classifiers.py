@@ -5,11 +5,11 @@ enumerating orbits, plus helpers to cross-validate against the move engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import moves
+from . import families, moves
 from .diagram import Diagram, DiagramError, Edge, Labeling
 
 
@@ -43,7 +43,8 @@ def parity(diagram: Diagram, a: Labeling) -> int:
 @dataclass(frozen=True)
 class E6TreePrediction:
     diagram: Diagram
-    fixed: tuple[Labeling, ...]
+    # moves.fixed_states(diagram); an array would break == and hash()
+    fixed: np.ndarray = field(compare=False)
     class_count: int
     fallback: bool
     warning: str | None
@@ -58,8 +59,7 @@ class E6TreePrediction:
         """Predicted class id of every state (ids are arbitrary but stable)."""
         # 0 = even class, 1 = odd class
         ids = moves.component_counts(self.diagram) & 1
-        for j, lab in enumerate(self.fixed):
-            ids[lab.bits] = 2 + j
+        ids[self.fixed] = np.arange(2, 2 + len(self.fixed))
         return ids
 
 
@@ -84,12 +84,10 @@ def e6_tree_classify(diagram: Diagram, cap: int | None = None) -> E6TreePredicti
         )
     n = diagram.n_vertices
     moves.require_states(n, _PARITY_BYTES_PER_STATE << n, cap)
-    fixed = tuple(diagram.fixed_labelings())
+    fixed = moves.fixed_states(diagram, cap)
     odd = (moves.component_counts(diagram) & 1).astype(bool)
-    fixed_bits = [lab.bits for lab in fixed]
-    fixed_odd = sum(1 for b in fixed_bits if odd[b])
-    nonfixed_odd = int(odd.sum()) - fixed_odd
-    nonfixed_even = int((~odd).sum()) - (len(fixed_bits) - fixed_odd)
+    nonfixed_odd = int(np.count_nonzero(odd)) - int(np.count_nonzero(odd[fixed]))
+    nonfixed_even = (1 << n) - len(fixed) - nonfixed_odd
     if nonfixed_odd > 0 and nonfixed_even > 0:
         return E6TreePrediction(diagram, fixed, len(fixed) + 2, False, None)
     count = moves.enumerate_classes(diagram, cap).class_count
@@ -124,9 +122,8 @@ class FlowerPrediction:
 
 
 def flower_classify(d: int) -> FlowerPrediction:
-    if d < 1:
-        raise DiagramError("flower requires d >= 1")
-    diagram = Diagram(d + 1, tuple(Edge(i, d) for i in range(d)))
+    """Predict the flower(d) partition; FamilySpec rejects d < 1."""
+    diagram = families.construct(families.FamilySpec("flower", d))
     return FlowerPrediction(diagram, d, 2 ** (d - 1) + 1)
 
 

@@ -22,6 +22,9 @@ class ResourceError(RuntimeError):
     """A computation would exceed the state-space cap or the available memory."""
 
 
+_LABELING_BYTES = 176  # per labeling fixed_labelings returns; tracemalloc: 175
+
+
 @dataclass(frozen=True)
 class Edge:
     u: int
@@ -305,35 +308,13 @@ class Diagram:
             rows.append(row)
         return F2Matrix(len(free), len(free), tuple(rows)), b
 
-    def fixed_labelings(self, max_nullity: int = 20) -> list[Labeling]:
+    def fixed_labelings(self) -> list[Labeling]:
         """All labelings fixed by every move, in increasing integer order."""
-        m, b = self.effective_system()
-        x0 = m.solve(b)
-        if x0 is None:
-            return []
-        basis = m.nullspace_basis()
-        if len(basis) > max_nullity:
-            raise ResourceError(
-                f"fixed-labeling nullspace dimension {len(basis)} exceeds cap {max_nullity}"
-            )
-        free = self.free_vertices
-        pinned_bits = self.pinned_bits
-        out = []
-        for combo in range(1 << len(basis)):
-            x = x0
-            c = combo
-            k = 0
-            while c:
-                if c & 1:
-                    x ^= basis[k]
-                c >>= 1
-                k += 1
-            full = pinned_bits
-            for j, v in enumerate(free):
-                full |= (x >> j & 1) << v
-            out.append(Labeling(self.n_vertices, full))
-        out.sort(key=lambda a: a.bits)
-        return out
+        from . import moves  # moves builds on this module
+
+        k = self.effective_system()[0].nullity()
+        moves.require_states(k, _LABELING_BYTES << k)
+        return [moves.decode_state(self, s) for s in moves.fixed_states(self).tolist()]
 
 
 def _mask(vertices) -> int:

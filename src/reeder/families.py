@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .diagram import Diagram, DiagramError, Edge, Labeling
 
 FAMILY_NAMES = (
@@ -620,15 +622,17 @@ def _reps_D4_3(_):
     return [(0, "xi:0"), (1 << 2, "xi:1"), (1 << 2 | 1 << 1, "xi:2")]
 
 
-def check_representatives(spec: FamilySpec, partition) -> list[str]:
-    """Problems with the family's representative list against a partition.
+def check_representatives(spec: FamilySpec, reps, partition) -> list[str]:
+    """Problems with the published list reps = canonical_representatives(spec)
+    against a partition.
 
     Empty result means the list is pairwise inequivalent, complete, and
     weight-minimal per class.  Deferred families report a single problem.
     """
-    reps = canonical_representatives(spec)
     if reps is None:
         return [f"{spec}: no published representative list"]
+    # a labeling's weight counts its pinned vertices, which are always lit
+    best = np.bitwise_count(partition.rep_states) + len(partition.diagram.pinned)
     problems = []
     seen: dict[int, int] = {}
     for idx, (lab, tag) in enumerate(zip(reps.labelings, reps.provenance)):
@@ -636,9 +640,8 @@ def check_representatives(spec: FamilySpec, partition) -> list[str]:
         if c in seen:
             problems.append(f"{tag}: same class as representative {seen[c]}")
         seen[c] = idx
-        best = partition.minimal_representative(c).weight
-        if lab.weight != best:
-            problems.append(f"{tag}: weight {lab.weight}, class minimum {best}")
+        if lab.weight != best[c]:
+            problems.append(f"{tag}: weight {lab.weight}, class minimum {best[c]}")
     if len(seen) != partition.class_count:
         problems.append(
             f"{spec}: {len(seen)} classes covered of {partition.class_count}"

@@ -25,15 +25,18 @@ _ENV_CAP = "REEDER_MAX_VERTICES"
 
 def state_cap(override: int | None = None) -> int:
     """Effective free-vertex cap: explicit override > environment > default."""
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_CAP)
-    if env is not None:
+    cap = override
+    if cap is None:
+        env = os.environ.get(_ENV_CAP)
+        if env is None:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise DiagramError(f"bad {_ENV_CAP} value {env!r}")
-    return DEFAULT_CAP
+    if cap < 0:
+        raise DiagramError(f"the free-vertex cap must be >= 0, not {cap}")
+    return cap
 
 
 _MEMINFO = "/proc/meminfo"
@@ -127,6 +130,22 @@ def decode_state(diagram: Diagram, state: int) -> Labeling:
     return Labeling(diagram.n_vertices, full)
 
 
+def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
+    """Sorted free-encoded states fixed by every move: x0 + ker M for the
+    system of Diagram.effective_system, gated as 2^nullity states."""
+    m, rhs = diagram.effective_system()
+    x0 = m.solve(rhs)
+    if x0 is None:
+        return np.empty(0, dtype=np.int64)
+    basis = m.nullspace_basis()
+    require_states(len(basis), 8 << len(basis), cap)  # int64 states
+    states = np.full(1 << len(basis), x0, dtype=np.int64)
+    for j, v in enumerate(basis):  # doubling: the next half is this one + v
+        np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
+    states.sort()
+    return states
+
+
 def _move_tables(diagram: Diagram):
     """Per-free-vertex transvection triples (a, b, c) over the free encoding.
 
@@ -199,14 +218,15 @@ class ClassPartition:
 
     Classes are indexed by increasing integer value of their minimal
     representative (least 1-count, ties by least integer, vertex 0 = LSB);
-    enumerate_classes builds it.  The class table is kept as arrays indexed by class: ``sizes``, the
-    minimal representatives' states and ``component_histograms``.
+    enumerate_classes builds it.  The class table is kept as arrays indexed by
+    class: ``sizes``, ``rep_states`` (read-only) and ``component_histograms``.
     """
 
     def __init__(self, diagram: Diagram, class_id: np.ndarray, reps: np.ndarray):
         self.diagram = diagram
         self._class_id = class_id
-        self._rep_states = reps
+        reps.flags.writeable = False
+        self.rep_states = reps
         self.class_count = len(reps)
 
     @cached_property
@@ -231,7 +251,7 @@ class ClassPartition:
         n = self.diagram.n_vertices
         chars = np.full((self.class_count, n), ord("1"), dtype=np.uint8)
         for j, v in enumerate(self.diagram.free_vertices):
-            chars[:, v] = ord("0") + (self._rep_states >> j & 1)
+            chars[:, v] = ord("0") + (self.rep_states >> j & 1)
         text = chars.tobytes().decode("ascii")
         reps = [text[c * n : (c + 1) * n] for c in range(self.class_count)]
         return zip(self.sizes.tolist(), reps, self.component_histograms.tolist())
@@ -242,13 +262,20 @@ class ClassPartition:
     def minimal_representative(self, class_index: int) -> Labeling:
         if not 0 <= class_index < self.class_count:
             raise IndexError(f"unknown class index {class_index}")
-        return decode_state(self.diagram, int(self._rep_states[class_index]))
+        return decode_state(self.diagram, int(self.rep_states[class_index]))
+
+    @cached_property
+    def _members_by_class(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stable argsort of the class ids, and where each class's run ends."""
+        return np.argsort(self._class_id, kind="stable"), np.cumsum(self.sizes)
 
     def members(self, class_index: int):
         if not 0 <= class_index < self.class_count:
             raise IndexError(f"unknown class index {class_index}")
-        for s in np.flatnonzero(self._class_id == class_index):
-            yield decode_state(self.diagram, int(s))
+        order, ends = self._members_by_class
+        stop = int(ends[class_index])
+        for s in order[stop - int(self.sizes[class_index]) : stop].tolist():
+            yield decode_state(self.diagram, s)
 
     def class_id_array(self) -> np.ndarray:
         """Class index of every free-encoded state (read-only view)."""

@@ -47,7 +47,8 @@ def enumerated(family: str, n: int) -> tuple[int, tuple[str, ...]]:
     partition itself is not kept, since its class ids are 8 bytes a state."""
     spec = families.FamilySpec(family, n)
     part = moves.enumerate_classes(families.construct(spec))
-    return part.class_count, tuple(families.check_representatives(spec, part))
+    reps = families.canonical_representatives(spec)
+    return part.class_count, tuple(families.check_representatives(spec, reps, part))
 
 
 def brute_count(family: str, n: int) -> int:

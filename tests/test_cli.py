@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from reeder import families
+from reeder import families, moves
 from reeder.cli import main
+from reeder.f2 import F2Matrix
 from reeder.diagram import parse_dsl
 from conftest import oracle_classes
 
@@ -68,6 +69,9 @@ def test_count_dsl_file(runner, tmp_path):
 def test_count_parse_errors_exit_2(runner, tmp_path):
     assert runner.invoke(main, ["count", "no-such-file.dg"]).exit_code == 2
     assert runner.invoke(main, ["count", "A:0"]).exit_code == 2
+    assert runner.invoke(main, ["--max-vertices", "-1", "count", "A:3"]).exit_code == 2
+    res = runner.invoke(main, ["count", "A:3"], env={"REEDER_MAX_VERTICES": "-1"})
+    assert res.exit_code == 2
     bad = tmp_path / "bad.dg"
     bad.write_text("vertices 2\nedge 0 1 mult=2\n")
     assert runner.invoke(main, ["count", str(bad)]).exit_code == 2
@@ -116,6 +120,15 @@ def test_classes_reps_requires_family(runner, tmp_path):
     res = runner.invoke(main, ["classes", str(path), "--reps"])
     assert res.exit_code == 2
     assert "--reps requires a family target" in res.stderr
+    assert res.stdout == ""  # rejected before the class table is enumerated
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--full"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classes_text_only_flags_reject_formats(runner, flag, fmt):
+    res = runner.invoke(main, ["classes", "A:3", flag, "--format", fmt])
+    assert res.exit_code == 2
+    assert f"print text only, not --format {fmt}" in res.stderr
     assert res.stdout == ""  # rejected before the class table is enumerated
 
 
@@ -314,6 +327,37 @@ def test_verify_affine_cycle(runner):
     assert "FAIL" not in res.output
     assert "ok: class sizes sum to 2^free" in res.output
     assert "ok: singleton classes are exactly the fixed labelings" in res.output
+
+
+def test_verify_nullity_beyond_twenty(runner, tmp_path):
+    # 21 isolated vertices: all 2^21 labelings are fixed singletons
+    path = tmp_path / "isolated.dg"
+    path.write_text("vertices 21\n")
+    res = runner.invoke(main, ["verify", str(path)])
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == [
+        "ok: class sizes sum to 2^free",
+        "ok: singleton classes are exactly the fixed labelings",
+        "ok: sigma duality identities hold",
+    ]
+
+
+@pytest.mark.parametrize(
+    "attr,breaks,name",
+    [
+        # a zero matrix squares to zero, not the identity
+        ("move_matrix", lambda real: lambda d, i: F2Matrix.zeros(d.n_vertices, d.n_vertices),
+         "every move is an involution"),
+        ("fixed_states", lambda real: lambda d, cap=None: real(d, cap)[1:],
+         "singleton classes are exactly the fixed labelings"),
+    ],
+    ids=["involution", "singletons"],
+)
+def test_verify_reports_failed_check(runner, monkeypatch, attr, breaks, name):
+    monkeypatch.setattr(moves, attr, breaks(getattr(moves, attr)))
+    res = runner.invoke(main, ["verify", "B:4"])
+    assert res.exit_code == 3
+    assert f"FAIL: {name}" in res.stdout.splitlines()
 
 
 def test_verify_simply_laced_runs_duality(runner):

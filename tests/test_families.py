@@ -165,24 +165,46 @@ def test_worked_example_representative_counts(target, n_reps):
     reps = families.canonical_representatives(spec)
     assert len(reps.labelings) == n_reps
     part = moves.enumerate_classes(families.construct(spec))
-    assert families.check_representatives(spec, part) == []
+    assert families.check_representatives(spec, reps, part) == []
 
 
 def test_representatives_deferred():
     assert families.canonical_representatives(FamilySpec("E6")) is None
     part = moves.enumerate_classes(fam("E6:6"))
-    problems = families.check_representatives(FamilySpec("E6"), part)
+    problems = families.check_representatives(FamilySpec("E6"), None, part)
     assert problems and "no published representative list" in problems[0]
 
 
 def test_check_representatives_detects_problems():
     spec = parse_family("A:4")
     part = moves.enumerate_classes(families.construct(spec))
-    ok = families.check_representatives(spec, part)
+    reps = families.canonical_representatives(spec)
+    ok = families.check_representatives(spec, reps, part)
     assert ok == []
     # a partition from the wrong diagram misclassifies the list
     wrong = moves.enumerate_classes(fam("flower:3"))
-    assert families.check_representatives(spec, wrong) != []
+    assert families.check_representatives(spec, reps, wrong) != []
+    # a heavy, a repeated and a missing class, in list order; the boxed
+    # diagram's weights count its pinned vertex
+    for target, listed, want in [
+        ("A:4", [(0b0000, "zero"), (0b0011, "pair"), (0b0001, "single")], [
+            "pair: weight 2, class minimum 1",
+            "single: same class as representative 1",
+            "A:4: 2 classes covered of 3",
+        ]),
+        ("Abox_m:4", [(0b10000, "zero"), (0b11100, "triple"), (0b10100, "one"),
+                      (0b10101, "two")], [
+            "triple: same class as representative 0",
+            "triple: weight 3, class minimum 1",
+        ]),
+    ]:
+        spec = parse_family(target)
+        d = families.construct(spec)
+        reps = families.RepresentativeSet(
+            tuple(d.labeling(bits) for bits, _ in listed), tuple(t for _, t in listed)
+        )
+        part = moves.enumerate_classes(d)
+        assert families.check_representatives(spec, reps, part) == want, target
 
 
 def test_affine_f4_reps_include_extra_fixed_labeling():
@@ -194,4 +216,4 @@ def test_affine_f4_reps_include_extra_fixed_labeling():
     assert d.is_fixed(reps.labelings[-1])
     part = moves.enumerate_classes(d)
     assert part.class_count == 5
-    assert families.check_representatives(spec, part) == []
+    assert families.check_representatives(spec, reps, part) == []

@@ -15,7 +15,7 @@ from reeder.diagram import (
     parse_dsl,
 )
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, oracle_classes
+from conftest import check_kernels, family_corpus, oracle_classes
 
 
 def fam(text):
@@ -332,6 +332,45 @@ def test_entry_points_share_state_gate(entry, monkeypatch):
         entry(d)
 
 
+def test_fixed_states_match_brute_force():
+    for name, d in family_corpus(14):
+        free = d.free_vertices
+        pinned = d.pinned_bits
+        # every full labeling with the pins lit, in free-encoded order
+        states = np.arange(1 << len(free), dtype=np.int64)
+        full = np.full_like(states, pinned)
+        for j, v in enumerate(free):
+            full |= (states >> j & 1) << v
+        fixed = np.ones(len(states), dtype=bool)
+        for i in free:
+            nbrs = sum(1 << k for k in d.effective_neighbors(i))
+            fixed &= np.bitwise_count(full & nbrs) % 2 == 0
+        got = moves.fixed_states(d)
+        assert got.tolist() == np.flatnonzero(fixed).tolist(), name
+        assert d.fixed_labelings() == [moves.decode_state(d, s) for s in got.tolist()], name
+
+
+def test_fixed_states_fail_before_allocating(monkeypatch):
+    import tracemalloc
+
+    d = fam("flower:20")  # nullity 19: 2^19 int64 fixed states
+    need = 8 << 19
+    monkeypatch.setattr(moves, "available_memory", lambda: need - 1)
+    tracemalloc.start()
+    with pytest.raises(ResourceError, match="memory is available"):
+        moves.fixed_states(d)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < need // 16
+    with pytest.raises(ResourceError, match="19 free vertices exceed the cap of 18"):
+        moves.fixed_states(d, cap=18)
+    monkeypatch.setattr(moves, "available_memory", lambda: need)
+    assert len(moves.fixed_states(d)) == 1 << 19
+    # decoding them into Labelings takes far more than their int64 states
+    with pytest.raises(ResourceError, match="memory is available"):
+        d.fixed_labelings()
+
+
 def test_available_memory_sources(monkeypatch, tmp_path):
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal: 8000 kB\nMemAvailable: 2048 kB\n")
@@ -350,6 +389,12 @@ def test_cap_precedence(monkeypatch):
     monkeypatch.setenv("REEDER_MAX_VERTICES", "junk")
     with pytest.raises(DiagramError):
         moves.state_cap()
+    # a negative cap is bad input (exit 2), from either source
+    monkeypatch.setenv("REEDER_MAX_VERTICES", "-1")
+    with pytest.raises(DiagramError, match=">= 0"):
+        moves.state_cap()
+    with pytest.raises(DiagramError, match=">= 0"):
+        moves.state_cap(-1)
 
 
 def test_env_cap_limits_enumeration(monkeypatch):
