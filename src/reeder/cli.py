@@ -54,18 +54,6 @@ def _load_target(target: str) -> tuple[Diagram, families.FamilySpec | None]:
     return parse_dsl(path.read_text()), None
 
 
-def _format_labeling(
-    spec: families.FamilySpec | None, diagram: Diagram, bits: str
-) -> str:
-    if spec is None:
-        return bits
-    order, leads_with_zero = families.display_layout(spec, diagram)
-    chars = [bits[i] for i in order]
-    if leads_with_zero:
-        return chars[0] + ";" + "".join(chars[1:])
-    return "".join(chars)
-
-
 @click.group()
 @click.option(
     "--max-vertices",
@@ -118,35 +106,42 @@ def classes(ctx, target, reps, full, fmt):
     if fmt != "text" and (reps or full):
         raise DiagramError(f"--reps and --full print text only, not --format {fmt}")
     diagram, spec = _load_target(target)
-    if reps and spec is None:
-        raise DiagramError("--reps requires a family target")
+    if reps:
+        if spec is None:
+            raise DiagramError("--reps requires a family target")
+        rep_set = families.canonical_representatives(spec)
+        if rep_set is None:
+            raise DiagramError(f"{spec}: no published representative list")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt == "json":
         click.echo(part.to_json())
     elif fmt == "csv":
         click.echo(part.to_csv(), nl=False)
     else:
+        order, leads = families.display_layout(spec, diagram) if spec else (None, False)
+
+        def shown(labels: str) -> str:
+            # an affine labeling leads with its vertex 0, stored last: a0;a1..an
+            return f"{labels[0]};{labels[1:]}" if leads else labels
+
         click.echo(f"target={target} vertices={diagram.n_vertices} "
                    f"free={len(diagram.free_vertices)} classes={part.class_count}")
         click.echo("class size min_rep components")
-        for c, (size, rep, row) in enumerate(part.table_rows()):
+        if full:  # one generator over all members, taken a class at a time
+            members = moves.labeling_strings(diagram, part.member_states, order)
+        for c, (size, rep, row) in enumerate(part.table_rows(order)):
             tag = " fixed" if size == 1 else ""
-            click.echo(
-                f"{c} {size} {_format_labeling(spec, diagram, rep)} "
-                f"{moves.histogram_text(row)}{tag}"
-            )
+            click.echo(f"{c} {size} {shown(rep)} {moves.histogram_text(row)}{tag}")
             if full:
-                for member in part.members(c):
-                    click.echo(f"  {_format_labeling(spec, diagram, member.bitstring())}")
+                for _ in range(size):
+                    click.echo(f"  {shown(next(members))}")
     if reps:
-        rep_set = families.canonical_representatives(spec)
         problems = families.check_representatives(spec, rep_set, part)
-        if rep_set is not None:
-            for lab, tag in zip(rep_set.labelings, rep_set.provenance):
-                click.echo(
-                    f"rep {tag} {_format_labeling(spec, diagram, lab.bitstring())} "
-                    f"-> class {part.class_of(lab)}"
-                )
+        states = moves.encode_states(diagram, rep_set.bits)
+        ids = part.class_id_array()[states].tolist()
+        labels = moves.labeling_strings(diagram, states, order)
+        for tag, text, c in zip(rep_set.provenance, labels, ids):
+            click.echo(f"rep {tag} {shown(text)} -> class {c}")
         for p in problems:
             click.echo(f"FAIL: {p}")
         if problems:

@@ -22,9 +22,6 @@ class ResourceError(RuntimeError):
     """A computation would exceed the state-space cap or the available memory."""
 
 
-_LABELING_BYTES = 176  # per labeling fixed_labelings returns; tracemalloc: 175
-
-
 @dataclass(frozen=True)
 class Edge:
     u: int
@@ -158,20 +155,7 @@ class Diagram:
 
     @cached_property
     def n_graph_components(self) -> int:
-        seen: set[int] = set()
-        count = 0
-        for start in range(self.n_vertices):
-            if start in seen:
-                continue
-            count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                for k in self._adj[stack.pop()]:
-                    if k not in seen:
-                        seen.add(k)
-                        stack.append(k)
-        return count
+        return self.count_components((1 << self.n_vertices) - 1)  # all lit
 
     @property
     def n_independent_cycles(self) -> int:
@@ -252,8 +236,7 @@ class Diagram:
 
     def count_components(self, a: Labeling) -> int:
         """Connected components of the subgraph induced on 1-labeled vertices."""
-        a = self.labeling(a)
-        bits = a.bits
+        bits = self.labeling(a).bits
         seen = 0
         count = 0
         for start in range(self.n_vertices):
@@ -307,14 +290,6 @@ class Diagram:
                     b ^= 1 << r
             rows.append(row)
         return F2Matrix(len(free), len(free), tuple(rows)), b
-
-    def fixed_labelings(self) -> list[Labeling]:
-        """All labelings fixed by every move, in increasing integer order."""
-        from . import moves  # moves builds on this module
-
-        k = self.effective_system()[0].nullity()
-        moves.require_states(k, _LABELING_BYTES << k)
-        return [moves.decode_state(self, s) for s in moves.fixed_states(self).tolist()]
 
 
 def _mask(vertices) -> int:

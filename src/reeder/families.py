@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import moves
 from .diagram import Diagram, DiagramError, Edge, Labeling
 
 FAMILY_NAMES = (
@@ -362,7 +363,7 @@ def _eta_bits(r: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    labelings: tuple[Labeling, ...]
+    bits: tuple[int, ...]  # packed labelings, bit v = internal vertex v
     provenance: tuple[str, ...]
 
 
@@ -370,10 +371,8 @@ def canonical_representatives(spec: FamilySpec) -> RepresentativeSet | None:
     """The family's published representative list, or None where deferred."""
     if spec.family in DEFERRED:
         return None
-    pairs = _REPS[spec.family](spec.n)
-    d = construct(spec)
-    labelings = tuple(d.labeling(bits) for bits, _ in pairs)
-    return RepresentativeSet(labelings, tuple(tag for _, tag in pairs))
+    bits, provenance = zip(*_REPS[spec.family](spec.n))
+    return RepresentativeSet(bits, provenance)
 
 
 def _reps_A(n):
@@ -631,17 +630,20 @@ def check_representatives(spec: FamilySpec, reps, partition) -> list[str]:
     """
     if reps is None:
         return [f"{spec}: no published representative list"]
+    states = moves.encode_states(partition.diagram, reps.bits)
+    ids = partition.class_id_array()[states]
     # a labeling's weight counts its pinned vertices, which are always lit
-    best = np.bitwise_count(partition.rep_states) + len(partition.diagram.pinned)
+    pinned = len(partition.diagram.pinned)
+    weights = (np.bitwise_count(states) + pinned).tolist()
+    best = (np.bitwise_count(partition.rep_states)[ids] + pinned).tolist()
     problems = []
     seen: dict[int, int] = {}
-    for idx, (lab, tag) in enumerate(zip(reps.labelings, reps.provenance)):
-        c = partition.class_of(lab)
+    for idx, (c, tag) in enumerate(zip(ids.tolist(), reps.provenance)):
         if c in seen:
             problems.append(f"{tag}: same class as representative {seen[c]}")
         seen[c] = idx
-        if lab.weight != best[c]:
-            problems.append(f"{tag}: weight {lab.weight}, class minimum {best[c]}")
+        if weights[idx] != best[idx]:
+            problems.append(f"{tag}: weight {weights[idx]}, class minimum {best[idx]}")
     if len(seen) != partition.class_count:
         problems.append(
             f"{spec}: {len(seen)} classes covered of {partition.class_count}"

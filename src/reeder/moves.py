@@ -64,18 +64,17 @@ def build_bytes(n_states: int, n_moves: int) -> int:
     )
 
 
-def require_states(f: int, need: int, cap: int | None = None) -> None:
+def require_states(f: int, need: int, cap: int | None = None, dimension: str = "") -> None:
     """Refuse, before anything is allocated, to enumerate 2^f states.
 
     Raises ResourceError when f exceeds the cap (see state_cap) or when the
     need bytes estimated for the enumeration exceed the available memory.
+    The cap refusal counts f as free vertices unless a dimension names f.
     """
     cap = state_cap(cap)
     if f > cap:
-        raise ResourceError(
-            f"{f} free vertices exceed the cap of {cap}: "
-            f"would require {1 << f} states"
-        )
+        what = f"{dimension} {f} exceeds" if dimension else f"{f} free vertices exceed"
+        raise ResourceError(f"{what} the cap of {cap}: would require {1 << f} states")
     avail = available_memory()
     if need > avail:
         raise ResourceError(
@@ -118,9 +117,22 @@ def move_matrix(diagram: Diagram, i: int) -> F2Matrix:
 # -- state encoding -------------------------------------------------------
 
 
-def encode_state(diagram: Diagram, a: Labeling) -> int:
-    a = diagram.labeling(a)
-    return sum((a.bits >> v & 1) << j for j, v in enumerate(diagram.free_vertices))
+def encode_states(diagram: Diagram, bits) -> np.ndarray:
+    """Free-encoded states of packed labelings (Python ints past 62 vertices);
+    a bit out of range or a pinned vertex at 0 raises DiagramError."""
+    n = diagram.n_vertices
+    try:
+        bits = np.asarray(bits, dtype=np.int64 if n < 63 else object)
+    except OverflowError:
+        raise DiagramError(f"labeling bits out of range for {n} vertices")
+    if np.any(bits >> n != 0):  # also catches negative bits
+        raise DiagramError(f"labeling bits out of range for {n} vertices")
+    if np.any(bits & diagram.pinned_bits != diagram.pinned_bits):
+        raise DiagramError("pinned vertex labeled 0")
+    states = np.zeros(bits.shape, dtype=np.int64)
+    for j, v in enumerate(diagram.free_vertices):
+        states |= (bits >> v & 1).astype(np.int64) << j
+    return states
 
 
 def decode_state(diagram: Diagram, state: int) -> Labeling:
@@ -128,6 +140,23 @@ def decode_state(diagram: Diagram, state: int) -> Labeling:
     for j, v in enumerate(diagram.free_vertices):
         full |= (state >> j & 1) << v
     return Labeling(diagram.n_vertices, full)
+
+
+_RENDER_BLOCK = 4096  # states per character matrix in labeling_strings
+
+
+def labeling_strings(diagram: Diagram, states, order=None):
+    """Each free-encoded state as its vertex labels in order (default: vertex
+    order), pinned vertices reading 1, from one character matrix per block."""
+    n = diagram.n_vertices
+    columns = [*(range(n) if order is None else order), n]  # n: the newline
+    for start in range(0, len(states), _RENDER_BLOCK):
+        block = np.asarray(states[start : start + _RENDER_BLOCK])
+        chars = np.full((len(block), n + 1), ord("1"), dtype=np.uint8)
+        chars[:, n] = ord("\n")  # one line per state
+        for j, v in enumerate(diagram.free_vertices):
+            chars[:, v] = ord("0") + (block >> j & 1)
+        yield from chars[:, columns].tobytes().decode("ascii").splitlines()
 
 
 def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
@@ -138,7 +167,7 @@ def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
     if x0 is None:
         return np.empty(0, dtype=np.int64)
     basis = m.nullspace_basis()
-    require_states(len(basis), 8 << len(basis), cap)  # int64 states
+    require_states(len(basis), 8 << len(basis), cap, "nullity")  # int64 states
     states = np.full(1 << len(basis), x0, dtype=np.int64)
     for j, v in enumerate(basis):  # doubling: the next half is this one + v
         np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
@@ -219,7 +248,8 @@ class ClassPartition:
     Classes are indexed by increasing integer value of their minimal
     representative (least 1-count, ties by least integer, vertex 0 = LSB);
     enumerate_classes builds it.  The class table is kept as arrays indexed by
-    class: ``sizes``, ``rep_states`` (read-only) and ``component_histograms``.
+    class: ``sizes``, ``rep_states`` (read-only) and ``component_histograms``;
+    ``member_states`` lists every state grouped by class.
     """
 
     def __init__(self, diagram: Diagram, class_id: np.ndarray, reps: np.ndarray):
@@ -245,19 +275,15 @@ class ClassPartition:
         hist.flags.writeable = False
         return hist
 
-    def table_rows(self):
-        """(size, vertex-0-first bitstring of the minimal representative,
-        component histogram row) of every class, in class order."""
-        n = self.diagram.n_vertices
-        chars = np.full((self.class_count, n), ord("1"), dtype=np.uint8)
-        for j, v in enumerate(self.diagram.free_vertices):
-            chars[:, v] = ord("0") + (self.rep_states >> j & 1)
-        text = chars.tobytes().decode("ascii")
-        reps = [text[c * n : (c + 1) * n] for c in range(self.class_count)]
+    def table_rows(self, order=None):
+        """(size, minimal representative as labeling_strings renders it in
+        order, component histogram row) of every class, in class order."""
+        reps = labeling_strings(self.diagram, self.rep_states, order)
         return zip(self.sizes.tolist(), reps, self.component_histograms.tolist())
 
     def class_of(self, a: Labeling) -> int:
-        return int(self._class_id[encode_state(self.diagram, a)])
+        a = self.diagram.labeling(a)
+        return int(self._class_id[encode_states(self.diagram, [a.bits])[0]])
 
     def minimal_representative(self, class_index: int) -> Labeling:
         if not 0 <= class_index < self.class_count:
@@ -265,17 +291,23 @@ class ClassPartition:
         return decode_state(self.diagram, int(self.rep_states[class_index]))
 
     @cached_property
-    def _members_by_class(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stable argsort of the class ids, and where each class's run ends."""
-        return np.argsort(self._class_id, kind="stable"), np.cumsum(self.sizes)
+    def member_states(self) -> np.ndarray:
+        """Every state, grouped by class in class order and increasing within
+        a class: the stable argsort of the class ids (read-only)."""
+        order = np.argsort(self._class_id, kind="stable")
+        order.flags.writeable = False
+        return order
 
-    def members(self, class_index: int):
+    @cached_property
+    def _member_ends(self) -> np.ndarray:
+        return np.cumsum(self.sizes)
+
+    def members(self, class_index: int) -> np.ndarray:
+        """The states of one class, increasing: a slice of member_states."""
         if not 0 <= class_index < self.class_count:
             raise IndexError(f"unknown class index {class_index}")
-        order, ends = self._members_by_class
-        stop = int(ends[class_index])
-        for s in order[stop - int(self.sizes[class_index]) : stop].tolist():
-            yield decode_state(self.diagram, s)
+        stop = int(self._member_ends[class_index])
+        return self.member_states[stop - int(self.sizes[class_index]) : stop]
 
     def class_id_array(self) -> np.ndarray:
         """Class index of every free-encoded state (read-only view)."""
@@ -352,30 +384,27 @@ def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | No
     Breadth-first, trying the free vertices in increasing order, so the
     sequence found is always the same one.
     """
-    a = diagram.labeling(a)
-    b = diagram.labeling(b)
-    if a == b:
-        return []
-    prev = {a.bits: None}
-    frontier = [a]
-    while frontier:
+    ends = [diagram.labeling(x).bits for x in (a, b)]
+    start, goal = encode_states(diagram, ends).tolist()
+    tables = list(zip(diagram.free_vertices, *_move_tables(diagram)))
+    prev = {start: None}
+    frontier = [start]
+    while frontier and goal not in prev:
         nxt = []
-        for cur in frontier:
-            for i in diagram.free_vertices:
-                t = apply_move(diagram, cur, i)
-                if t.bits in prev:
-                    continue
-                prev[t.bits] = (cur.bits, i)
-                if t == b:
-                    path = []
-                    s = t.bits
-                    while s != a.bits:
-                        s, i = prev[s]
-                        path.append(i)
-                    return path[::-1]
-                nxt.append(t)
+        for s in frontier:
+            for i, am, bm, cm in tables:
+                t = s ^ (parity(s & am) ^ cm) * bm
+                if t not in prev:
+                    prev[t] = (s, i)
+                    nxt.append(t)
         frontier = nxt
-    return None
+    if goal not in prev:
+        return None
+    path = []
+    while goal != start:
+        goal, i = prev[goal]
+        path.append(i)
+    return path[::-1]
 
 
 def are_equivalent(

@@ -94,15 +94,15 @@ def _outside_published_classes(spec, part) -> list[Labeling]:
     """
     reps = families.canonical_representatives(spec)
     covered = {
-        part.class_of(lab)
-        for lab, tag in zip(reps.labelings, reps.provenance)
+        part.class_of(bits)
+        for bits, tag in zip(reps.bits, reps.provenance)
         if tag != "fixed:omitted"
     }
     return [
-        lab
+        moves.decode_state(part.diagram, s)
         for c in range(part.class_count)
         if c not in covered
-        for lab in part.members(c)
+        for s in part.members(c).tolist()
     ]
 
 
@@ -142,8 +142,8 @@ def test_criterion_2_fixed_size_diagrams():
             )
     aff_f4 = parts["affF4"]
     got = {
-        lab.bitstring()
-        for lab in aff_f4.members(aff_f4.class_of(Labeling.from_bits("10000")))
+        moves.decode_state(aff_f4.diagram, s).bitstring()
+        for s in aff_f4.members(aff_f4.class_of(Labeling.from_bits("10000"))).tolist()
     }
     if got != AFF_F4_PUBLISHED_CLASS:
         failures.append(
@@ -176,9 +176,9 @@ def test_criterion_3_representative_validity():
     }
     for (family, n), count in worked.items():
         reps = families.canonical_representatives(families.FamilySpec(family, n))
-        if len(reps.labelings) != count:
+        if len(reps.bits) != count:
             failures.append(
-                f"{family}:{n}: {len(reps.labelings)} reps, expected {count}"
+                f"{family}:{n}: {len(reps.bits)} reps, expected {count}"
             )
     report(3, "published representative lists valid and complete", failures)
 

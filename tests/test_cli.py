@@ -123,6 +123,17 @@ def test_classes_reps_requires_family(runner, tmp_path):
     assert res.stdout == ""  # rejected before the class table is enumerated
 
 
+def test_classes_reps_rejects_deferred_family(runner):
+    for family in families.DEFERRED:
+        spec = families.FamilySpec(family)
+        res = runner.invoke(main, ["classes", str(spec), "--reps"])
+        assert res.exit_code == 2, family
+        assert res.stderr == f"error: {spec}: no published representative list\n"
+        assert res.stdout == ""  # rejected before the class table is enumerated
+        # verify skips the check that has no list
+        assert runner.invoke(main, ["verify", str(spec)]).exit_code == 0, family
+
+
 @pytest.mark.parametrize("flag", ["--reps", "--full"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_classes_text_only_flags_reject_formats(runner, flag, fmt):
@@ -172,71 +183,106 @@ pin 4
 
 
 def oracle_table(d):
-    """(size, vertex-0-first minimal representative, component histogram)
-    per class, in class order, from the BFS oracle classes and the
-    per-labeling walker."""
+    """(size, vertex-0-first minimal representative, component histogram,
+    vertex-0-first members in increasing integer order) per class, in class
+    order, from the BFS oracle classes and the per-labeling walker."""
     rows = []
     for cls in oracle_classes(d):
         rep = min(cls, key=lambda bits: (bin(bits).count("1"), bits))
         hist = Counter(d.count_components(d.labeling(bits)) for bits in cls)
-        rows.append((rep, len(cls), dict(sorted(hist.items()))))
+        rows.append((rep, len(cls), dict(sorted(hist.items())), sorted(cls)))
     rows.sort()
     n = d.n_vertices
-    return [(size, format(rep, f"0{n}b")[::-1], hist) for rep, size, hist in rows]
+    return [
+        (size, bitstring(rep, n), hist, [bitstring(m, n) for m in members])
+        for rep, size, hist, members in rows
+    ]
+
+
+def bitstring(bits, n):
+    """A packed labeling of n vertices as its vertex-0-first string."""
+    return format(bits, f"0{n}b")[::-1]
 
 
 def hist_text(hist):
     return ";".join(f"{k}:{v}" for k, v in hist.items())
 
 
-@pytest.mark.parametrize("target", ["dsl", "affA:7", "affD:6"])
-def test_class_table_matches_oracle(runner, tmp_path, target):
+@pytest.mark.parametrize("target", ["dsl", "affA:7", "affD:6", "Abox:6:ends=1"])
+def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
+    spec = None
     if target == "dsl":
         path = tmp_path / "cycles.dg"
         path.write_text(PINNED_CYCLES_DSL)
         d = parse_dsl(PINNED_CYCLES_DSL)
         target = str(path)
     else:
-        d = families.construct(families.parse_family(target))
+        spec = families.parse_family(target)
+        d = families.construct(spec)
     rows = oracle_table(d)
-
-    obj = json.loads(runner.invoke(main, ["classes", target, "--format", "json"]).stdout)
-    assert obj == {
-        "n_vertices": d.n_vertices,
-        "free_vertices": [v for v in range(d.n_vertices) if v not in d.pinned],
-        "class_count": len(rows),
-        "classes": [
-            {
-                "size": size,
-                "min_representative": rep,
-                "components": {str(k): v for k, v in hist.items()},
-                "is_singleton_fixed": size == 1,
-            }
-            for size, rep, hist in rows
-        ],
-    }
-
-    csv_out = runner.invoke(main, ["classes", target, "--format", "csv"]).stdout
-    assert csv_out.splitlines() == [
-        "class,size,min_representative,components,is_singleton_fixed"
-    ] + [
-        f"{c},{size},{rep},{hist_text(hist)},{int(size == 1)}"
-        for c, (size, rep, hist) in enumerate(rows)
-    ]
 
     def shown(rep):
         # an affine labeling prints its last internal vertex first, as a0;a1..an
-        return rep[-1] + ";" + rep[:-1] if ":" in target else rep
+        return rep[-1] + ";" + rep[:-1] if target.startswith("aff") else rep
 
-    text = runner.invoke(main, ["classes", target]).stdout
-    assert text.splitlines() == [
+    header = [
         f"target={target} vertices={d.n_vertices} "
         f"free={d.n_vertices - len(d.pinned)} classes={len(rows)}",
         "class size min_rep components",
-    ] + [
-        f"{c} {size} {shown(rep)} {hist_text(hist)}" + (" fixed" if size == 1 else "")
-        for c, (size, rep, hist) in enumerate(rows)
     ]
+    table = [
+        f"{c} {size} {shown(rep)} {hist_text(hist)}" + (" fixed" if size == 1 else "")
+        for c, (size, rep, hist, _) in enumerate(rows)
+    ]
+    members = [[f"  {shown(m)}" for m in row[3]] for row in rows]
+    if spec is not None:
+        reps = families.canonical_representatives(spec)
+        class_of = {m: c for c, row in enumerate(rows) for m in row[3]}
+        listed = [bitstring(bits, d.n_vertices) for bits in reps.bits]
+        rep_lines = [
+            f"rep {tag} {shown(r)} -> class {class_of[r]}"
+            for tag, r in zip(reps.provenance, listed)
+        ] + ["representatives verified"]
+
+    # the renderer's block size, then blocks of 3 states that split classes
+    for block in (moves._RENDER_BLOCK, 3):
+        monkeypatch.setattr(moves, "_RENDER_BLOCK", block)
+        obj = json.loads(runner.invoke(main, ["classes", target, "--format", "json"]).stdout)
+        assert obj == {
+            "n_vertices": d.n_vertices,
+            "free_vertices": [v for v in range(d.n_vertices) if v not in d.pinned],
+            "class_count": len(rows),
+            "classes": [
+                {
+                    "size": size,
+                    "min_representative": rep,
+                    "components": {str(k): v for k, v in hist.items()},
+                    "is_singleton_fixed": size == 1,
+                }
+                for size, rep, hist, _ in rows
+            ],
+        }
+
+        csv_out = runner.invoke(main, ["classes", target, "--format", "csv"]).stdout
+        assert csv_out.splitlines() == [
+            "class,size,min_representative,components,is_singleton_fixed"
+        ] + [
+            f"{c},{size},{rep},{hist_text(hist)},{int(size == 1)}"
+            for c, (size, rep, hist, _) in enumerate(rows)
+        ]
+
+        text = runner.invoke(main, ["classes", target]).stdout
+        assert text.splitlines() == header + table
+
+        full = runner.invoke(main, ["classes", target, "--full"]).stdout
+        assert full.splitlines() == header + [
+            line for row, listed in zip(table, members) for line in [row] + listed
+        ]
+
+        if spec is not None:
+            res = runner.invoke(main, ["classes", target, "--reps"])
+            assert res.exit_code == 0
+            assert res.stdout.splitlines() == header + table + rep_lines
 
 
 # -- census ----------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_flower_coincidences():
 def test_worked_example_representative_counts(target, n_reps):
     spec = parse_family(target)
     reps = families.canonical_representatives(spec)
-    assert len(reps.labelings) == n_reps
+    assert len(reps.bits) == n_reps
     part = moves.enumerate_classes(families.construct(spec))
     assert families.check_representatives(spec, reps, part) == []
 
@@ -201,7 +201,7 @@ def test_check_representatives_detects_problems():
         spec = parse_family(target)
         d = families.construct(spec)
         reps = families.RepresentativeSet(
-            tuple(d.labeling(bits) for bits, _ in listed), tuple(t for _, t in listed)
+            tuple(bits for bits, _ in listed), tuple(t for _, t in listed)
         )
         part = moves.enumerate_classes(d)
         assert families.check_representatives(spec, reps, part) == want, target
@@ -210,10 +210,10 @@ def test_check_representatives_detects_problems():
 def test_affine_f4_reps_include_extra_fixed_labeling():
     spec = parse_family("affF4:4")
     reps = families.canonical_representatives(spec)
-    assert len(reps.labelings) == 5
+    assert len(reps.bits) == 5
     assert reps.provenance[-1] == "fixed:omitted"
     d = families.construct(spec)
-    assert d.is_fixed(reps.labelings[-1])
+    assert d.is_fixed(reps.bits[-1])
     part = moves.enumerate_classes(d)
     assert part.class_count == 5
     assert families.check_representatives(spec, reps, part) == []

@@ -24,7 +24,8 @@ def fam(text):
 
 def partition_as_sets(part):
     return {
-        frozenset(m.bits for m in part.members(c)) for c in range(part.class_count)
+        frozenset(moves.decode_state(part.diagram, s).bits for s in part.members(c).tolist())
+        for c in range(part.class_count)
     }
 
 
@@ -140,13 +141,37 @@ def test_move_matrix_vertex_action():
 # -- state encoding --------------------------------------------------------
 
 
+# 140 vertex labels do not fit in int8 (nor their labelings in int64); all but
+# six vertices are pinned
+PINNED_140 = Diagram(
+    140,
+    [Edge(i, i + 1) for i in range(139)] + [Edge(0, 139), Edge(10, 60)],
+    frozenset(range(140)) - {0, 1, 30, 60, 61, 139},
+)
+
+
 def test_encode_decode_roundtrip_with_pins():
-    d = fam("Abox:6:ends=1")
-    f = len(d.free_vertices)
-    for s in range(1 << f):
-        lab = moves.decode_state(d, s)
-        assert lab.bits & d.pinned_bits == d.pinned_bits
-        assert moves.encode_state(d, lab) == s
+    for name, d in family_corpus(10) + [("140-vertices-pinned", PINNED_140)]:
+        n = d.n_vertices
+        states = np.arange(1 << len(d.free_vertices), dtype=np.int64)
+        labs = [moves.decode_state(d, s) for s in states.tolist()]
+        assert all(lab.bits & d.pinned_bits == d.pinned_bits for lab in labs), name
+        encoded = moves.encode_states(d, [lab.bits for lab in labs])
+        assert encoded.dtype == np.int64 and encoded.tolist() == states.tolist(), name
+        assert list(moves.labeling_strings(d, states)) == [
+            lab.bitstring() for lab in labs
+        ], name
+        order = np.random.default_rng(n).permutation(n).tolist()
+        assert list(moves.labeling_strings(d, states, order)) == [
+            "".join(lab.bitstring()[v] for v in order) for lab in labs
+        ], name
+        for bad in (1 << n, -1):
+            with pytest.raises(DiagramError, match="out of range"):
+                moves.encode_states(d, [labs[0].bits, bad])
+        if d.pinned:
+            unpinned = labs[-1].bits & ~(1 << min(d.pinned))
+            with pytest.raises(DiagramError, match="pinned vertex labeled 0"):
+                moves.encode_states(d, [labs[0].bits, unpinned])
 
 
 # -- vectorized component counts ------------------------------------------
@@ -160,15 +185,7 @@ def test_encode_decode_roundtrip_with_pins():
             Diagram(4, [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 0), Edge(0, 2)]),
             id="theta",
         ),
-        # 140 vertex labels do not fit in int8; all but six vertices are pinned
-        pytest.param(
-            Diagram(
-                140,
-                [Edge(i, i + 1) for i in range(139)] + [Edge(0, 139), Edge(10, 60)],
-                frozenset(range(140)) - {0, 1, 30, 60, 61, 139},
-            ),
-            id="140-vertices-pinned",
-        ),
+        pytest.param(PINNED_140, id="140-vertices-pinned"),
     ],
 )
 def test_component_counts_match_walker(target):
@@ -227,7 +244,8 @@ def test_class_indexing_and_minimal_representatives():
     # weight-minimal with integer tie-break
     d = part.diagram
     for c, rep in enumerate(reps):
-        for member in part.members(c):
+        for s in part.members(c).tolist():
+            member = moves.decode_state(d, s)
             assert (member.weight, member.bits) >= (rep.weight, rep.bits)
     with pytest.raises(IndexError):
         part.minimal_representative(part.class_count)
@@ -244,7 +262,8 @@ def test_partition_sanity(small_corpus):
             for c in range(part.class_count)
             if int(part.sizes[c]) == 1
         }
-        assert singletons == {lab.bits for lab in d.fixed_labelings()}, name
+        fixed = moves.fixed_states(d).tolist()
+        assert singletons == {moves.decode_state(d, s).bits for s in fixed}, name
         for row in part.to_json_obj()["classes"]:
             assert row["is_singleton_fixed"] == (row["size"] == 1)
             assert sum(row["components"].values()) == row["size"]
@@ -347,7 +366,6 @@ def test_fixed_states_match_brute_force():
             fixed &= np.bitwise_count(full & nbrs) % 2 == 0
         got = moves.fixed_states(d)
         assert got.tolist() == np.flatnonzero(fixed).tolist(), name
-        assert d.fixed_labelings() == [moves.decode_state(d, s) for s in got.tolist()], name
 
 
 def test_fixed_states_fail_before_allocating(monkeypatch):
@@ -362,13 +380,10 @@ def test_fixed_states_fail_before_allocating(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < need // 16
-    with pytest.raises(ResourceError, match="19 free vertices exceed the cap of 18"):
+    with pytest.raises(ResourceError, match="nullity 19 exceeds the cap of 18"):
         moves.fixed_states(d, cap=18)
     monkeypatch.setattr(moves, "available_memory", lambda: need)
     assert len(moves.fixed_states(d)) == 1 << 19
-    # decoding them into Labelings takes far more than their int64 states
-    with pytest.raises(ResourceError, match="memory is available"):
-        d.fixed_labelings()
 
 
 def test_available_memory_sources(monkeypatch, tmp_path):
@@ -456,10 +471,7 @@ def test_product_law_example():
 
 def check_reeder_kernels(d):
     a, b, c = moves._move_tables(d)
-    classes = [
-        {moves.encode_state(d, Labeling(d.n_vertices, bits)) for bits in cls}
-        for cls in oracle_classes(d)
-    ]
+    classes = [set(moves.encode_states(d, list(cls)).tolist()) for cls in oracle_classes(d)]
     check_kernels(1 << len(d.free_vertices), a, b, c, classes)
 
 
