@@ -136,11 +136,10 @@ def classes(ctx, target, reps, full, fmt):
                 for _ in range(size):
                     click.echo(f"  {shown(next(members))}")
     if reps:
-        problems = families.check_representatives(spec, rep_set, part)
-        states = moves.encode_states(diagram, rep_set.bits)
-        ids = part.class_id_array()[states].tolist()
+        states, ids = families.representative_classes(rep_set, part)
+        problems = families.check_representatives(spec, rep_set, part, (states, ids))
         labels = moves.labeling_strings(diagram, states, order)
-        for tag, text, c in zip(rep_set.provenance, labels, ids):
+        for tag, text, c in zip(rep_set.provenance, labels, ids.tolist()):
             click.echo(f"rep {tag} {shown(text)} -> class {c}")
         for p in problems:
             click.echo(f"FAIL: {p}")

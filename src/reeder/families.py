@@ -11,7 +11,6 @@ after the free vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -506,15 +505,9 @@ def _reps_Z(n):
 
 
 def _reps_flower(d):
-    out = [(0, "zero")]
-    evens = []
-    for w in range(2, d + 1, 2):
-        for petals in combinations(range(d), w):
-            evens.append(sum(1 << p for p in petals))
-    evens.sort()
-    out += [(bits, "fixed:petals") for bits in evens]
-    out.append((1 << d, "center"))
-    return out
+    petals = np.arange(1, 1 << d)  # the nonempty petal sets, increasing
+    evens = petals[np.bitwise_count(petals) % 2 == 0].tolist()
+    return [(0, "zero"), *((bits, "fixed:petals") for bits in evens), (1 << d, "center")]
 
 
 def _reps_Abox_m(m):
@@ -621,17 +614,23 @@ def _reps_D4_3(_):
     return [(0, "xi:0"), (1 << 2, "xi:1"), (1 << 2 | 1 << 1, "xi:2")]
 
 
-def check_representatives(spec: FamilySpec, reps, partition) -> list[str]:
+def representative_classes(reps: RepresentativeSet, partition):
+    """The free-encoded states of a published list and their class ids."""
+    states = moves.encode_states(partition.diagram, reps.bits)
+    return states, partition.class_id_array()[states]
+
+
+def check_representatives(spec: FamilySpec, reps, partition, classes=None) -> list[str]:
     """Problems with the published list reps = canonical_representatives(spec)
-    against a partition.
+    against a partition; classes is representative_classes(reps, partition)
+    when the caller already holds it.
 
     Empty result means the list is pairwise inequivalent, complete, and
     weight-minimal per class.  Deferred families report a single problem.
     """
     if reps is None:
         return [f"{spec}: no published representative list"]
-    states = moves.encode_states(partition.diagram, reps.bits)
-    ids = partition.class_id_array()[states]
+    states, ids = classes or representative_classes(reps, partition)
     # a labeling's weight counts its pinned vertices, which are always lit
     pinned = len(partition.diagram.pinned)
     weights = (np.bitwise_count(states) + pinned).tolist()

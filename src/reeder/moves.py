@@ -118,8 +118,9 @@ def move_matrix(diagram: Diagram, i: int) -> F2Matrix:
 
 
 def encode_states(diagram: Diagram, bits) -> np.ndarray:
-    """Free-encoded states of packed labelings (Python ints past 62 vertices);
-    a bit out of range or a pinned vertex at 0 raises DiagramError."""
+    """Free-encoded states of packed labelings; both are int64 below 63
+    vertices (free vertices for the states), Python ints in an object array
+    past.  A bit out of range or a pinned vertex at 0 raises DiagramError."""
     n = diagram.n_vertices
     try:
         bits = np.asarray(bits, dtype=np.int64 if n < 63 else object)
@@ -129,9 +130,9 @@ def encode_states(diagram: Diagram, bits) -> np.ndarray:
         raise DiagramError(f"labeling bits out of range for {n} vertices")
     if np.any(bits & diagram.pinned_bits != diagram.pinned_bits):
         raise DiagramError("pinned vertex labeled 0")
-    states = np.zeros(bits.shape, dtype=np.int64)
+    states = np.zeros(bits.shape, np.int64 if len(diagram.free_vertices) < 63 else object)
     for j, v in enumerate(diagram.free_vertices):
-        states |= (bits >> v & 1).astype(np.int64) << j
+        states |= (bits >> v & 1).astype(states.dtype) << j
     return states
 
 

@@ -177,6 +177,8 @@ def test_swallowing_short_tail():
     _check_witness(d, 0b00001, witness)
     # a tail already adjacent to the short vertex swallows in one move
     assert swallowing_check(d, Labeling(5, 0b01000)) == [4]
+    # past 63 vertices, where the tail and the short vertex are bits 68, 69
+    assert swallowing_check(fam("B:70"), Labeling(70, 1 << 68)) == [69]
 
 
 def test_swallowing_zero_tail_not_applicable():

@@ -172,6 +172,13 @@ def test_encode_decode_roundtrip_with_pins():
             unpinned = labs[-1].bits & ~(1 << min(d.pinned))
             with pytest.raises(DiagramError, match="pinned vertex labeled 0"):
                 moves.encode_states(d, [labs[0].bits, unpinned])
+    # past 62 free vertices states are Python ints: bit 63 and up survive
+    d = fam("B:70")
+    states = [1 << 69 | 1 << 68, 1 << 68, 1 << 63, (1 << 70) - 1, 5]
+    labs = [moves.decode_state(d, s) for s in states]
+    encoded = moves.encode_states(d, [lab.bits for lab in labs])
+    assert encoded.dtype == object and encoded.tolist() == states
+    assert list(moves.labeling_strings(d, encoded)) == [lab.bitstring() for lab in labs]
 
 
 # -- vectorized component counts ------------------------------------------
