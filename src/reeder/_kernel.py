@@ -16,12 +16,16 @@ The class root of each state is its minimum member.  Minimum labels
 propagate in place over an int32 label array viewed as shape (2,)*f: with j
 the lowest bit of b, the bit-j-clear slice holds one end of every pair and
 the bit-j-set slice, flipped along the other bits of b, holds the partner
-end.  Each sweep takes the minimum of both ends wherever the move's edge
-mask holds, writing it back at once (Gauss-Seidel, alternate sweeps in
-reverse move order), then pointer-jumps the labels to a fixpoint.  It stops
-at the first sweep that changes nothing.  Memory is O(2^f): a few int32
-label buffers, one bool edge mask over half the states per move, and the
-int64 result.
+end.  A move with a & b = 0 whose condition reads fewer than _MASK_BITS bits
+fixes the axes of a's bits to each pattern that fires it, so its pairs are
+exactly those sub-views and it sweeps them unmasked.  Only a wide or
+overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
+its whole slice and copies back through a bool edge mask.  Each sweep takes
+the minimum of both ends, writing it back at once (Gauss-Seidel, alternate
+sweeps in reverse move order), then pointer-jumps the labels to a fixpoint.
+It stops at the first sweep that changes nothing.  Memory is O(2^f): a few
+int32 label buffers, one bool edge mask over half the states per masked
+move, and the int64 result.
 """
 
 from __future__ import annotations
@@ -35,45 +39,69 @@ from .diagram import DiagramError
 HAVE_NUMBA = False
 
 
-def kernel_bytes(n_states: int, n_moves: int) -> int:
-    """Upper bound on the array bytes orbit_roots holds at once.
+# a disjoint move whose a has this many bits or more sweeps through a mask,
+# not through its 2^(popcount(a) - 1) sub-views
+_MASK_BITS = 7
 
-    One bool edge mask over half the states per move, plus 24 per state,
-    rounded up from what the sweeps hold: three int32 label buffers, a
-    half-size int32 minimum buffer, and the intp copy of the indices that
+
+def _masked(am: int, bm: int) -> bool:
+    """Whether move (am, bm, .) sweeps through an edge mask, not sub-views."""
+    return bm != 0 and (am & bm != 0 or am.bit_count() >= _MASK_BITS)
+
+
+def kernel_bytes(n_states: int, a, b) -> int:
+    """Upper bound on the array bytes orbit_roots holds at once for moves
+    with masks a and b.
+
+    One bool edge mask over half the states per masked move, plus 24 per
+    state, rounded up from what the sweeps hold: three int32 label buffers,
+    a half-size int32 minimum buffer, and the intp copy of the indices that
     each pointer-jumping gather makes.  Building the masks and the int64
     result need less.
     """
-    return 24 * n_states + n_moves * (n_states // 2)
+    n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
+    return 24 * n_states + n_masked * (n_states // 2)
 
 
 def _move_pairs(label, f: int, a, b, c) -> list:
-    """(bit-j-clear end, partner end, edge mask) per move that can fire.
+    """(bit-j-clear end, partner end, edge mask or None) per pair of views
+    that a move joins.
 
-    Both ends are views into label; the mask holds where the move's
-    condition does, indexed like the bit-j-clear end.
+    Both ends are views into label.  A masked move gives one pair, its mask
+    holding where the move's condition does, indexed like the bit-j-clear
+    end; any other move gives one unmasked pair per pattern of a's bits that
+    fires it.
     """
     view = label.reshape((2,) * f)
-    states = np.arange(1 << f, dtype=np.int32)
+    states = None
     pairs = []
     for am, bm, cm in zip(a.tolist(), b.tolist(), c.tolist()):
         if bm == 0:  # an identity move
             continue
         j = (bm & -bm).bit_length() - 1
-        axis = f - 1 - j  # axis 0 is the most significant bit
-        # the trailing Ellipsis keeps a 0-d view, not a scalar, when f = 1
-        clear = (slice(None),) * axis + (0, Ellipsis)
-        lit = (slice(None),) * axis + (1, Ellipsis)
+        # axis x holds bit f - 1 - x; the partner end is flipped along the
+        # other bits of b, and the trailing Ellipsis keeps a 0-d view, not a
+        # scalar, when f = 1
+        lo = [slice(None)] * f
+        hi = [slice(None, None, -1) if bm >> (f - 1 - x) & 1 else slice(None) for x in range(f)]
+        lo[f - 1 - j] = 0
+        hi[f - 1 - j] = 1
+        if not _masked(am, bm):
+            bits = [k for k in range(f) if am >> k & 1]
+            for p in range(1 << len(bits)):
+                if (p.bit_count() & 1) ^ cm:
+                    for i, k in enumerate(bits):
+                        lo[f - 1 - k] = hi[f - 1 - k] = p >> i & 1
+                    pairs.append((view[(*lo, ...)], view[(*hi, ...)], None))
+            continue
+        if states is None:
+            states = np.arange(1 << f, dtype=np.int32)
         cond = (np.bitwise_count(states & am) & 1).astype(bool)
         if cm:
             cond = ~cond
-        mask = cond.reshape((2,) * f)[clear].copy()
-        if not mask.any():
-            continue
-        # the other bits of b lie above j, so their axes precede `axis`
-        flips = tuple(f - 1 - k for k in range(j + 1, f) if bm >> k & 1)
-        hi = np.flip(view[lit], axis=flips) if flips else view[lit]
-        pairs.append((view[clear], hi, mask))
+        mask = cond.reshape((2,) * f)[(*lo, ...)].copy()
+        if mask.any():
+            pairs.append((view[(*lo, ...)], view[(*hi, ...)], mask))
     return pairs
 
 
@@ -85,14 +113,19 @@ def _propagate(label, pairs: list) -> None:
     jumped = np.empty_like(label)
     # a ufunc's where= runs its loop once per run of true mask entries, so the
     # minimum goes unmasked into a buffer and only the copies are masked
-    least = np.empty(pairs[0][2].shape, dtype=np.int32)
+    least = np.empty(max(lo.size for lo, _, _ in pairs), dtype=np.int32)
+    sweeps = [(lo, hi, least[: lo.size].reshape(lo.shape), mask) for lo, hi, mask in pairs]
     sweep = 0
     while True:
         np.copyto(before, label)
-        for lo, hi, mask in pairs if sweep % 2 == 0 else reversed(pairs):
-            np.minimum(lo, hi, out=least)
-            np.copyto(lo, least, where=mask)
-            np.copyto(hi, least, where=mask)
+        for lo, hi, out, mask in sweeps if sweep % 2 == 0 else reversed(sweeps):
+            np.minimum(lo, hi, out=out)
+            if mask is None:
+                np.copyto(lo, out)
+                np.copyto(hi, out)
+            else:
+                np.copyto(lo, out, where=mask)
+                np.copyto(hi, out, where=mask)
         if np.array_equal(before, label):
             return
         sweep += 1

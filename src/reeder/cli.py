@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from functools import wraps
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -89,6 +90,13 @@ def count(ctx, target, formula):
         sys.exit(EXIT_MISMATCH)
 
 
+def _echo_lines(lines) -> None:
+    """Echo lines, one click.echo per block of moves._RENDER_BLOCK of them."""
+    lines = iter(lines)
+    while block := list(islice(lines, moves._RENDER_BLOCK)):
+        click.echo("\n".join(block))
+
+
 @main.command()
 @click.argument("target")
 @click.option("--reps", is_flag=True, help="Check the published representatives.")
@@ -127,20 +135,26 @@ def classes(ctx, target, reps, full, fmt):
         click.echo(f"target={target} vertices={diagram.n_vertices} "
                    f"free={len(diagram.free_vertices)} classes={part.class_count}")
         click.echo("class size min_rep components")
-        if full:  # one generator over all members, taken a class at a time
-            members = moves.labeling_strings(diagram, part.member_states, order)
-        for c, (size, rep, row) in enumerate(part.table_rows(order)):
-            tag = " fixed" if size == 1 else ""
-            click.echo(f"{c} {size} {shown(rep)} {moves.histogram_text(row)}{tag}")
-            if full:
-                for _ in range(size):
-                    click.echo(f"  {shown(next(members))}")
+
+        def table_lines():
+            if full:  # one generator over all members, taken a class at a time
+                members = moves.labeling_strings(diagram, part.member_states, order)
+            for c, (size, rep, row) in enumerate(part.table_rows(order)):
+                tag = " fixed" if size == 1 else ""
+                yield f"{c} {size} {shown(rep)} {moves.histogram_text(row)}{tag}"
+                if full:
+                    for text in islice(members, size):
+                        yield f"  {shown(text)}"
+
+        _echo_lines(table_lines())
     if reps:
         states, ids = families.representative_classes(rep_set, part)
         problems = families.check_representatives(spec, rep_set, part, (states, ids))
         labels = moves.labeling_strings(diagram, states, order)
-        for tag, text, c in zip(rep_set.provenance, labels, ids.tolist()):
-            click.echo(f"rep {tag} {shown(text)} -> class {c}")
+        _echo_lines(
+            f"rep {tag} {shown(text)} -> class {c}"
+            for tag, text, c in zip(rep_set.provenance, labels, ids.tolist())
+        )
         for p in problems:
             click.echo(f"FAIL: {p}")
         if problems:

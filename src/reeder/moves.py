@@ -57,11 +57,10 @@ def available_memory() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def build_bytes(n_states: int, n_moves: int) -> int:
-    """Upper bound on the array bytes enumerate_classes holds at once."""
-    return max(
-        _kernel.kernel_bytes(n_states, n_moves), _RANK_BYTES_PER_STATE * n_states
-    )
+def build_bytes(n_states: int, a, b) -> int:
+    """Upper bound on the array bytes enumerate_classes holds at once for
+    moves with masks a and b (see _move_tables)."""
+    return max(_kernel.kernel_bytes(n_states, a, b), _RANK_BYTES_PER_STATE * n_states)
 
 
 def require_states(f: int, need: int, cap: int | None = None, dimension: str = "") -> None:
@@ -350,8 +349,9 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     """Partition of the full state space into classes under all moves."""
     f = len(diagram.free_vertices)
     n_states = 1 << f
-    require_states(f, build_bytes(n_states, f), cap)
-    roots = _kernel.orbit_roots(n_states, *_move_tables(diagram))
+    a, b, c = _move_tables(diagram)
+    require_states(f, build_bytes(n_states, a, b), cap)
+    roots = _kernel.orbit_roots(n_states, a, b, c)
     states = np.arange(n_states, dtype=np.int64)
     # every root is its class's minimum state, so ranking roots by value
     # is a counting pass rather than a sort

@@ -61,14 +61,21 @@ def duality_check(diagram: Diagram) -> bool:
     return True
 
 
+def _sigma_tables(diagram: Diagram):
+    """Per-vertex transvection triples (a, b, c) of the sigma moves: vertex i
+    lit (a = 1 << i) flips its neighbors (b), with c = 0."""
+    n = diagram.n_vertices
+    a = [1 << i for i in range(n)]
+    return a, [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)], [0] * n
+
+
 def enumerate_sigma_orbits(diagram: Diagram, cap: int | None = None) -> np.ndarray:
     """Orbit root (minimum member) of every state under sigma moves."""
     _require_sigma(diagram)
     n = diagram.n_vertices
-    moves.require_states(n, _kernel.kernel_bytes(1 << n, n), cap)
-    a = [1 << i for i in range(n)]
-    b = [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)]
-    return _kernel.orbit_roots(1 << n, a, b, [0] * n)
+    a, b, c = _sigma_tables(diagram)
+    moves.require_states(n, _kernel.kernel_bytes(1 << n, a, b), cap)
+    return _kernel.orbit_roots(1 << n, a, b, c)
 
 
 @dataclass(frozen=True)

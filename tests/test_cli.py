@@ -4,6 +4,7 @@ import json
 import os
 from collections import Counter
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -244,6 +245,14 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
             for tag, r in zip(reps.provenance, listed)
         ] + ["representatives verified"]
 
+    echoed = []
+    echo = click.echo
+
+    def recording_echo(message=None, *args, **kwargs):
+        echoed.append(message)
+        return echo(message, *args, **kwargs)
+
+    monkeypatch.setattr(click, "echo", recording_echo)
     # the renderer's block size, then blocks of 3 states that split classes
     for block in (moves._RENDER_BLOCK, 3):
         monkeypatch.setattr(moves, "_RENDER_BLOCK", block)
@@ -274,10 +283,14 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
         text = runner.invoke(main, ["classes", target]).stdout
         assert text.splitlines() == header + table
 
+        echoed.clear()
         full = runner.invoke(main, ["classes", target, "--full"]).stdout
         assert full.splitlines() == header + [
             line for row, listed in zip(table, members) for line in [row] + listed
         ]
+        # after the header, one echo per block of lines, which may end mid-class
+        body = full.splitlines()[2:]
+        assert echoed[2:] == ["\n".join(body[i : i + block]) for i in range(0, len(body), block)]
 
         if spec is not None:
             res = runner.invoke(main, ["classes", target, "--reps"])

@@ -1,11 +1,14 @@
 """Move application and class enumeration, cross-checked against a pure
 Python BFS oracle."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeder import classifiers, families, moves, sigma
+from reeder import _kernel, classifiers, families, moves, sigma
 from reeder.diagram import (
     Diagram,
     DiagramError,
@@ -322,7 +325,7 @@ def test_resource_error_states_required_count():
 
 def test_build_fails_before_allocating(monkeypatch):
     d = fam("A:12")
-    need = moves.build_bytes(1 << 12, 12)
+    need = moves.build_bytes(1 << 12, *moves._move_tables(d)[:2])
 
     def no_kernel(*args):
         raise AssertionError("the kernel ran although memory is short")
@@ -477,9 +480,15 @@ def test_product_law_example():
 
 
 def check_reeder_kernels(d):
+    """The kernel against the BFS oracle under the default mask threshold,
+    with every move masked (0), and with every disjoint move on sub-views
+    (above f)."""
     a, b, c = moves._move_tables(d)
     classes = [set(moves.encode_states(d, list(cls)).tolist()) for cls in oracle_classes(d)]
-    check_kernels(1 << len(d.free_vertices), a, b, c, classes)
+    f = len(d.free_vertices)
+    for mask_bits in (_kernel._MASK_BITS, 0, f + 1):
+        with mock.patch.object(_kernel, "_MASK_BITS", mask_bits):
+            check_kernels(1 << f, a, b, c, classes)
 
 
 @pytest.mark.parametrize(
@@ -490,7 +499,7 @@ def check_reeder_kernels(d):
         "C:10",
         "X:4",
         "affD:9",
-        "flower:9",
+        "flower:9",  # the centre reads 9 bits, past the mask threshold
         "Abox:6:ends=1",  # pinned neighbors
         "Bbox_1:4",
     ],
@@ -502,19 +511,57 @@ def test_kernels_match_oracle(target):
         assert any(moves._move_tables(d)[2])  # pinned neighbors give c = 1
 
 
+@pytest.mark.parametrize(
+    "dsl, c",
+    [
+        pytest.param("vertices 3\nedge 0 1\n", 0, id="isolated"),
+        pytest.param("vertices 4\nedge 0 1\nedge 2 3\npin 3\n", 1, id="pinned-neighbor"),
+    ],
+)
+def test_kernels_match_oracle_on_empty_conditions(dsl, c):
+    """A move whose condition reads no bit (a = 0) fires nowhere when c = 0
+    and everywhere when c = 1."""
+    d = parse_dsl(dsl)
+    a, _, cs = moves._move_tables(d)
+    assert (0, c) in zip(a, cs)
+    check_reeder_kernels(d)
+
+
 @settings(deadline=None, max_examples=40)
 @given(dsl_graphs())
 def test_kernels_match_oracle_on_random_graphs(d):
     check_reeder_kernels(d)
 
 
-def test_kernel_rejects_odd_overlap():
-    from reeder import _kernel
+@pytest.mark.parametrize(
+    "target, tables",
+    [
+        ("B:16", moves._move_tables),  # every move on sub-views
+        ("flower:14", moves._move_tables),  # the centre is masked
+        ("D:14", sigma._sigma_tables),
+    ],
+)
+def test_kernel_peak_within_estimate(target, tables):
+    d = fam(target)
+    a, b, c = tables(d)
+    n_states = 1 << len(d.free_vertices)
+    tracemalloc.start()
+    try:
+        _kernel.orbit_roots(n_states, a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _kernel.kernel_bytes(n_states, a, b)
 
+
+def test_kernel_rejects_odd_overlap():
     # a & b = 0b01 has odd parity: the move is not an involution
     with pytest.raises(DiagramError, match="parity"):
         _kernel.orbit_roots(4, [0b11], [0b01], [0])
     # even overlap is allowed: parity(s & 0b111) reads the same at s ^ 0b011
     odd = [s for s in range(8) if bin(s).count("1") % 2]
     classes = [{1, 2}, {4, 7}] + [{s} for s in range(8) if s not in odd]
-    check_kernels(8, [0b111], [0b011], [0], classes)
+    # a & b != 0 keeps the move masked even when any width goes on sub-views
+    with mock.patch.object(_kernel, "_MASK_BITS", 4):
+        assert _kernel._masked(0b111, 0b011)
+        check_kernels(8, [0b111], [0b011], [0], classes)
