@@ -139,9 +139,9 @@ def classes(ctx, target, reps, full, fmt):
         def table_lines():
             if full:  # one generator over all members, taken a class at a time
                 members = moves.labeling_strings(diagram, part.member_states, order)
-            for c, (size, rep, row) in enumerate(part.table_rows(order)):
+            for c, (size, rep, pairs) in enumerate(part.table_rows(order)):
                 tag = " fixed" if size == 1 else ""
-                yield f"{c} {size} {shown(rep)} {moves.histogram_text(row)}{tag}"
+                yield f"{c} {size} {shown(rep)} {moves.histogram_text(pairs)}{tag}"
                 if full:
                     for text in islice(members, size):
                         yield f"  {shown(text)}"
@@ -177,6 +177,8 @@ def census(ctx, family_name, range_str, fmt, out):
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise DiagramError(f"bad range {range_str!r}; expected a..b")
+    if lo > hi:
+        raise DiagramError(f"bad range {range_str!r}; expected a..b with a <= b")
     rows = []
     any_mismatch = False
     for n in range(lo, hi + 1):

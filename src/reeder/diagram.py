@@ -319,7 +319,7 @@ def parse_dsl(text: str) -> Diagram:
         pin P
     """
     n_vertices = None
-    edges: list[Edge] = []
+    edges: dict[frozenset[int], Edge] = {}
     pinned: set[int] = set()
 
     def err(lineno: int, msg: str):
@@ -343,6 +343,8 @@ def parse_dsl(text: str) -> Diagram:
             if len(parts) < 3 or not (parts[1].isdigit() and parts[2].isdigit()):
                 err(lineno, "expected 'edge U V [mult=M] [dir=U>V]'")
             u, v = int(parts[1]), int(parts[2])
+            if max(u, v) >= n_vertices:
+                err(lineno, f"edge {u}-{v}: endpoint out of range")
             mult = 1
             direction = None
             for opt in parts[3:]:
@@ -365,17 +367,23 @@ def parse_dsl(text: str) -> Diagram:
                     err(lineno, f"dir= must name vertices {u} and {v}")
                 u, v = direction
             try:
-                edges.append(Edge(u, v, mult, directed=mult % 2 == 0))
+                edge = Edge(u, v, mult, directed=mult % 2 == 0)
             except DiagramError as exc:
                 err(lineno, str(exc))
+            if edge.pair in edges:
+                err(lineno, f"duplicate edge between {min(u, v)} and {max(u, v)}")
+            edges[edge.pair] = edge
         elif kw == "pin":
             if n_vertices is None:
                 err(lineno, "'vertices' must come first")
             if len(parts) != 2 or not parts[1].isdigit():
                 err(lineno, "expected 'pin P'")
-            pinned.add(int(parts[1]))
+            p = int(parts[1])
+            if p >= n_vertices:
+                err(lineno, f"pinned vertex {p} out of range")
+            pinned.add(p)
         else:
             err(lineno, f"unknown declaration {kw!r}")
     if n_vertices is None:
         raise DiagramError("missing 'vertices' declaration")
-    return Diagram(n_vertices, tuple(edges), frozenset(pinned)).normalize()
+    return Diagram(n_vertices, tuple(edges.values()), frozenset(pinned)).normalize()

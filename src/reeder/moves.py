@@ -7,11 +7,9 @@ Pinned bits are stripped on encode and re-inserted (as 1) on decode.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -236,10 +234,16 @@ def component_counts(diagram: Diagram) -> np.ndarray:
 # -- class partition ------------------------------------------------------
 
 
-def histogram_text(row) -> str:
-    """A component histogram row as ``k:count`` pairs joined by ``;``, over
-    its nonzero counts in increasing k."""
-    return ";".join(f"{k}:{v}" for k, v in enumerate(row) if v)
+def histogram_text(pairs) -> str:
+    """Sparse (k, count) histogram pairs as ``k:count`` joined by ``;``."""
+    return ";".join([f"{k}:{v}" for k, v in pairs])
+
+
+# to_json's head and one class, as json.dumps(..., indent=2) lays them out
+_JSON_HEAD = ('{{\n  "n_vertices": {},\n  "free_vertices": {},\n'
+              '  "class_count": {},\n  "classes": [\n')
+_JSON_CLASS = ('    {{\n      "size": {},\n      "min_representative": "{}",\n'
+               '      "components": {{\n{}\n      }},\n      "is_singleton_fixed": {}\n    }}')
 
 
 class ClassPartition:
@@ -277,9 +281,14 @@ class ClassPartition:
 
     def table_rows(self, order=None):
         """(size, minimal representative as labeling_strings renders it in
-        order, component histogram row) of every class, in class order."""
+        order, component histogram as sparse (k, count) pairs in increasing
+        k) of every class, in class order."""
+        hist = self.component_histograms
+        cls, k = np.nonzero(hist)  # row-major: by class, then by k
+        pairs = zip(k.tolist(), hist[cls, k].tolist())
+        rows = (list(islice(pairs, m)) for m in np.bincount(cls, minlength=len(hist)).tolist())
         reps = labeling_strings(self.diagram, self.rep_states, order)
-        return zip(self.sizes.tolist(), reps, self.component_histograms.tolist())
+        return zip(self.sizes.tolist(), reps, rows)
 
     def class_of(self, a: Labeling) -> int:
         a = self.diagram.labeling(a)
@@ -317,32 +326,24 @@ class ClassPartition:
 
     # -- exports ----------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_vertices": self.diagram.n_vertices,
-            "free_vertices": list(self.diagram.free_vertices),
-            "class_count": self.class_count,
-            "classes": [
-                {
-                    "size": size,
-                    "min_representative": rep,
-                    "components": {str(k): v for k, v in enumerate(row) if v},
-                    "is_singleton_fixed": size == 1,
-                }
-                for size, rep, row in self.table_rows()
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        """The class table as json.dumps(..., indent=2) writes it; nothing needs
+        escaping, as representatives are 0/1 strings, the rest ints and flags."""
+        d = self.diagram
+        free = ",".join(f"\n    {v}" for v in d.free_vertices)
+        head = _JSON_HEAD.format(d.n_vertices, f"[{free}\n  ]" if free else "[]", self.class_count)
+        classes = ",\n".join(
+            _JSON_CLASS.format(size, rep, ",\n".join([f'        "{k}": {v}' for k, v in pairs]),
+                               "true" if size == 1 else "false")
+            for size, rep, pairs in self.table_rows()
+        )
+        return head + classes + "\n  ]\n}"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["class", "size", "min_representative", "components", "is_singleton_fixed"])
-        for c, (size, rep, row) in enumerate(self.table_rows()):
-            w.writerow([c, size, rep, histogram_text(row), int(size == 1)])
-        return buf.getvalue()
+        """The class table as CSV; no field holds a comma, a quote or a newline."""
+        rows = "".join(f"{c},{size},{rep},{histogram_text(pairs)},{int(size == 1)}\n"
+                       for c, (size, rep, pairs) in enumerate(self.table_rows()))
+        return "class,size,min_representative,components,is_singleton_fixed\n" + rows
 
 
 def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:

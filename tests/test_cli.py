@@ -182,6 +182,14 @@ edge 5 6 mult=3
 pin 4
 """
 
+# DSL targets of the class-table test; the last two have no free vertex, all
+# pinned or none at all
+DSL_TARGETS = {
+    "dsl": PINNED_CYCLES_DSL,
+    "all-pinned": "vertices 3\nedge 0 1\nedge 1 2 mult=3\npin 0\npin 1\npin 2\n",
+    "no-vertices": "vertices 0\n",
+}
+
 
 def oracle_table(d):
     """(size, vertex-0-first minimal representative, component histogram,
@@ -202,20 +210,22 @@ def oracle_table(d):
 
 def bitstring(bits, n):
     """A packed labeling of n vertices as its vertex-0-first string."""
-    return format(bits, f"0{n}b")[::-1]
+    return "".join(str(bits >> i & 1) for i in range(n))
 
 
 def hist_text(hist):
     return ";".join(f"{k}:{v}" for k, v in hist.items())
 
 
-@pytest.mark.parametrize("target", ["dsl", "affA:7", "affD:6", "Abox:6:ends=1"])
+@pytest.mark.parametrize(
+    "target", ["dsl", "all-pinned", "no-vertices", "affA:7", "affD:6", "Abox:6:ends=1"]
+)
 def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
     spec = None
-    if target == "dsl":
-        path = tmp_path / "cycles.dg"
-        path.write_text(PINNED_CYCLES_DSL)
-        d = parse_dsl(PINNED_CYCLES_DSL)
+    if target in DSL_TARGETS:
+        path = tmp_path / "graph.dg"
+        path.write_text(DSL_TARGETS[target])
+        d = parse_dsl(DSL_TARGETS[target])
         target = str(path)
     else:
         spec = families.parse_family(target)
@@ -245,6 +255,21 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
             for tag, r in zip(reps.provenance, listed)
         ] + ["representatives verified"]
 
+    expected_obj = {
+        "n_vertices": d.n_vertices,
+        "free_vertices": [v for v in range(d.n_vertices) if v not in d.pinned],
+        "class_count": len(rows),
+        "classes": [
+            {
+                "size": size,
+                "min_representative": rep,
+                "components": {str(k): v for k, v in hist.items()},
+                "is_singleton_fixed": size == 1,
+            }
+            for size, rep, hist, _ in rows
+        ],
+    }
+
     echoed = []
     echo = click.echo
 
@@ -256,29 +281,15 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
     # the renderer's block size, then blocks of 3 states that split classes
     for block in (moves._RENDER_BLOCK, 3):
         monkeypatch.setattr(moves, "_RENDER_BLOCK", block)
-        obj = json.loads(runner.invoke(main, ["classes", target, "--format", "json"]).stdout)
-        assert obj == {
-            "n_vertices": d.n_vertices,
-            "free_vertices": [v for v in range(d.n_vertices) if v not in d.pinned],
-            "class_count": len(rows),
-            "classes": [
-                {
-                    "size": size,
-                    "min_representative": rep,
-                    "components": {str(k): v for k, v in hist.items()},
-                    "is_singleton_fixed": size == 1,
-                }
-                for size, rep, hist, _ in rows
-            ],
-        }
+        # the json module's own layout is the reference for the JSON bytes
+        json_out = runner.invoke(main, ["classes", target, "--format", "json"]).stdout
+        assert json_out == json.dumps(expected_obj, indent=2) + "\n"
 
         csv_out = runner.invoke(main, ["classes", target, "--format", "csv"]).stdout
-        assert csv_out.splitlines() == [
-            "class,size,min_representative,components,is_singleton_fixed"
-        ] + [
-            f"{c},{size},{rep},{hist_text(hist)},{int(size == 1)}"
+        assert csv_out == "class,size,min_representative,components,is_singleton_fixed\n" + "".join(
+            f"{c},{size},{rep},{hist_text(hist)},{int(size == 1)}\n"
             for c, (size, rep, hist, _) in enumerate(rows)
-        ]
+        )
 
         text = runner.invoke(main, ["classes", target]).stdout
         assert text.splitlines() == header + table
@@ -314,12 +325,11 @@ def test_census_d_range(runner):
     assert row5[:6] == ["D", "5", "5", "4", "4", "yes"]
 
 
-def test_census_empty_range(runner):
-    res = runner.invoke(main, ["census", "--family", "A", "--range", "5..4"])
-    assert res.exit_code == 0
-    assert res.output.strip().splitlines() == [
-        "family,param,vertices,formula,bruteforce,match,runtime_ms"
-    ]
+def test_census_reversed_range_exit_2(runner):
+    res = runner.invoke(main, ["census", "--family", "A", "--range", "12..5"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "bad range '12..5'" in res.stderr
 
 
 def test_census_deferred_family(runner):

@@ -300,6 +300,9 @@ def test_parse_dsl_direction_orientation():
         ("vertices 2\nedge 0 1 dir=0>2\n", "dir= must name"),
         ("vertices 2\nedge 0 5\n", "out of range"),
         ("vertices 2\nedge 0 1\nedge 1 0\n", "duplicate"),
+        ("vertices 3\nedge 1 5\n", "line 2: edge 1-5: endpoint out of range"),
+        ("vertices 3\npin 7\n", "line 2: pinned vertex 7 out of range"),
+        ("vertices 3\nedge 0 1\nedge 1 2\nedge 1 0\n", "line 4: duplicate edge between 0 and 1"),
         ("vertices 2\nfrob 1\n", "unknown"),
         ("vertices 2\nedge 0 1 mult=x\n", "multiplicity"),
         ("", "missing 'vertices'"),

@@ -1,6 +1,7 @@
 """Move application and class enumeration, cross-checked against a pure
 Python BFS oracle."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -274,7 +275,7 @@ def test_partition_sanity(small_corpus):
         }
         fixed = moves.fixed_states(d).tolist()
         assert singletons == {moves.decode_state(d, s).bits for s in fixed}, name
-        for row in part.to_json_obj()["classes"]:
+        for row in json.loads(part.to_json())["classes"]:
             assert row["is_singleton_fixed"] == (row["size"] == 1)
             assert sum(row["components"].values()) == row["size"]
 
@@ -441,8 +442,6 @@ def test_csv_export():
 
 
 def test_json_export():
-    import json
-
     part = moves.enumerate_classes(fam("G2:2"))
     obj = json.loads(part.to_json())
     assert obj["class_count"] == 2
