@@ -23,16 +23,16 @@ overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
 its whole slice and copies back through a bool edge mask.  Each sweep takes
 the minimum of both ends, writing it back at once (Gauss-Seidel, alternate
 sweeps in reverse move order), then pointer-jumps the labels to a fixpoint.
-It stops at the first sweep that changes nothing.  Memory is O(2^f): a few
-int32 label buffers, one bool edge mask over half the states per masked
-move, and the int64 result.
+It stops at the first sweep that changes nothing.  The result is the int32
+label array itself, so f <= 31.  Memory is O(2^f): a few int32 label buffers
+and one bool edge mask over half the states per masked move.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagram import DiagramError
+from .diagram import DiagramError, ResourceError
 
 # The numpy kernel below is the only backend; perfbench/run.py records the
 # backend it measured from this flag.
@@ -56,8 +56,8 @@ def kernel_bytes(n_states: int, a, b) -> int:
     One bool edge mask over half the states per masked move, plus 24 per
     state, rounded up from what the sweeps hold: three int32 label buffers,
     a half-size int32 minimum buffer, and the intp copy of the indices that
-    each pointer-jumping gather makes.  Building the masks and the int64
-    result need less.
+    each pointer-jumping gather makes.  Building the masks needs less, and
+    the int32 result is one of the label buffers.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
     return 24 * n_states + n_masked * (n_states // 2)
@@ -139,14 +139,22 @@ def _propagate(label, pairs: list) -> None:
             np.copyto(label, jumped)
 
 
+# int32 labels hold the indices of at most 2^31 states
+_MAX_STATES = 1 << 31
+
+
 def orbit_roots(n_states: int, a, b, c):
-    """Root (minimum member) of each state's orbit, as an int64 array.
+    """Root (minimum member) of each state's orbit, as an int32 array.
 
     Move m maps s to s ^ ((parity(s & a[m]) ^ c[m]) * b[m]) over the
-    n_states = 2^f states, f <= 31.  Every move must satisfy
-    parity(a[m] & b[m]) = 0, which makes it an involution; a move that does
-    not raises DiagramError.
+    n_states = 2^f states, f <= 31; more states raise ResourceError before
+    anything is allocated.  Every move must satisfy parity(a[m] & b[m]) = 0,
+    which makes it an involution; a move that does not raises DiagramError.
     """
+    if n_states > _MAX_STATES:
+        raise ResourceError(
+            f"{n_states} states exceed the {_MAX_STATES} that int32 labels can index"
+        )
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     c = np.asarray(c, dtype=np.int64)
@@ -159,4 +167,4 @@ def orbit_roots(n_states: int, a, b, c):
         )
     label = np.arange(n_states, dtype=np.int32)
     _propagate(label, _move_pairs(label, n_states.bit_length() - 1, a, b, c))
-    return label.astype(np.int64)
+    return label

@@ -38,8 +38,8 @@ def state_cap(override: int | None = None) -> int:
 
 
 _MEMINFO = "/proc/meminfo"
-# int64 class ids, states and sort keys plus uint8 popcounts are live at once
-# while enumerate_classes ranks the classes
+# int64 class ids, states and sort keys (24 B/state) are live at once while a
+# ClassPartition ranks its classes; the last byte covers the per-class arrays
 _RANK_BYTES_PER_STATE = 25
 
 
@@ -251,17 +251,71 @@ class ClassPartition:
 
     Classes are indexed by increasing integer value of their minimal
     representative (least 1-count, ties by least integer, vertex 0 = LSB);
-    enumerate_classes builds it.  The class table is kept as arrays indexed by
-    class: ``sizes``, ``rep_states`` (read-only) and ``component_histograms``;
-    ``member_states`` lists every state grouped by class.
+    enumerate_classes builds it from the kernel's orbit roots.  The class table
+    is kept as arrays indexed by class: ``sizes``, ``rep_states`` (read-only)
+    and ``component_histograms``; ``member_states`` lists every state grouped
+    by class.
+
+    ``class_count`` is counted from the roots when the partition is built.
+    Ranking, which gives the class ids and the minimal representatives, runs
+    once, on the first read of either (``rep_states``, ``sizes``,
+    ``class_id_array()``, ``class_of``, the table and the exports), and then
+    releases the roots; a caller that reads only the count never ranks.
     """
 
-    def __init__(self, diagram: Diagram, class_id: np.ndarray, reps: np.ndarray):
+    def __init__(self, diagram: Diagram, roots: np.ndarray):
         self.diagram = diagram
-        self._class_id = class_id
+        self._roots = roots
+        self.class_count = int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))
+
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class id of every state, minimal representative state of every
+        class), with the classes reindexed by minimal representative."""
+        roots = self._roots.astype(np.int64)
+        del self._roots
+        n_states = len(roots)
+        f = n_states.bit_length() - 1
+        # every root is its class's minimum state, so ranking roots by value
+        # is a counting pass rather than a sort; cumsum over the bool mask
+        # itself would make an int64 copy of it
+        root_rank = (roots == np.arange(n_states)).astype(np.int64)
+        np.cumsum(root_rank, out=root_rank)
+        root_rank -= 1
+        # into the roots buffer; mode="clip" (roots are valid indices) spares
+        # the copy of `out` that mode="raise" makes
+        class_id = np.take(root_rank, roots, out=roots, mode="clip")
+        del root_rank
+        states = np.arange(n_states, dtype=np.int64)
+        key = np.empty_like(states)
+        np.bitwise_count(states, out=key)
+        key <<= f
+        key |= states
+        del states
+        min_keys = np.full(self.class_count, np.iinfo(np.int64).max)
+        np.minimum.at(min_keys, class_id, key)
+        del key
+        min_keys &= n_states - 1  # each class's minimal representative
+        # reindex classes by their minimal representative's integer value
+        perm = np.argsort(min_keys, kind="stable")
+        reps = min_keys[perm]
+        del min_keys
         reps.flags.writeable = False
-        self.rep_states = reps
-        self.class_count = len(reps)
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(len(perm))
+        del perm
+        # the ids get a fresh array: keeping them in the roots buffer raised
+        # peak RSS by 10 MB on `classes flower:17`
+        return rank[class_id], reps
+
+    @property
+    def _class_id(self) -> np.ndarray:
+        return self._ranked[0]
+
+    @property
+    def rep_states(self) -> np.ndarray:
+        """Minimal representative state of every class (read-only int64)."""
+        return self._ranked[1]
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -271,9 +325,10 @@ class ClassPartition:
     def component_histograms(self) -> np.ndarray:
         """Read-only class x component-count matrix: entry [c, k] counts the
         members of class c whose lit vertices form k components."""
+        class_id = self._class_id  # ranks, if need be, before the counts are held
         key = component_counts(self.diagram)
         width = int(key.max(initial=0)) + 1
-        key += self._class_id * width
+        key += class_id * width
         hist = np.bincount(key, minlength=self.class_count * width)
         hist = hist.reshape(self.class_count, width)
         hist.flags.writeable = False
@@ -352,32 +407,7 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     n_states = 1 << f
     a, b, c = _move_tables(diagram)
     require_states(f, build_bytes(n_states, a, b), cap)
-    roots = _kernel.orbit_roots(n_states, a, b, c)
-    states = np.arange(n_states, dtype=np.int64)
-    # every root is its class's minimum state, so ranking roots by value
-    # is a counting pass rather than a sort
-    is_root = roots == states
-    n_classes = int(np.count_nonzero(is_root))
-    root_rank = np.cumsum(is_root)
-    del is_root
-    root_rank -= 1
-    class_id = np.take(root_rank, roots, out=roots)  # reuses the roots buffer
-    del root_rank
-    key = np.bitwise_count(states).astype(np.int64)
-    key <<= f
-    key |= states
-    del states
-    min_keys = np.full(n_classes, np.iinfo(np.int64).max)
-    np.minimum.at(min_keys, class_id, key)
-    del key
-    reps = min_keys & (n_states - 1)
-    # reindex classes by their minimal representative's integer value
-    perm = np.argsort(reps, kind="stable")
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm))
-    # the ids the partition keeps get a fresh array: holding on to the
-    # kernel's buffer raised peak RSS by 10 MB on `classes flower:17`
-    return ClassPartition(diagram, rank[class_id], reps[perm])
+    return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c))
 
 
 def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | None:

@@ -109,6 +109,9 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     adj = diagram.adjacency_matrix()
     det = adj.det()
     partition = moves.enumerate_classes(diagram, cap)
+    # rank now, so that ranking's transient does not overlap the sigma roots
+    # and the mapped states below
+    reeder_id = partition.class_id_array()
     sigma_roots = enumerate_sigma_orbits(diagram, cap)
     sigma_orbit_count = int((sigma_roots == np.arange(1 << n)).sum())
     if det == 0:
@@ -119,7 +122,6 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     mapped = np.zeros_like(states)
     for i, row in enumerate(adj.rows):
         mapped |= ((np.bitwise_count(states & row) & 1).astype(np.int64)) << i
-    reeder_id = partition.class_id_array()
     image_root = sigma_roots[mapped]
     # the pairing is well-defined iff each class maps into one orbit
     first = np.full(partition.class_count, -1, dtype=np.int64)

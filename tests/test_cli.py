@@ -455,6 +455,46 @@ def test_duality_rejects_non_simply_laced(runner):
     assert runner.invoke(main, ["duality", "B:3"]).exit_code == 2
 
 
+# -- ranking and raw output ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["count", "B:12"], ["census", "--family", "A", "--range", "1..8"]],
+    ids=["count", "census"],
+)
+def test_count_paths_never_rank(runner, monkeypatch, args):
+    def drop_runtime(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    want = runner.invoke(main, args)
+
+    def no_ranking(self):
+        raise AssertionError("ranked although only the class count is read")
+
+    monkeypatch.setattr(moves.ClassPartition, "_ranked", property(no_ranking))
+    res = runner.invoke(main, args)
+    assert res.exit_code == want.exit_code == 0, res.output
+    assert drop_runtime(res.stdout) == drop_runtime(want.stdout)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classes", "D:5", "--format", "csv"],
+        ["classes", "D:5", "--format", "json"],
+        ["census", "--family", "D", "--range", "4..6"],
+    ],
+    ids=["csv", "json", "census"],
+)
+def test_output_lines_end_in_bare_newlines(runner, args):
+    # Result.stdout turns \r\n into \n, so only the raw bytes show it
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert b"\r" not in res.stdout_bytes
+    assert res.stdout_bytes.endswith(b"\n")
+
+
 # -- determinism -----------------------------------------------------------
 
 

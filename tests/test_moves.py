@@ -453,6 +453,15 @@ def test_json_export():
     }
 
 
+def test_count_reads_no_ranking():
+    for name, d in family_corpus(14):
+        part = moves.enumerate_classes(d)
+        count = part.class_count
+        assert "_ranked" not in part.__dict__, name
+        assert count == len(part.rep_states), name
+        assert "_roots" not in part.__dict__, name  # released once ranked
+
+
 def test_class_id_array_read_only():
     part = moves.enumerate_classes(fam("A:3"))
     arr = part.class_id_array()
@@ -551,6 +560,30 @@ def test_kernel_peak_within_estimate(target, tables):
     finally:
         tracemalloc.stop()
     assert peak <= _kernel.kernel_bytes(n_states, a, b)
+
+
+@pytest.mark.parametrize("target", ["B:16", "flower:14"])  # few and many classes
+def test_ranking_peak_within_estimate(target):
+    part = moves.enumerate_classes(fam(target))
+    n_states = 1 << len(part.diagram.free_vertices)
+    tracemalloc.start()
+    try:
+        part.rep_states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moves._RANK_BYTES_PER_STATE * n_states
+
+
+def test_kernel_refuses_states_past_int32_labels():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="int32"):
+            _kernel.orbit_roots(1 << 32, [0], [0], [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_kernel_rejects_odd_overlap():
