@@ -22,13 +22,36 @@ exactly those sub-views and it sweeps them unmasked.  Only a wide or
 overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
 its whole slice and copies back through a bool edge mask.  Each sweep takes
 the minimum of both ends, writing it back at once (Gauss-Seidel, alternate
-sweeps in reverse move order), then pointer-jumps the labels to a fixpoint.
-It stops at the first sweep that changes nothing.  The result is the int32
-label array itself, so f <= 31.  Memory is O(2^f): a few int32 label buffers
-and one bool edge mask over half the states per masked move.
+sweeps in reverse move order), then pointer-jumps the labels to a fixpoint,
+each jump gathering from one of two label buffers into the other, so the
+last jump leaves both equal and the other buffer holds the labels before the
+next sweep.  It stops at the first sweep that changes nothing.  The result
+is the int32 label array itself, so f <= 31.
+
+From _SPLIT_STATES states on, and when the process may run on two CPUs, the
+work is cut in two parts on the top state bit (axis 0), each run by its own
+thread, since numpy releases the interpreter lock inside its loops.  Part p
+owns the states whose top bit is p.  A pair of views that leaves axis 0 free
+is cut into its two halves, and one that fixes axis 0 goes whole to its
+part; each part sweeps its pairs in Gauss-Seidel order with no barrier
+between them.  Only a move that flips the top bit (one Reeder move, or the
+sigma moves of the top vertex's neighbors) joins both halves: its pairs are
+cut along their own first axis, and each such move is swept between two
+barriers, since the halves of two different moves may overlap.  A barrier
+ends each sweep and each jump; it also folds the parts' flags (whether
+their half changed), so the parts stop together.  A jump gathers each
+part's half from the whole source buffer, _GATHER_BLOCK indices at a time
+through an intp block, so no intp copy of the whole label array is made.
+Below the threshold one part runs the same loop with no thread started and
+no barrier.  The roots are the same either way.  Memory is about 10 bytes
+per state (the two label buffers and a half-size minimum buffer) plus one
+bool edge mask over half the states per masked move.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -43,6 +66,16 @@ HAVE_NUMBA = False
 # not through its 2^(popcount(a) - 1) sub-views
 _MASK_BITS = 7
 
+# from this many states on, two parts split the work on the top state bit when
+# the process may run on two CPUs.  Below it their barrier and interpreter-lock
+# hand-offs cost about what the second CPU saves on a quiet host (20% less
+# time at f = 18, 25% more at f = 17), and up to twice the one-part time when
+# the host delays thread wake-ups
+_SPLIT_STATES = 1 << 19
+
+# indices per block of a pointer-jumping gather
+_GATHER_BLOCK = 1 << 16
+
 
 def _masked(am: int, bm: int) -> bool:
     """Whether move (am, bm, .) sweeps through an edge mask, not sub-views."""
@@ -53,90 +86,206 @@ def kernel_bytes(n_states: int, a, b) -> int:
     """Upper bound on the array bytes orbit_roots holds at once for moves
     with masks a and b.
 
-    One bool edge mask over half the states per masked move, plus 24 per
-    state, rounded up from what the sweeps hold: three int32 label buffers,
-    a half-size int32 minimum buffer, and the intp copy of the indices that
-    each pointer-jumping gather makes.  Building the masks needs less, and
-    the int32 result is one of the label buffers.
+    One bool edge mask over half the states per masked move, plus 12 per
+    state, rounded up from what the sweeps hold: two int32 label buffers
+    (the labels, and the jumped labels, which are the labels before a
+    sweep) and a half-size int32 minimum buffer; plus the two parts' intp
+    index blocks and bool comparison blocks of _GATHER_BLOCK entries.  The
+    masks are built before the labels exist, and the int32 result is one of
+    the label buffers.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    return 24 * n_states + n_masked * (n_states // 2)
+    return 12 * n_states + n_masked * (n_states // 2) + 2 * 9 * _GATHER_BLOCK
 
 
-def _move_pairs(label, f: int, a, b, c) -> list:
-    """(bit-j-clear end, partner end, edge mask or None) per pair of views
-    that a move joins.
+def _move_pairs(f: int, a, b, c) -> list:
+    """The pairs of views that each move joins: per move with b != 0, a list
+    of (bit-j-clear end, partner end, edge mask or None).
 
-    Both ends are views into label.  A masked move gives one pair, its mask
-    holding where the move's condition does, indexed like the bit-j-clear
-    end; any other move gives one unmasked pair per pattern of a's bits that
-    fires it.
+    Both ends are index tuples into the (2,)*f label view, axis x for bit
+    f - 1 - x.  A masked move gives one pair, its mask holding where the
+    move's condition does, indexed like the bit-j-clear end; any other move
+    gives one unmasked pair per pattern of a's bits that fires it.  The
+    pairs of one move are disjoint.
     """
-    view = label.reshape((2,) * f)
     states = None
-    pairs = []
+    moves = []
     for am, bm, cm in zip(a.tolist(), b.tolist(), c.tolist()):
         if bm == 0:  # an identity move
             continue
         j = (bm & -bm).bit_length() - 1
-        # axis x holds bit f - 1 - x; the partner end is flipped along the
-        # other bits of b, and the trailing Ellipsis keeps a 0-d view, not a
-        # scalar, when f = 1
+        # the partner end is flipped along the other bits of b, and the
+        # trailing Ellipsis keeps a 0-d view, not a scalar, when every axis
+        # is fixed
         lo = [slice(None)] * f
         hi = [slice(None, None, -1) if bm >> (f - 1 - x) & 1 else slice(None) for x in range(f)]
         lo[f - 1 - j] = 0
         hi[f - 1 - j] = 1
+        pairs = []
         if not _masked(am, bm):
             bits = [k for k in range(f) if am >> k & 1]
             for p in range(1 << len(bits)):
                 if (p.bit_count() & 1) ^ cm:
                     for i, k in enumerate(bits):
                         lo[f - 1 - k] = hi[f - 1 - k] = p >> i & 1
-                    pairs.append((view[(*lo, ...)], view[(*hi, ...)], None))
-            continue
-        if states is None:
-            states = np.arange(1 << f, dtype=np.int32)
-        cond = (np.bitwise_count(states & am) & 1).astype(bool)
-        if cm:
-            cond = ~cond
-        mask = cond.reshape((2,) * f)[(*lo, ...)].copy()
-        if mask.any():
-            pairs.append((view[(*lo, ...)], view[(*hi, ...)], mask))
-    return pairs
+                    pairs.append(((*lo, ...), (*hi, ...), None))
+        else:
+            if states is None:
+                states = np.arange(1 << f, dtype=np.int32)
+            cond = (np.bitwise_count(states & am) & 1).astype(bool)
+            if cm:
+                cond = ~cond
+            mask = cond.reshape((2,) * f)[(*lo, ...)].copy()
+            if mask.any():
+                pairs.append(((*lo, ...), (*hi, ...), mask))
+        if pairs:
+            moves.append(pairs)
+    return moves
 
 
-def _propagate(label, pairs: list) -> None:
-    """Lower every label to its class minimum, in place."""
-    if not pairs:
+def _schedule(view, moves: list, n_parts: int) -> list:
+    """Each part's steps: (end, partner end, mask or None) views to sweep, or
+    None for a barrier that every part passes together.
+
+    With two parts, part p owns view[p], the states whose top bit is p.  A
+    pair that leaves axis 0 free is cut into its two halves, and a pair that
+    fixes axis 0 to p goes whole to part p.  A move that flips the top bit
+    joins both halves: its pairs are cut along their own first axis (or,
+    when 0-d, go whole to part 0).  Its pairs are disjoint, and so are the
+    two halves of each, but the halves of two such moves may overlap, so
+    each such move is swept in a section of its own between two barriers.
+    """
+    if n_parts == 1:
+        return [[(view[lo], view[hi], mask) for pairs in moves for lo, hi, mask in pairs]]
+    parts = [[], []]
+    crossing = False
+    for pairs in moves:
+        lo, hi, _ = pairs[0]
+        if crossing or lo[0] != hi[0]:  # a section opens or closes
+            for steps in parts:
+                steps.append(None)
+        crossing = lo[0] != hi[0]
+        for lo, hi, mask in pairs:
+            pair = view[lo], view[hi], mask
+            if crossing and pair[0].ndim == 0:
+                parts[0].append(pair)
+            elif crossing or not isinstance(lo[0], int):
+                for p, steps in enumerate(parts):
+                    half = tuple(x if x is None else x[p, ...] for x in pair)
+                    if half[2] is None or half[2].any():
+                        steps.append(half)
+            else:
+                parts[lo[0]].append(pair)
+    if crossing:
+        for steps in parts:
+            steps.append(None)
+    return parts
+
+
+def _propagate(label, parts: list) -> None:
+    """Lower every label to its class minimum, in place: part p of the
+    schedule owns the p-th of len(parts) equal slices of label; part 0 runs
+    in the caller's thread and each other part in a thread of its own."""
+    n_parts = len(parts)
+    size = len(label) // n_parts
+    least_size = max((step[0].size for steps in parts for step in steps if step), default=0)
+    if not least_size:  # no move joins two states
         return
-    before = np.empty_like(label)
-    jumped = np.empty_like(label)
+    # the labels before a sweep: every pointer jump ends with jumped equal
+    # to label
+    jumped = label.copy()
     # a ufunc's where= runs its loop once per run of true mask entries, so the
     # minimum goes unmasked into a buffer and only the copies are masked
-    least = np.empty(max(lo.size for lo, _, _ in pairs), dtype=np.int32)
-    sweeps = [(lo, hi, least[: lo.size].reshape(lo.shape), mask) for lo, hi, mask in pairs]
-    sweep = 0
-    while True:
-        np.copyto(before, label)
-        for lo, hi, out, mask in sweeps if sweep % 2 == 0 else reversed(sweeps):
-            np.minimum(lo, hi, out=out)
-            if mask is None:
-                np.copyto(lo, out)
-                np.copyto(hi, out)
-            else:
-                np.copyto(lo, out, where=mask)
-                np.copyto(hi, out, where=mask)
-        if np.array_equal(before, label):
-            return
-        sweep += 1
-        # label[s] <= s stays in s's class, so jumping only shortens chains;
-        # mode="clip" (never needed: labels are valid indices) spares take
-        # the copy of `out` it makes under the default mode="raise"
+    least = np.empty(n_parts * least_size, dtype=np.int32)
+    block = min(size, _GATHER_BLOCK)
+    # the parts allocate nothing themselves: what a thread frees stays
+    # resident in its own malloc arena.  take() gathers through intp
+    # indices, a block at a time, not an intp copy of the whole label array,
+    # and the comparisons run a block at a time too
+    index = np.empty((n_parts, block), dtype=np.intp)
+    differ = np.empty((n_parts, block), dtype=bool)
+    # whether each part's labels changed in the last sweep and in the last
+    # jump; every barrier folds them over the parts, while all parts wait
+    seen = [[False, False] for _ in range(n_parts)]
+    folded = [False, False]
+
+    def fold() -> None:
+        folded[:] = [any(flags) for flags in zip(*seen)]
+
+    # a part alone has no one to wait for
+    barrier = threading.Barrier(n_parts, action=fold) if n_parts > 1 else None
+    wait = barrier.wait if barrier else fold
+
+    def run(p: int) -> None:
+        blocks = [slice(start, start + block) for start in range(p * size, (p + 1) * size, block)]
+        ix, ne = index[p], differ[p]
+
+        def changed(x, y) -> bool:  # in part p's half; stops at the first block that did
+            return any(np.not_equal(x[b], y[b], out=ne).any() for b in blocks)
+
+        buf = least[p * least_size : (p + 1) * least_size]
+        sweeps = [step and (step[0], step[1], buf[: step[0].size].reshape(step[0].shape), step[2])
+                  for step in parts[p]]
+        sweep = 0
         while True:
-            np.take(label, label, out=jumped, mode="clip")
-            if np.array_equal(jumped, label):
-                break
-            np.copyto(label, jumped)
+            for step in sweeps if sweep % 2 == 0 else reversed(sweeps):
+                if step is None:
+                    wait()
+                    continue
+                lo, hi, out, mask = step
+                np.minimum(lo, hi, out=out)
+                if mask is None:
+                    np.copyto(lo, out)
+                    np.copyto(hi, out)
+                else:
+                    np.copyto(lo, out, where=mask)
+                    np.copyto(hi, out, where=mask)
+            seen[p][0] = changed(jumped, label)
+            wait()
+            if not folded[0]:
+                return
+            sweep += 1
+            # label[s] <= s stays in s's class, so jumping only shortens
+            # chains.  Each jump gathers from one buffer into the other, and
+            # the last one, which changes nothing, leaves them equal.
+            # mode="clip" (never needed: labels are valid indices) spares
+            # take the copy of `out` it makes under mode="raise"
+            src, dst = label, jumped
+            while True:
+                for x in blocks:
+                    np.copyto(ix, src[x])
+                    np.take(src, ix, out=dst[x], mode="clip")
+                seen[p][1] = changed(dst, src)
+                wait()  # every gather has read src
+                if not folded[1]:
+                    break
+                src, dst = dst, src
+
+    if n_parts == 1:
+        run(0)
+        return
+    errors = []
+
+    def part(p: int) -> None:
+        try:
+            run(p)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=part, args=(p,)) for p in range(1, n_parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        part(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        # a part stopped by the aborted barrier raised BrokenBarrierError;
+        # raise the error that aborted it
+        errors.sort(key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
+        raise errors[0]
 
 
 # int32 labels hold the indices of at most 2^31 states
@@ -165,6 +314,10 @@ def orbit_roots(n_states: int, a, b, c):
             f"move {m} (a={int(a[m]):#x}, b={int(b[m]):#x}) has odd "
             "parity(a & b), so it is not an involution"
         )
+    f = n_states.bit_length() - 1
+    # the masks are built before the labels exist
+    moves = _move_pairs(f, a, b, c)
     label = np.arange(n_states, dtype=np.int32)
-    _propagate(label, _move_pairs(label, n_states.bit_length() - 1, a, b, c))
+    split = n_states >= _SPLIT_STATES and len(os.sched_getaffinity(0)) > 1
+    _propagate(label, _schedule(label.reshape((2,) * f), moves, 2 if split else 1))
     return label

@@ -39,8 +39,11 @@ def state_cap(override: int | None = None) -> int:
 
 _MEMINFO = "/proc/meminfo"
 # int64 class ids, states and sort keys (24 B/state) are live at once while a
-# ClassPartition ranks its classes; the last byte covers the per-class arrays
+# ClassPartition ranks its classes; build_bytes charges one more byte per
+# state for the per-class arrays (keys, permutation, rank and its arange),
+# which ranking charges at their size once the class count is known
 _RANK_BYTES_PER_STATE = 25
+_RANK_BYTES_PER_CLASS = 32
 
 
 def available_memory() -> int:
@@ -166,10 +169,18 @@ def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     basis = m.nullspace_basis()
     require_states(len(basis), 8 << len(basis), cap, "nullity")  # int64 states
-    states = np.full(1 << len(basis), x0, dtype=np.int64)
-    for j, v in enumerate(basis):  # doubling: the next half is this one + v
-        np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
+    states = span_states(x0, basis)
     states.sort()
+    return states
+
+
+def span_states(x0: int, vectors) -> np.ndarray:
+    """x0 XOR the vectors[k] of every set bit k of s, for each s below
+    2^len(vectors), as int64: by doubling, each next half is the states so
+    far XOR the next vector."""
+    states = np.full(1 << len(vectors), x0, dtype=np.int64)
+    for j, v in enumerate(vectors):
+        np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
     return states
 
 
@@ -261,21 +272,26 @@ class ClassPartition:
     once, on the first read of either (``rep_states``, ``sizes``,
     ``class_id_array()``, ``class_of``, the table and the exports), and then
     releases the roots; a caller that reads only the count never ranks.
+    Before it allocates, ranking is gated through require_states, with the
+    cap the partition was built under and the class count known.
     """
 
-    def __init__(self, diagram: Diagram, roots: np.ndarray):
+    def __init__(self, diagram: Diagram, roots: np.ndarray, cap: int | None = None):
         self.diagram = diagram
         self._roots = roots
+        self._cap = cap  # the free-vertex cap that ranking is gated by
         self.class_count = int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """(class id of every state, minimal representative state of every
         class), with the classes reindexed by minimal representative."""
+        n_states = len(self._roots)
+        f = n_states.bit_length() - 1
+        need = _RANK_BYTES_PER_STATE * n_states + _RANK_BYTES_PER_CLASS * self.class_count
+        require_states(f, need, self._cap)
         roots = self._roots.astype(np.int64)
         del self._roots
-        n_states = len(roots)
-        f = n_states.bit_length() - 1
         # every root is its class's minimum state, so ranking roots by value
         # is a counting pass rather than a sort; cumsum over the bool mask
         # itself would make an int64 copy of it
@@ -407,7 +423,7 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     n_states = 1 << f
     a, b, c = _move_tables(diagram)
     require_states(f, build_bytes(n_states, a, b), cap)
-    return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c))
+    return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c), cap)
 
 
 def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | None:

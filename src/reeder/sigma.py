@@ -118,10 +118,8 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
         return DualityReport(
             partition.class_count, sigma_orbit_count, 0, False, None
         )
-    states = np.arange(1 << n, dtype=np.int64)
-    mapped = np.zeros_like(states)
-    for i, row in enumerate(adj.rows):
-        mapped |= ((np.bitwise_count(states & row) & 1).astype(np.int64)) << i
+    # A s for every state s, by doubling over the columns of A
+    mapped = moves.span_states(0, adj.transpose().rows)
     image_root = sigma_roots[mapped]
     # the pairing is well-defined iff each class maps into one orbit
     first = np.full(partition.class_count, -1, dtype=np.int64)

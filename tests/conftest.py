@@ -7,6 +7,9 @@ and GF(2) rank by dense numpy elimination.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -83,16 +86,60 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))
 
 
-def check_kernels(n_states: int, a, b, c, classes) -> None:
-    """The orbit kernel against oracle classes of state indices: it must
-    root every state at its class's minimum member."""
+@contextmanager
+def split_kernel(threshold: int = 4):
+    """Run the orbit kernel's two-part split from threshold states on (from
+    f = 2 on by default), as on a process allowed two CPUs."""
     from reeder import _kernel
 
+    with mock.patch.object(_kernel, "_SPLIT_STATES", threshold), \
+            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0, 1}):
+        yield
+
+
+def check_split_schedule(n_states: int, a, b, c) -> list:
+    """The two-part schedule must never let the parts touch one state
+    between the same two barriers, which would let one part write back a
+    label that the other has just lowered.  Scheduling a view of the state
+    indices makes every step's views hold the states they touch.  Returns
+    each part's list of the sets of states it touches between barriers."""
+    from reeder import _kernel
+
+    f = n_states.bit_length() - 1
+    moves = _kernel._move_pairs(f, *(np.asarray(x, dtype=np.int64) for x in (a, b, c)))
+    states = np.arange(n_states).reshape((2,) * f)
+    sections = []
+    for steps in _kernel._schedule(states, moves, 2):
+        touched = [[]]
+        for step in steps:
+            if step is None:
+                touched.append([])
+            else:
+                touched[-1] += [np.ravel(step[0]), np.ravel(step[1])]
+        sections.append([set(np.concatenate(x).tolist()) if x else set() for x in touched])
+    assert len(sections[0]) == len(sections[1])  # the same barriers
+    for first, second in zip(*sections):
+        assert not first & second, sorted(first & second)[:8]
+    return sections
+
+
+def check_kernels(n_states: int, a, b, c, classes) -> None:
+    """The orbit kernel against oracle classes of state indices: the
+    two-part schedule must keep the parts apart between barriers (checked
+    first, since parts with unequal barriers would wait forever), and the
+    kernel must root every state at its class's minimum member, under the
+    default split threshold and with the two-part split forced."""
+    from reeder import _kernel
+
+    if n_states >= 4:
+        check_split_schedule(n_states, a, b, c)
     want = np.empty(n_states, dtype=np.int64)
     for cls in classes:
         idx = np.fromiter(cls, dtype=np.int64)
         want[idx] = idx.min()
-    assert np.array_equal(_kernel.orbit_roots(n_states, a, b, c), want)
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            assert np.array_equal(_kernel.orbit_roots(n_states, a, b, c), want), threshold
 
 
 def family_corpus(max_vertices: int) -> list[tuple[str, Diagram]]:

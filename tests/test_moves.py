@@ -2,6 +2,8 @@
 Python BFS oracle."""
 
 import json
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +21,7 @@ from reeder.diagram import (
     parse_dsl,
 )
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, family_corpus, oracle_classes
+from conftest import check_kernels, family_corpus, oracle_classes, split_kernel
 
 
 def fam(text):
@@ -541,14 +543,14 @@ def test_kernels_match_oracle_on_random_graphs(d):
     check_reeder_kernels(d)
 
 
-@pytest.mark.parametrize(
-    "target, tables",
-    [
-        ("B:16", moves._move_tables),  # every move on sub-views
-        ("flower:14", moves._move_tables),  # the centre is masked
-        ("D:14", sigma._sigma_tables),
-    ],
-)
+KERNEL_PEAK_CASES = [
+    ("B:16", moves._move_tables),  # every move on sub-views
+    ("flower:14", moves._move_tables),  # the centre is masked
+    ("D:14", sigma._sigma_tables),
+]
+
+
+@pytest.mark.parametrize("target, tables", KERNEL_PEAK_CASES)
 def test_kernel_peak_within_estimate(target, tables):
     d = fam(target)
     a, b, c = tables(d)
@@ -562,6 +564,83 @@ def test_kernel_peak_within_estimate(target, tables):
     assert peak <= _kernel.kernel_bytes(n_states, a, b)
 
 
+@pytest.mark.parametrize("target, tables", KERNEL_PEAK_CASES)
+def test_split_kernel_peak_within_estimate(target, tables):
+    with split_kernel():
+        test_kernel_peak_within_estimate(target, tables)
+
+
+def test_one_cpu_starts_no_thread():
+    d = fam("B:10")
+    a, b, c = moves._move_tables(d)
+    want = _kernel.orbit_roots(1 << 10, a, b, c)
+    with split_kernel(), mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0}), \
+            mock.patch.object(_kernel.threading, "Thread", side_effect=AssertionError("a thread")):
+        assert np.array_equal(_kernel.orbit_roots(1 << 10, a, b, c), want)
+
+
+@pytest.mark.parametrize("failing_part", [0, 1])
+def test_split_kernel_error_reaches_caller(failing_part):
+    """An error in either part aborts the other at its next barrier and is
+    raised in the caller, with no thread left behind."""
+    a, b, c = moves._move_tables(fam("B:10"))
+    take = np.take
+    caller = []
+    raised = []
+
+    def failing_take(*args, **kwargs):
+        if (threading.current_thread() is caller[0]) == (failing_part == 0):
+            raise MemoryError("injected")
+        return take(*args, **kwargs)
+
+    def call():
+        caller.append(threading.current_thread())
+        try:
+            _kernel.orbit_roots(1 << 10, a, b, c)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    threads = threading.active_count()
+    with split_kernel(), mock.patch.object(np, "take", failing_take):
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [str(exc) for exc in raised] == ["injected"]
+    assert threading.active_count() == threads
+
+
+def test_split_kernel_under_thread_contention():
+    """Four callers at once, eight parts on this machine's cores, switching
+    threads every microsecond: a barrier or flag race shows as a wrong root.
+    The sigma moves of flower:9 give nine moves that flip the top bit."""
+    tables = [moves._move_tables(fam(t)) for t in ("B:10", "flower:9", "affD:9")]
+    tables.append(sigma._sigma_tables(fam("flower:9")))
+    want = [_kernel.orbit_roots(1 << len(a), a, b, c) for a, b, c in tables]
+    got = [[] for _ in tables]
+
+    def call(i):
+        a, b, c = tables[i]
+        for _ in range(5):
+            got[i].append(_kernel.orbit_roots(1 << len(a), a, b, c))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with split_kernel():
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(tables))]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for roots, runs in zip(want, got):
+        assert len(runs) == 5
+        assert all(np.array_equal(r, roots) for r in runs)
+
+
 @pytest.mark.parametrize("target", ["B:16", "flower:14"])  # few and many classes
 def test_ranking_peak_within_estimate(target):
     part = moves.enumerate_classes(fam(target))
@@ -573,6 +652,44 @@ def test_ranking_peak_within_estimate(target):
     finally:
         tracemalloc.stop()
     assert peak <= moves._RANK_BYTES_PER_STATE * n_states
+
+
+def test_ranking_peak_within_class_charge():
+    """Every state its own class: the per-class arrays are charged once the
+    class count is known."""
+    part = moves.enumerate_classes(parse_dsl("vertices 14"))
+    n_states = 1 << 14
+    assert part.class_count == n_states
+    tracemalloc.start()
+    try:
+        part.rep_states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moves._RANK_BYTES_PER_STATE * n_states + moves._RANK_BYTES_PER_CLASS * n_states
+
+
+def test_ranking_fails_before_allocating(monkeypatch):
+    part = moves.enumerate_classes(parse_dsl("vertices 14"))
+    n_states = 1 << 14
+    need = (moves._RANK_BYTES_PER_STATE + moves._RANK_BYTES_PER_CLASS) * n_states
+    monkeypatch.setattr(moves, "available_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="memory is available"):
+            part.rep_states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_states  # not one byte per state
+    monkeypatch.setattr(moves, "available_memory", lambda: need)
+    assert len(part.rep_states) == n_states
+
+
+def test_ranking_keeps_the_callers_cap(monkeypatch):
+    part = moves.enumerate_classes(fam("A:12"), cap=12)
+    monkeypatch.setenv("REEDER_MAX_VERTICES", "4")  # would refuse 12 free vertices
+    assert len(part.rep_states) == 7
 
 
 def test_kernel_refuses_states_past_int32_labels():

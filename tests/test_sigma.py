@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from reeder import families, moves, sigma
 from reeder.diagram import Diagram, DiagramError, Edge, Labeling, parse_dsl
 from reeder.f2 import F2Matrix
-from conftest import check_kernels
+from conftest import check_kernels, check_split_schedule
 
 
 def fam(text):
@@ -168,6 +168,23 @@ def test_orbit_bijection_on_invertible_corpus(small_corpus):
     assert checked >= 5
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_duality_map_by_doubling(rows):
+    """A s for every state s, doubled over the columns of A, against the
+    parity of each row of A with s, on square matrices that need not be
+    symmetric."""
+    n = len(rows)
+    adj = F2Matrix(n, n, tuple(rows))
+    states = np.arange(1 << n, dtype=np.int64)
+    want = np.zeros_like(states)
+    for i, row in enumerate(rows):
+        want |= (np.bitwise_count(states & row) & 1).astype(np.int64) << i
+    got = moves.span_states(0, adj.transpose().rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def check_sigma_kernels(d):
     """The sigma move at i is the transvection a = 1 << i, b = neighbors."""
     n = d.n_vertices
@@ -187,6 +204,21 @@ def check_sigma_kernels(d):
     ids=["A:1", "A:10", "flower:9", "isolated"],
 )
 def test_sigma_kernels_match_oracle(d):
+    check_sigma_kernels(d)
+
+
+def test_split_schedule_parts_sigma_moves_that_flip_the_top_bit():
+    """The sigma moves at the top vertex's neighbors all flip the top state
+    bit.  The halves of two such moves overlap (here those of vertices 3
+    and 4, neighbors of vertex 5), so each is swept in a section of its
+    own, between barriers."""
+    d = Diagram(6, [Edge(0, 3), Edge(1, 4), Edge(2, 3), Edge(3, 5), Edge(4, 5)])
+    a, b, c = sigma._sigma_tables(d)
+    first, second = check_split_schedule(1 << 6, a, b, c)
+    # the moves at 0..2, the moves at 3 and at 4, and the move at 5
+    assert len(first) == 4
+    # swept in one section, the moves at 3 and 4 would share states
+    assert (first[1] | first[2]) & (second[1] | second[2])
     check_sigma_kernels(d)
 
 
