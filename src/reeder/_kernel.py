@@ -321,3 +321,8 @@ def orbit_roots(n_states: int, a, b, c):
     split = n_states >= _SPLIT_STATES and len(os.sched_getaffinity(0)) > 1
     _propagate(label, _schedule(label.reshape((2,) * f), moves, 2 if split else 1))
     return label
+
+
+def orbit_count(roots) -> int:
+    """Orbits in orbit_roots' result: the states that are their own root."""
+    return int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))

@@ -175,20 +175,22 @@ class Diagram:
 
     def contains_e6(self) -> bool:
         """True iff this is a simply-laced tree with a branch vertex carrying
-        at least two arms of length >= 2."""
+        at least two arms of length >= 2 (see e6_path)."""
+        return self.e6_path() is not None
+
+    def e6_path(self) -> tuple[int, int, int, int, int] | None:
+        """On a simply-laced tree, a path (w1, u1, v, u2, w2) through the first
+        branch vertex v (degree >= 3) with two arms of length >= 2, or None."""
         if not self.is_simply_laced:
             raise DiagramError("contains_e6 requires a simply-laced diagram")
         if not self.is_tree:
             raise DiagramError("contains_e6 requires a tree")
         for v in range(self.n_vertices):
-            if self.degree(v) < 3:
-                continue
-            long_arms = sum(
-                1 for u in self._adj[v] if any(w != v for w in self._adj[u])
-            )
-            if long_arms >= 2:
-                return True
-        return False
+            arms = {u: w for u in self._adj[v] for w in self._adj[u] if w != v}  # arms v-u-w
+            if self.degree(v) >= 3 and len(arms) >= 2:
+                (u1, w1), (u2, w2) = list(arms.items())[:2]
+                return w1, u1, v, u2, w2
+        return None
 
     # -- move-relevant structure -----------------------------------------
 

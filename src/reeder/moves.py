@@ -280,7 +280,7 @@ class ClassPartition:
         self.diagram = diagram
         self._roots = roots
         self._cap = cap  # the free-vertex cap that ranking is gated by
-        self.class_count = int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))
+        self.class_count = _kernel.orbit_count(roots)
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray]:

@@ -61,19 +61,13 @@ def duality_check(diagram: Diagram) -> bool:
     return True
 
 
-def _sigma_tables(diagram: Diagram):
-    """Per-vertex transvection triples (a, b, c) of the sigma moves: vertex i
-    lit (a = 1 << i) flips its neighbors (b), with c = 0."""
-    n = diagram.n_vertices
-    a = [1 << i for i in range(n)]
-    return a, [sum(1 << k for k in diagram.neighbors(i)) for i in range(n)], [0] * n
-
-
 def enumerate_sigma_orbits(diagram: Diagram, cap: int | None = None) -> np.ndarray:
-    """Orbit root (minimum member) of every state under sigma moves."""
+    """Orbit root (minimum member) of every state under sigma moves: the
+    Reeder move tables with a and b swapped, as S_i = T_i^t (vertex i lit,
+    a = 1 << i, flips its neighbors, b = row i of A, with c = 0)."""
     _require_sigma(diagram)
     n = diagram.n_vertices
-    a, b, c = _sigma_tables(diagram)
+    b, a, c = moves._move_tables(diagram)
     moves.require_states(n, _kernel.kernel_bytes(1 << n, a, b), cap)
     return _kernel.orbit_roots(1 << n, a, b, c)
 
@@ -105,15 +99,15 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     (applicable=False, bijection_verified=None).
     """
     _require_sigma(diagram)
-    n = diagram.n_vertices
     adj = diagram.adjacency_matrix()
     det = adj.det()
     partition = moves.enumerate_classes(diagram, cap)
-    # rank now, so that ranking's transient does not overlap the sigma roots
-    # and the mapped states below
-    reeder_id = partition.class_id_array()
+    # only the map checked when det A = 1 reads the class ids; rank them
+    # before the sigma roots, so that ranking's transient does not overlap
+    # the roots and the mapped states below
+    reeder_id = partition.class_id_array() if det else None
     sigma_roots = enumerate_sigma_orbits(diagram, cap)
-    sigma_orbit_count = int((sigma_roots == np.arange(1 << n)).sum())
+    sigma_orbit_count = _kernel.orbit_count(sigma_roots)
     if det == 0:
         return DualityReport(
             partition.class_count, sigma_orbit_count, 0, False, None

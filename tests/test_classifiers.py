@@ -1,9 +1,11 @@
 """Invariant classifiers cross-validated against brute-force enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reeder import families, moves
+from reeder import classifiers, families, moves
 from reeder.classifiers import (
     classify_by_components,
     e6_tree_classify,
@@ -14,7 +16,7 @@ from reeder.classifiers import (
     tree_from_pruefer,
 )
 from reeder.diagram import Diagram, DiagramError, Edge, Labeling, ResourceError
-from conftest import same_partition
+from conftest import oracle_rank_gf2, same_partition
 
 
 def fam(text):
@@ -117,6 +119,8 @@ def test_e6_tree_classify_preconditions():
 
 
 def test_e6_tree_classify_fails_before_allocating(monkeypatch):
+    """Classifying allocates nothing exponential, so it succeeds at 1 KB of
+    memory; key_ids, the one pass over 2^n states, refuses before counting."""
     d = fam("E8:8")
 
     def no_counts(*args):
@@ -124,10 +128,69 @@ def test_e6_tree_classify_fails_before_allocating(monkeypatch):
 
     monkeypatch.setattr(moves, "component_counts", no_counts)
     monkeypatch.setattr(moves, "available_memory", lambda: 1 << 10)
+    pred = e6_tree_classify(d)
+    assert pred.class_count == 3 and not pred.fallback
     with pytest.raises(ResourceError, match="memory"):
-        e6_tree_classify(d)
+        pred.key_ids()
     monkeypatch.undo()
-    assert e6_tree_classify(d).class_count == 3
+    assert same_partition(moves.enumerate_classes(d).class_id_array(), pred.key_ids())
+
+
+def test_e6_tree_classify_fallback(monkeypatch):
+    """A failed guard falls back to enumeration under the caller's cap."""
+    monkeypatch.setattr(classifiers, "_parities_reach_nonfixed", lambda d: False)
+    for target in ("E6:6", "affE7:7", "E8:8"):
+        d = fam(target)
+        pred = e6_tree_classify(d)
+        assert pred.class_count == moves.enumerate_classes(d).class_count, target
+        assert pred.fallback and pred.warning, target
+        with pytest.raises(ResourceError, match="exceed the cap"):
+            e6_tree_classify(d, cap=d.n_vertices - 1)
+
+
+def test_e6_tree_classify_guard_passes_on_every_accepted_tree():
+    for d in random_e6_trees(50, max_vertices=40, seed=99):
+        w1, u1, v, u2, w2 = d.e6_path()
+        assert d.degree(v) >= 3
+        for x, y in ((w1, u1), (u1, v), (v, u2), (u2, w2)):
+            assert y in d.neighbors(x)
+        assert classifiers._parities_reach_nonfixed(d)
+
+
+def test_e6_tree_classify_peak():
+    d = next(random_e6_trees(1, max_vertices=20, min_vertices=20, seed=3))
+    tracemalloc.start()
+    try:
+        pred = e6_tree_classify(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not pred.fallback
+    assert peak < 1 << 20
+
+
+def test_e6_tree_classify_past_the_cap():
+    d = next(random_e6_trees(1, max_vertices=120, min_vertices=100, seed=5))
+    assert d.n_vertices > moves.DEFAULT_CAP
+    pred = e6_tree_classify(d)
+    nullity = d.n_vertices - oracle_rank_gf2(d.adjacency_matrix().to_lists())
+    assert pred.class_count == (1 << nullity) + 2
+    assert not pred.fallback and pred.warning is None
+
+
+def test_key_ids_peak_within_charge(monkeypatch):
+    d = next(random_e6_trees(1, max_vertices=16, min_vertices=16, seed=3))
+    pred = e6_tree_classify(d)
+    charged = []
+    monkeypatch.setattr(moves, "require_states", lambda f, need, *args: charged.append(need))
+    tracemalloc.start()
+    try:
+        ids = pred.key_ids()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 1 << 16
+    assert peak <= charged[0]
 
 
 # -- flower classifier -----------------------------------------------------

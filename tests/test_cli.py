@@ -460,8 +460,12 @@ def test_duality_rejects_non_simply_laced(runner):
 
 @pytest.mark.parametrize(
     "args",
-    [["count", "B:12"], ["census", "--family", "A", "--range", "1..8"]],
-    ids=["count", "census"],
+    [
+        ["count", "B:12"],
+        ["census", "--family", "A", "--range", "1..8"],
+        ["duality", "D:9"],  # det A = 0: the class ids are never read
+    ],
+    ids=["count", "census", "duality-det0"],
 )
 def test_count_paths_never_rank(runner, monkeypatch, args):
     def drop_runtime(text):

@@ -342,12 +342,20 @@ def test_build_fails_before_allocating(monkeypatch):
     assert moves.enumerate_classes(d).class_count == 7
 
 
+def e6_tree_key_ids(d, cap=None):
+    """The classifier itself enumerates nothing under any cap or memory;
+    its key_ids pass is the gated entry point."""
+    pred = classifiers.e6_tree_classify(d, cap=cap)
+    assert pred.class_count == 3  # E8:8
+    return pred.key_ids(cap)
+
+
 @pytest.mark.parametrize(
     "entry",
     [
         moves.enumerate_classes,
         sigma.enumerate_sigma_orbits,
-        classifiers.e6_tree_classify,
+        e6_tree_key_ids,
     ],
     ids=["classes", "sigma", "e6-tree"],
 )
@@ -543,10 +551,16 @@ def test_kernels_match_oracle_on_random_graphs(d):
     check_reeder_kernels(d)
 
 
+def _sigma_tables(d):
+    """The sigma moves: the Reeder move tables with a and b swapped."""
+    b, a, c = moves._move_tables(d)
+    return a, b, c
+
+
 KERNEL_PEAK_CASES = [
     ("B:16", moves._move_tables),  # every move on sub-views
     ("flower:14", moves._move_tables),  # the centre is masked
-    ("D:14", sigma._sigma_tables),
+    ("D:14", _sigma_tables),
 ]
 
 
@@ -615,7 +629,7 @@ def test_split_kernel_under_thread_contention():
     threads every microsecond: a barrier or flag race shows as a wrong root.
     The sigma moves of flower:9 give nine moves that flip the top bit."""
     tables = [moves._move_tables(fam(t)) for t in ("B:10", "flower:9", "affD:9")]
-    tables.append(sigma._sigma_tables(fam("flower:9")))
+    tables.append(_sigma_tables(fam("flower:9")))
     want = [_kernel.orbit_roots(1 << len(a), a, b, c) for a, b, c in tables]
     got = [[] for _ in tables]
 

@@ -213,7 +213,7 @@ def test_split_schedule_parts_sigma_moves_that_flip_the_top_bit():
     and 4, neighbors of vertex 5), so each is swept in a section of its
     own, between barriers."""
     d = Diagram(6, [Edge(0, 3), Edge(1, 4), Edge(2, 3), Edge(3, 5), Edge(4, 5)])
-    a, b, c = sigma._sigma_tables(d)
+    b, a, c = moves._move_tables(d)  # the sigma moves
     first, second = check_split_schedule(1 << 6, a, b, c)
     # the moves at 0..2, the moves at 3 and at 4, and the move at 5
     assert len(first) == 4
