@@ -22,11 +22,11 @@ exactly those sub-views and it sweeps them unmasked.  Only a wide or
 overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
 its whole slice and copies back through a bool edge mask.  Each sweep takes
 the minimum of both ends, writing it back at once (Gauss-Seidel, alternate
-sweeps in reverse move order), then pointer-jumps the labels to a fixpoint,
-each jump gathering from one of two label buffers into the other, so the
-last jump leaves both equal and the other buffer holds the labels before the
-next sweep.  It stops at the first sweep that changes nothing.  The result
-is the int32 label array itself, so f <= 31.
+sweeps in reverse move order), then pointer-jumps the labels to a fixpoint
+in at most f + 1 jumps, each jump gathering from one of two label buffers
+into the other, so the last jump leaves both equal and the other buffer
+holds the labels before the next sweep.  It stops at the first sweep that
+changes nothing.  The result is the int32 label array itself, so f <= 31.
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
 work is cut in two parts on the top state bit (axis 0), each run by its own
@@ -188,6 +188,7 @@ def _propagate(label, parts: list) -> None:
     in the caller's thread and each other part in a thread of its own."""
     n_parts = len(parts)
     size = len(label) // n_parts
+    f = len(label).bit_length() - 1
     least_size = max((step[0].size for steps in parts for step in steps if step), default=0)
     if not least_size:  # no move joins two states
         return
@@ -247,11 +248,14 @@ def _propagate(label, parts: list) -> None:
             sweep += 1
             # label[s] <= s stays in s's class, so jumping only shortens
             # chains.  Each jump gathers from one buffer into the other, and
-            # the last one, which changes nothing, leaves them equal.
+            # the last one, which changes nothing, leaves them equal.  A
+            # chain holds fewer than 2^f states, so f jumps reach every root
+            # and jump f + 1 changes nothing; a part still changing after it
+            # has lost step with the others.
             # mode="clip" (never needed: labels are valid indices) spares
             # take the copy of `out` it makes under mode="raise"
             src, dst = label, jumped
-            while True:
+            for _ in range(f + 1):
                 for x in blocks:
                     np.copyto(ix, src[x])
                     np.take(src, ix, out=dst[x], mode="clip")
@@ -260,6 +264,8 @@ def _propagate(label, parts: list) -> None:
                 if not folded[1]:
                     break
                 src, dst = dst, src
+            else:
+                raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
 
     if n_parts == 1:
         run(0)

@@ -6,8 +6,6 @@ cap exceeded.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import sys
 import tempfile
@@ -45,8 +43,7 @@ def _exit_codes(f):
 
 def _load_target(target: str) -> tuple[Diagram, families.FamilySpec | None]:
     """A family string like A:5 or a DSL file path."""
-    head = target.split(":", 1)[0]
-    if head in families.FAMILY_NAMES or head == "Abox":
+    if target.split(":", 1)[0] in families.FAMILY_HEADS:
         spec = families.parse_family(target)
         return families.construct(spec), spec
     path = Path(target)
@@ -179,7 +176,8 @@ def census(ctx, family_name, range_str, fmt, out):
         raise DiagramError(f"bad range {range_str!r}; expected a..b")
     if lo > hi:
         raise DiagramError(f"bad range {range_str!r}; expected a..b with a <= b")
-    rows = []
+    # no field holds a comma, a quote or a newline
+    text = "family,param,vertices,formula,bruteforce,match,runtime_ms\n"
     any_mismatch = False
     for n in range(lo, hi + 1):
         spec = families.parse_family(f"{family_name}:{n}")
@@ -195,22 +193,16 @@ def census(ctx, family_name, range_str, fmt, out):
             match = "yes" if cf == part.class_count else "no"
             formula_cell = str(cf)
             any_mismatch |= match == "no"
-        rows.append(
-            [spec.family, n, diagram.n_vertices, formula_cell,
-             part.class_count, match, ms]
-        )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["family", "param", "vertices", "formula", "bruteforce", "match", "runtime_ms"])
-    w.writerows(rows)
+        text += (f"{spec.family},{n},{diagram.n_vertices},{formula_cell},"
+                 f"{part.class_count},{match},{ms}\n")
     if out is None:
-        click.echo(buf.getvalue(), nl=False)
+        click.echo(text, nl=False)
     else:
         try:
             fd, tmp = tempfile.mkstemp(dir=Path(out).parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(buf.getvalue())
+                    fh.write(text)
                 os.replace(tmp, out)
             except BaseException:
                 os.unlink(tmp)

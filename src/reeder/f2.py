@@ -72,15 +72,6 @@ class F2Matrix:
         ]
         return F2Matrix(self.n_cols, self.n_rows, tuple(cols))
 
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch")
-        return F2Matrix(
-            self.n_rows,
-            self.n_cols,
-            tuple(a ^ b for a, b in zip(self.rows, other.rows)),
-        )
-
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch")

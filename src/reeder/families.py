@@ -1,6 +1,13 @@
 """Named diagram families: constructors, closed-form class counts, and
 canonical representative lists.
 
+Each family has one record in the registry _FAMILIES at the end of this
+module: its builder, the published class count and representative list
+(None where the source defers them), its least parameter or fixed size, and
+whether its printed form leads with vertex 0.  To add a family, write its
+_build_* and _reps_* functions and add its record there; FAMILY_NAMES,
+DEFERRED and FAMILY_HEADS are derived from the registry.
+
 Internal vertex order: finite families store the printed vertices 1..n at
 indices 0..n-1.  Affine families additionally store the printed vertex 0 at
 the LAST internal index, so the underlying finite diagram occupies a bit
@@ -10,40 +17,13 @@ after the free vertices.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import moves
 from .diagram import Diagram, DiagramError, Edge, Labeling
-
-FAMILY_NAMES = (
-    "A", "affA", "B", "affB", "C", "affC", "D", "affD",
-    "E6", "E7", "E8", "affE6", "affE7", "affE8",
-    "F4", "affF4", "G2", "affG2",
-    "X", "A2_2", "Y", "Z", "E6_2", "D4_3",
-    "flower", "Abox_m", "Abox_1m", "Bbox_1", "Dbox_1",
-)
-
-_MIN_PARAM = {
-    "A": 1, "affA": 2, "B": 2, "affB": 4, "C": 3, "affC": 3,
-    "D": 4, "affD": 5, "X": 1, "Y": 4, "Z": 2, "flower": 1,
-    "Abox_m": 1, "Abox_1m": 1, "Bbox_1": 1, "Dbox_1": 4,
-}
-
-_FIXED_PARAM = {
-    "E6": 6, "E7": 7, "E8": 8, "affE6": 6, "affE7": 7, "affE8": 8,
-    "F4": 4, "affF4": 4, "G2": 2, "affG2": 2, "A2_2": 2,
-    "E6_2": 6, "D4_3": 4,
-}
-
-# families whose printed form leads with the extra vertex 0 (stored last)
-_AFFINE = {
-    "affA", "affB", "affC", "affD", "affE6", "affE7", "affE8",
-    "affF4", "affG2", "X", "Y", "Z", "E6_2", "D4_3",
-}
-
-DEFERRED = ("E6", "E7", "E8", "F4")
 
 
 def _ceil_half(x: int) -> int:
@@ -56,24 +36,23 @@ class FamilySpec:
     param: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
+        record = _FAMILIES.get(self.family)
+        if record is None:
             raise DiagramError(f"unknown family {self.family!r}")
-        if self.family in _FIXED_PARAM:
-            fixed = _FIXED_PARAM[self.family]
-            if self.param not in (None, fixed):
+        if record.fixed is not None:
+            if self.param not in (None, record.fixed):
                 raise DiagramError(
-                    f"family {self.family} is fixed-size (param {fixed})"
+                    f"family {self.family} is fixed-size (param {record.fixed})"
                 )
-        else:
-            lo = _MIN_PARAM[self.family]
-            if self.param is None or self.param < lo:
-                raise DiagramError(
-                    f"family {self.family} requires an integer parameter >= {lo}"
-                )
+        elif self.param is None or self.param < record.least:
+            raise DiagramError(
+                f"family {self.family} requires an integer parameter >= {record.least}"
+            )
 
     @property
     def n(self) -> int:
-        return _FIXED_PARAM.get(self.family, self.param)
+        fixed = _FAMILIES[self.family].fixed
+        return self.param if fixed is None else fixed
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}"
@@ -255,29 +234,14 @@ def _build_D4_3(_):
     return Diagram(3, [Edge(0, 1, 3, False), Edge(2, 0)])
 
 
-_BUILDERS = {
-    "A": _build_A, "affA": _build_affA, "B": _build_B, "affB": _build_affB,
-    "C": _build_C, "affC": _build_affC, "D": _build_D, "affD": _build_affD,
-    "E6": _build_E6, "E7": _build_E7, "E8": _build_E8,
-    "affE6": _build_affE6, "affE7": _build_affE7, "affE8": _build_affE8,
-    "F4": _build_F4, "affF4": _build_affF4,
-    "G2": _build_G2, "affG2": _build_affG2,
-    "X": _build_X, "A2_2": _build_A2_2, "Y": _build_Y, "Z": _build_Z,
-    "E6_2": _build_E6_2, "D4_3": _build_D4_3,
-    "flower": _build_flower,
-    "Abox_m": _build_Abox_m, "Abox_1m": _build_Abox_1m,
-    "Bbox_1": _build_Bbox_1, "Dbox_1": _build_Dbox_1,
-}
-
-
 def construct(spec: FamilySpec) -> Diagram:
-    return _BUILDERS[spec.family](spec.n).normalize()
+    return _FAMILIES[spec.family].build(spec.n).normalize()
 
 
 def display_layout(spec: FamilySpec, diagram: Diagram) -> tuple[tuple[int, ...], bool]:
     """(internal indices in printed order, leads-with-vertex-0 flag)."""
     n = diagram.n_vertices
-    if spec.family in _AFFINE:
+    if _FAMILIES[spec.family].leads_with_0:
         return (n - 1,) + tuple(range(n - 1)), True
     return tuple(range(n)), False
 
@@ -288,48 +252,10 @@ def display_layout(spec: FamilySpec, diagram: Diagram) -> tuple[tuple[int, ...],
 def closed_form_count(spec: FamilySpec) -> int | None:
     """The published class count, or None for the families the source defers.
 
-    Every count is exact except affF4: the published 4 is one short, since
-    the paper's class list omits the fixed labeling 10101 and brute force
-    finds 5 (README, "Known discrepancy").
+    affF4's published count is one short; see its record in _FAMILIES.
     """
-    n = spec.n
-    f = spec.family
-    if f == "A":
-        return _ceil_half(n) + 1
-    if f == "affA":
-        return n // 2 + 2 if n % 2 == 0 else (n - 1) // 2 + 4
-    if f == "B":
-        return 2 + _ceil_half(n - 1)
-    if f == "affB":
-        return (n - 1) // 2 + 4 if n % 2 else n // 2 + 5
-    if f == "C":
-        return n + 1
-    if f == "affC":
-        return 2 * n + 2
-    if f == "D":
-        return n // 2 + 3 if n % 2 == 0 else (n - 1) // 2 + 2
-    if f == "affD":
-        return n // 2 + 7 if n % 2 == 0 else (n - 1) // 2 + 4
-    if f == "X":
-        return n + 3
-    if f == "Y":
-        return n + 3
-    if f == "Z":
-        return _ceil_half(n - 1) + 4
-    if f == "flower":
-        return 2 ** (n - 1) + 1
-    if f == "Abox_m":
-        return _ceil_half(n - 1) + 1
-    if f == "Abox_1m":
-        return _ceil_half(n - 2) + 2
-    if f == "Bbox_1":
-        return 1 + _ceil_half(n - 1)
-    if f == "Dbox_1":
-        return n // 2 if n % 2 == 0 else (n - 1) // 2 + 2
-    return {
-        "affE6": 4, "affE7": 6, "affE8": 4, "affF4": 4,
-        "G2": 2, "affG2": 3, "A2_2": 3, "E6_2": 4, "D4_3": 3,
-    }.get(f)  # E6/E7/E8/F4 fall through to None (deferred)
+    count = _FAMILIES[spec.family].count
+    return None if count is None else count(spec.n)
 
 
 # -- canonical path labelings ---------------------------------------------
@@ -368,9 +294,10 @@ class RepresentativeSet:
 
 def canonical_representatives(spec: FamilySpec) -> RepresentativeSet | None:
     """The family's published representative list, or None where deferred."""
-    if spec.family in DEFERRED:
+    reps = _FAMILIES[spec.family].reps
+    if reps is None:
         return None
-    bits, provenance = zip(*_REPS[spec.family](spec.n))
+    bits, provenance = zip(*reps(spec.n))
     return RepresentativeSet(bits, provenance)
 
 
@@ -650,14 +577,76 @@ def check_representatives(spec: FamilySpec, reps, partition, classes=None) -> li
     return problems
 
 
-_REPS = {
-    "A": _reps_A, "affA": _reps_affA, "B": _reps_B, "affB": _reps_affB,
-    "C": _reps_C, "affC": _reps_affC, "D": _reps_D, "affD": _reps_affD,
-    "affE6": _reps_affE6, "affE7": _reps_affE7, "affE8": _reps_affE8,
-    "affF4": _reps_affF4, "G2": _reps_G2, "affG2": _reps_affG2,
-    "X": _reps_X, "A2_2": _reps_A2_2, "Y": _reps_Y, "Z": _reps_Z,
-    "E6_2": _reps_E6_2, "D4_3": _reps_D4_3,
-    "flower": _reps_flower,
-    "Abox_m": _reps_Abox_m, "Abox_1m": _reps_Abox_1m,
-    "Bbox_1": _reps_Bbox_1, "Dbox_1": _reps_Dbox_1,
+# -- the registry ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the source gives for one family.  A parametric family sets
+    least, its least parameter; a fixed-size family sets fixed, its size.
+    count maps n to the published class count and reps to the published
+    representative list; both are None where the source defers them."""
+
+    build: Callable[[int], Diagram]
+    count: Callable[[int], int] | None
+    reps: Callable[[int], list[tuple[int, str]]] | None
+    least: int | None = None
+    fixed: int | None = None
+    leads_with_0: bool = False  # printed form leads with vertex 0, stored last
+
+
+_FAMILIES = {
+    "A": _Family(_build_A, lambda n: _ceil_half(n) + 1, _reps_A, least=1),
+    "affA": _Family(
+        _build_affA, lambda n: n // 2 + 2 if n % 2 == 0 else (n - 1) // 2 + 4,
+        _reps_affA, least=2, leads_with_0=True,
+    ),
+    "B": _Family(_build_B, lambda n: 2 + _ceil_half(n - 1), _reps_B, least=2),
+    "affB": _Family(
+        _build_affB, lambda n: (n - 1) // 2 + 4 if n % 2 else n // 2 + 5,
+        _reps_affB, least=4, leads_with_0=True,
+    ),
+    "C": _Family(_build_C, lambda n: n + 1, _reps_C, least=3),
+    "affC": _Family(_build_affC, lambda n: 2 * n + 2, _reps_affC, least=3, leads_with_0=True),
+    "D": _Family(
+        _build_D, lambda n: n // 2 + 3 if n % 2 == 0 else (n - 1) // 2 + 2,
+        _reps_D, least=4,
+    ),
+    "affD": _Family(
+        _build_affD, lambda n: n // 2 + 7 if n % 2 == 0 else (n - 1) // 2 + 4,
+        _reps_affD, least=5, leads_with_0=True,
+    ),
+    "E6": _Family(_build_E6, None, None, fixed=6),
+    "E7": _Family(_build_E7, None, None, fixed=7),
+    "E8": _Family(_build_E8, None, None, fixed=8),
+    "affE6": _Family(_build_affE6, lambda _: 4, _reps_affE6, fixed=6, leads_with_0=True),
+    "affE7": _Family(_build_affE7, lambda _: 6, _reps_affE7, fixed=7, leads_with_0=True),
+    "affE8": _Family(_build_affE8, lambda _: 4, _reps_affE8, fixed=8, leads_with_0=True),
+    "F4": _Family(_build_F4, None, None, fixed=4),
+    # Erratum: the published count 4 is one short, since the paper's class
+    # list omits the fixed labeling 10101 and brute force finds 5 (README,
+    # "Known discrepancy").  Every other published count is exact.
+    "affF4": _Family(_build_affF4, lambda _: 4, _reps_affF4, fixed=4, leads_with_0=True),
+    "G2": _Family(_build_G2, lambda _: 2, _reps_G2, fixed=2),
+    "affG2": _Family(_build_affG2, lambda _: 3, _reps_affG2, fixed=2, leads_with_0=True),
+    "X": _Family(_build_X, lambda n: n + 3, _reps_X, least=1, leads_with_0=True),
+    "A2_2": _Family(_build_A2_2, lambda _: 3, _reps_A2_2, fixed=2),
+    "Y": _Family(_build_Y, lambda n: n + 3, _reps_Y, least=4, leads_with_0=True),
+    "Z": _Family(_build_Z, lambda n: _ceil_half(n - 1) + 4, _reps_Z, least=2, leads_with_0=True),
+    "E6_2": _Family(_build_E6_2, lambda _: 4, _reps_E6_2, fixed=6, leads_with_0=True),
+    "D4_3": _Family(_build_D4_3, lambda _: 3, _reps_D4_3, fixed=4, leads_with_0=True),
+    "flower": _Family(_build_flower, lambda n: 2 ** (n - 1) + 1, _reps_flower, least=1),
+    "Abox_m": _Family(_build_Abox_m, lambda n: _ceil_half(n - 1) + 1, _reps_Abox_m, least=1),
+    "Abox_1m": _Family(_build_Abox_1m, lambda n: _ceil_half(n - 2) + 2, _reps_Abox_1m, least=1),
+    "Bbox_1": _Family(_build_Bbox_1, lambda n: 1 + _ceil_half(n - 1), _reps_Bbox_1, least=1),
+    "Dbox_1": _Family(
+        _build_Dbox_1, lambda n: n // 2 if n % 2 == 0 else (n - 1) // 2 + 2,
+        _reps_Dbox_1, least=4,
+    ),
 }
+
+FAMILY_NAMES = tuple(_FAMILIES)
+DEFERRED = tuple(name for name, record in _FAMILIES.items() if record.count is None)
+# what parse_family accepts before the first colon: Abox:m[:ends=1] names
+# Abox_m or Abox_1m
+FAMILY_HEADS = (*FAMILY_NAMES, "Abox")

@@ -80,16 +80,13 @@ class DualityReport:
     applicable: bool
     bijection_verified: bool | None
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "reeder_classes": self.reeder_classes,
             "sigma_orbits": self.sigma_orbits,
             "det_A": self.det_A,
             "bijection_verified": self.bijection_verified,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        }, indent=2)
 
 
 def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityReport:

@@ -105,14 +105,6 @@ def test_matmul_matches_listwise_product(lists):
     assert prod == want
 
 
-def test_add_is_xor():
-    a = F2Matrix.from_lists([[1, 1], [0, 1]])
-    b = F2Matrix.from_lists([[1, 0], [1, 1]])
-    assert (a + b).to_lists() == [[0, 1], [1, 0]]
-    with pytest.raises(ValueError):
-        a + F2Matrix.zeros(1, 2)
-
-
 def test_affine_e6_e7_adjacency_nullity():
     # independent oracle values for the two branching affine diagrams whose
     # fixed-labeling counts (2 and 4) the nullity must explain

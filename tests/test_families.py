@@ -72,6 +72,48 @@ def test_all_families_connected_and_normalized(small_corpus):
         assert d.is_normalized, name
 
 
+def _least_spec(name):
+    """The family at its fixed size, or at the least parameter it accepts."""
+    for param in (None, *range(1, 10)):
+        try:
+            return FamilySpec(name, param)
+        except DiagramError:
+            pass
+    raise AssertionError(f"{name} accepts no parameter up to 9")
+
+
+@pytest.mark.parametrize("name", families.FAMILY_NAMES)
+def test_every_family_at_its_least_size(name):
+    spec = _least_spec(name)
+    d = families.construct(spec)
+    assert d.is_connected and d.is_normalized
+    back = parse_family(str(spec))
+    assert (back.family, back.n) == (spec.family, spec.n)
+    deferred = name in families.DEFERRED
+    assert (families.closed_form_count(spec) is None) == deferred
+    assert (families.canonical_representatives(spec) is None) == deferred
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("affA", range(2, 12)), ("affB", range(4, 12)), ("affC", range(3, 12)),
+     ("affD", range(5, 12)),
+     *((name, [None]) for name in ("affE6", "affE7", "affE8", "affF4", "affG2"))],
+)
+def test_affine_diagram_extends_its_finite_prefix(name, params):
+    # the extra vertex 0 is stored last, so the finite diagram is the
+    # subdiagram on the first n - 1 internal vertices
+    for param in params:
+        spec = FamilySpec(name, param)
+        aff = families.construct(spec)
+        fin = families.construct(FamilySpec(name.removeprefix("aff"), param))
+        n = aff.n_vertices
+        assert fin.n_vertices == n - 1, spec
+        assert {e for e in aff.edges if max(e.u, e.v) < n - 1} == set(fin.edges), spec
+        assert {v for v in aff.pinned if v < n - 1} == fin.pinned, spec
+        assert families.display_layout(spec, aff) == ((n - 1, *range(n - 1)), True)
+
+
 def test_vertex_counts():
     assert fam("A:6").n_vertices == 6
     assert fam("affA:6").n_vertices == 7
