@@ -11,7 +11,6 @@ import sys
 import tempfile
 import time
 from functools import wraps
-from itertools import islice
 from pathlib import Path
 
 import click
@@ -87,11 +86,11 @@ def count(ctx, target, formula):
         sys.exit(EXIT_MISMATCH)
 
 
-def _echo_lines(lines) -> None:
-    """Echo lines, one click.echo per block of moves._RENDER_BLOCK of them."""
-    lines = iter(lines)
-    while block := list(islice(lines, moves._RENDER_BLOCK)):
-        click.echo("\n".join(block))
+def _echo_blocks(blocks) -> None:
+    """Echo rendered blocks of lines, one click.echo per block; echo writes
+    back each block's last newline."""
+    for block in blocks:
+        click.echo(block[:-1])
 
 
 @main.command()
@@ -119,39 +118,21 @@ def classes(ctx, target, reps, full, fmt):
             raise DiagramError(f"{spec}: no published representative list")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt == "json":
-        click.echo(part.to_json())
+        # the newline echoed on its own: appending it would copy the table
+        click.echo(part.to_json(), nl=False)
+        click.echo()
     elif fmt == "csv":
         click.echo(part.to_csv(), nl=False)
     else:
         order, leads = families.display_layout(spec, diagram) if spec else (None, False)
-
-        def shown(labels: str) -> str:
-            # an affine labeling leads with its vertex 0, stored last: a0;a1..an
-            return f"{labels[0]};{labels[1:]}" if leads else labels
-
         click.echo(f"target={target} vertices={diagram.n_vertices} "
                    f"free={len(diagram.free_vertices)} classes={part.class_count}")
         click.echo("class size min_rep components")
-
-        def table_lines():
-            if full:  # one generator over all members, taken a class at a time
-                members = moves.labeling_strings(diagram, part.member_states, order)
-            for c, (size, rep, pairs) in enumerate(part.table_rows(order)):
-                tag = " fixed" if size == 1 else ""
-                yield f"{c} {size} {shown(rep)} {moves.histogram_text(pairs)}{tag}"
-                if full:
-                    for text in islice(members, size):
-                        yield f"  {shown(text)}"
-
-        _echo_lines(table_lines())
+        _echo_blocks(part.text_blocks(order, leads, full))
     if reps:
         states, ids = families.representative_classes(rep_set, part)
         problems = families.check_representatives(spec, rep_set, part, (states, ids))
-        labels = moves.labeling_strings(diagram, states, order)
-        _echo_lines(
-            f"rep {tag} {shown(text)} -> class {c}"
-            for tag, text, c in zip(rep_set.provenance, labels, ids.tolist())
-        )
+        _echo_blocks(part.rep_blocks(rep_set.provenance, states, order, leads))
         for p in problems:
             click.echo(f"FAIL: {p}")
         if problems:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -434,7 +435,7 @@ def _reps_Z(n):
 def _reps_flower(d):
     petals = np.arange(1, 1 << d)  # the nonempty petal sets, increasing
     evens = petals[np.bitwise_count(petals) % 2 == 0].tolist()
-    return [(0, "zero"), *((bits, "fixed:petals") for bits in evens), (1 << d, "center")]
+    return [(0, "zero"), *zip(evens, repeat("fixed:petals")), (1 << d, "center")]
 
 
 def _reps_Abox_m(m):
@@ -560,20 +561,26 @@ def check_representatives(spec: FamilySpec, reps, partition, classes=None) -> li
     states, ids = classes or representative_classes(reps, partition)
     # a labeling's weight counts its pinned vertices, which are always lit
     pinned = len(partition.diagram.pinned)
-    weights = (np.bitwise_count(states) + pinned).tolist()
-    best = (np.bitwise_count(partition.rep_states)[ids] + pinned).tolist()
+    weights = np.bitwise_count(states) + pinned
+    best = np.bitwise_count(partition.rep_states)[ids] + pinned
+    # each entry's latest earlier entry in its class, -1 if none: the stable
+    # sort keeps a class's entries in list order
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    again = np.flatnonzero(ranked[1:] == ranked[:-1])
+    earlier = np.full(len(ids), -1)
+    earlier[order[again + 1]] = order[again]
+    heavy = weights != best
     problems = []
-    seen: dict[int, int] = {}
-    for idx, (c, tag) in enumerate(zip(ids.tolist(), reps.provenance)):
-        if c in seen:
-            problems.append(f"{tag}: same class as representative {seen[c]}")
-        seen[c] = idx
-        if weights[idx] != best[idx]:
+    for idx in np.flatnonzero((earlier >= 0) | heavy).tolist():
+        tag = reps.provenance[idx]
+        if earlier[idx] >= 0:
+            problems.append(f"{tag}: same class as representative {earlier[idx]}")
+        if heavy[idx]:
             problems.append(f"{tag}: weight {weights[idx]}, class minimum {best[idx]}")
-    if len(seen) != partition.class_count:
-        problems.append(
-            f"{spec}: {len(seen)} classes covered of {partition.class_count}"
-        )
+    covered = len(ids) - len(again)
+    if covered != partition.class_count:
+        problems.append(f"{spec}: {covered} classes covered of {partition.class_count}")
     return problems
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -143,21 +142,32 @@ def decode_state(diagram: Diagram, state: int) -> Labeling:
     return Labeling(diagram.n_vertices, full)
 
 
-_RENDER_BLOCK = 4096  # states per character matrix in labeling_strings
+# lines per block of the rendered class table (JSON: classes), and states per
+# block of labeling_strings
+_RENDER_BLOCK = 4096
+
+
+def _label_chars(diagram: Diagram, states, order=None, leads: bool = False) -> np.ndarray:
+    """Each free-encoded state's vertex labels in order (default: vertex
+    order), pinned vertices reading 1, as a row of ASCII bytes; leads puts a
+    ``;`` after the first label, as in an affine labeling's a0;a1..an."""
+    n = diagram.n_vertices
+    columns = list(range(n) if order is None else order)
+    if leads:
+        columns.insert(1, n)
+    chars = np.full((len(states), n + 1), ord("1"), dtype=np.uint8)
+    chars[:, n] = ord(";")
+    for j, v in enumerate(diagram.free_vertices):
+        chars[:, v] = ord("0") + (states >> j & 1)
+    return chars[:, columns]
 
 
 def labeling_strings(diagram: Diagram, states, order=None):
     """Each free-encoded state as its vertex labels in order (default: vertex
     order), pinned vertices reading 1, from one character matrix per block."""
-    n = diagram.n_vertices
-    columns = [*(range(n) if order is None else order), n]  # n: the newline
     for start in range(0, len(states), _RENDER_BLOCK):
-        block = np.asarray(states[start : start + _RENDER_BLOCK])
-        chars = np.full((len(block), n + 1), ord("1"), dtype=np.uint8)
-        chars[:, n] = ord("\n")  # one line per state
-        for j, v in enumerate(diagram.free_vertices):
-            chars[:, v] = ord("0") + (block >> j & 1)
-        yield from chars[:, columns].tobytes().decode("ascii").splitlines()
+        chars = _label_chars(diagram, np.asarray(states[start : start + _RENDER_BLOCK]), order)
+        yield from _compose(len(chars), [(slice(None), [chars, b"\n"])]).splitlines()
 
 
 def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
@@ -245,16 +255,76 @@ def component_counts(diagram: Diagram) -> np.ndarray:
 # -- class partition ------------------------------------------------------
 
 
-def histogram_text(pairs) -> str:
-    """Sparse (k, count) histogram pairs as ``k:count`` joined by ``;``."""
-    return ";".join([f"{k}:{v}" for k, v in pairs])
+# Rendered output is built a block at a time as a uint8 matrix.  Each row is a
+# piece of output (a line, or a part of one), each field fills its own columns,
+# and byte 0 pads a field to the width of its columns; one boolean compress
+# per block drops the pads.
 
 
-# to_json's head and one class, as json.dumps(..., indent=2) lays them out
+def _digits(values) -> np.ndarray:
+    """Non-negative ints as right-aligned decimal digit rows, padded on the left."""
+    values = np.asarray(values, dtype=np.int64)[:, None]
+    powers = 10 ** np.arange(len(str(int(values.max(initial=0)))) - 1, -1, -1, dtype=np.int64)
+    digits = (values // powers % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][values < powers[:-1]] = 0  # leading zeros; 0 keeps its digit
+    return digits
+
+
+def _when(mask, text: bytes) -> np.ndarray:
+    """text on the rows where mask holds, pad on the others."""
+    return np.where(mask[:, None], np.frombuffer(text, dtype=np.uint8), np.uint8(0))
+
+
+def _compose(n_rows: int, groups) -> str:
+    """n_rows rows of fields with the pad bytes dropped, as one string.
+
+    Each group (rows, fields) fills the next columns of the rows it names (an
+    index array or a slice) with its fields side by side: uint8 matrices with
+    one row per named row, or bytes that every named row holds.  Rows a group
+    does not name are padded in its columns.
+    """
+    groups = [(rows, [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f
+                      for f in fields]) for rows, fields in groups]
+    width = sum(f.shape[-1] for _, fields in groups for f in fields)
+    out = np.zeros((n_rows, width), dtype=np.uint8)
+    col = 0
+    for rows, fields in groups:
+        for f in fields:
+            out[rows, col : col + f.shape[-1]] = f
+            col += f.shape[-1]
+    return out[out != 0].tobytes().decode("ascii")
+
+
+# Per format, the fields of a class's head (on the row of its first histogram
+# pair), of every (k, count) pair, and of its tail (on the row of its last
+# pair), from the block's class ids, sizes, representative labels, pairs, and
+# which pairs follow another of their class.
+
+
+def _text_fields(cls, sizes, reps, k, count, later):
+    head = [_digits(cls), b" ", _digits(sizes), b" ", reps, b" "]
+    pair = [_when(later, b";"), _digits(k), b":", _digits(count)]
+    return head, pair, [_when(sizes == 1, b" fixed"), b"\n"]
+
+
+def _csv_fields(cls, sizes, reps, k, count, later):
+    head = [_digits(cls), b",", _digits(sizes), b",", reps, b","]
+    pair = [_when(later, b";"), _digits(k), b":", _digits(count)]
+    return head, pair, [_when(sizes == 1, b",1"), _when(sizes != 1, b",0"), b"\n"]
+
+
+# the layout of json.dumps(..., indent=2)
 _JSON_HEAD = ('{{\n  "n_vertices": {},\n  "free_vertices": {},\n'
               '  "class_count": {},\n  "classes": [\n')
-_JSON_CLASS = ('    {{\n      "size": {},\n      "min_representative": "{}",\n'
-               '      "components": {{\n{}\n      }},\n      "is_singleton_fixed": {}\n    }}')
+
+
+def _json_fields(cls, sizes, reps, k, count, later):
+    head = [_when(cls > 0, b",\n"), b'    {\n      "size": ', _digits(sizes),
+            b',\n      "min_representative": "', reps, b'",\n      "components": {\n']
+    pair = [_when(later, b",\n"), b'        "', _digits(k), b'": ', _digits(count)]
+    tail = [b'\n      },\n      "is_singleton_fixed": ', _when(sizes == 1, b"true"),
+            _when(sizes != 1, b"false"), b"\n    }"]
+    return head, pair, tail
 
 
 class ClassPartition:
@@ -350,17 +420,6 @@ class ClassPartition:
         hist.flags.writeable = False
         return hist
 
-    def table_rows(self, order=None):
-        """(size, minimal representative as labeling_strings renders it in
-        order, component histogram as sparse (k, count) pairs in increasing
-        k) of every class, in class order."""
-        hist = self.component_histograms
-        cls, k = np.nonzero(hist)  # row-major: by class, then by k
-        pairs = zip(k.tolist(), hist[cls, k].tolist())
-        rows = (list(islice(pairs, m)) for m in np.bincount(cls, minlength=len(hist)).tolist())
-        reps = labeling_strings(self.diagram, self.rep_states, order)
-        return zip(self.sizes.tolist(), reps, rows)
-
     def class_of(self, a: Labeling) -> int:
         a = self.diagram.labeling(a)
         return int(self._class_id[encode_states(self.diagram, [a.bits])[0]])
@@ -395,7 +454,63 @@ class ClassPartition:
         view.flags.writeable = False
         return view
 
-    # -- exports ----------------------------------------------------------
+    # -- rendering ----------------------------------------------------------
+
+    def _table_blocks(self, fields, order=None, leads=False, full=False):
+        """The class table, a block of _RENDER_BLOCK lines at a time: each
+        class is one line, laid out by fields (see _text_fields), and with full
+        each of its members is one line after it, so a block may end mid-class.
+        order and leads lay out the labels, as in _label_chars."""
+        sizes = self.sizes
+        hist = self.component_histograms
+        lines = sizes + 1 if full else np.ones_like(sizes)
+        head_line = np.cumsum(lines) - lines  # the line of each class
+        total = int(head_line[-1] + lines[-1])
+        for a in range(0, total, _RENDER_BLOCK):
+            b = min(a + _RENDER_BLOCK, total)
+            c0, c1 = np.searchsorted(head_line, [a, b]).tolist()
+            # each (k, count) pair of a class takes a row, the first also
+            # holding the class's head and the last its tail
+            pc, k = np.nonzero(hist[c0:c1])
+            per_class = np.bincount(pc, minlength=c1 - c0)
+            ends = np.cumsum(per_class)
+            starts = ends - per_class
+            pairs = np.arange(len(pc))
+            row = head_line[c0 + pc] - a - pc + pairs
+            reps = _label_chars(self.diagram, self.rep_states[c0:c1], order, leads)
+            head, pair, tail = fields(np.arange(c0, c1), sizes[c0:c1], reps,
+                                      k, hist[c0 + pc, k], pairs != starts[pc])
+            groups = [(row[starts], head), (row, pair), (row[ends - 1], tail)]
+            if full:
+                # a member's row is its line past the extra pair rows of its
+                # class and the block's classes before it: [0] for a class
+                # begun in an earlier block
+                extra = np.concatenate(([0], ends - np.arange(1, c1 - c0 + 1)))
+                members = np.arange(a - c0, b - c1)
+                mc = np.searchsorted(self._member_ends, members, side="right")
+                labels = _label_chars(self.diagram, self.member_states[a - c0 : b - c1], order, leads)
+                groups.append((members + mc + 1 - a + extra[mc - c0 + 1], [b"  ", labels, b"\n"]))
+            yield _compose(b - a + len(pc) - (c1 - c0), groups)  # lines + extra pair rows
+
+    def text_blocks(self, order=None, leads=False, full=False):
+        """The text class table, _RENDER_BLOCK lines a block, each line ending
+        in a newline: ``class size labels k:count;... [fixed]`` per class and,
+        with full, ``  labels`` per member after it; labels are laid out as
+        in labeling_strings, with leads a ``;`` after the first."""
+        return self._table_blocks(_text_fields, order, leads, full)
+
+    def rep_blocks(self, tags, states, order=None, leads=False):
+        """``rep tag labels -> class c`` for each free-encoded state and its
+        tag (ASCII text), _RENDER_BLOCK lines a block, laid out as text_blocks."""
+        ids = self._class_id[states]
+        for a in range(0, len(states), _RENDER_BLOCK):
+            block = slice(a, a + _RENDER_BLOCK)
+            names = np.array(tags[block], dtype=bytes)
+            yield _compose(len(names), [(slice(None), [
+                b"rep ", names.view(np.uint8).reshape(len(names), -1), b" ",
+                _label_chars(self.diagram, states[block], order, leads),
+                b" -> class ", _digits(ids[block]), b"\n",
+            ])])
 
     def to_json(self) -> str:
         """The class table as json.dumps(..., indent=2) writes it; nothing needs
@@ -403,18 +518,12 @@ class ClassPartition:
         d = self.diagram
         free = ",".join(f"\n    {v}" for v in d.free_vertices)
         head = _JSON_HEAD.format(d.n_vertices, f"[{free}\n  ]" if free else "[]", self.class_count)
-        classes = ",\n".join(
-            _JSON_CLASS.format(size, rep, ",\n".join([f'        "{k}": {v}' for k, v in pairs]),
-                               "true" if size == 1 else "false")
-            for size, rep, pairs in self.table_rows()
-        )
-        return head + classes + "\n  ]\n}"
+        return "".join([head, *self._table_blocks(_json_fields), "\n  ]\n}"])
 
     def to_csv(self) -> str:
         """The class table as CSV; no field holds a comma, a quote or a newline."""
-        rows = "".join(f"{c},{size},{rep},{histogram_text(pairs)},{int(size == 1)}\n"
-                       for c, (size, rep, pairs) in enumerate(self.table_rows()))
-        return "class,size,min_representative,components,is_singleton_fixed\n" + rows
+        head = "class,size,min_representative,components,is_singleton_fixed\n"
+        return "".join([head, *self._table_blocks(_csv_fields)])
 
 
 def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:

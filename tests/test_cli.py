@@ -488,8 +488,11 @@ def test_count_paths_never_rank(runner, monkeypatch, args):
         ["classes", "D:5", "--format", "csv"],
         ["classes", "D:5", "--format", "json"],
         ["census", "--family", "D", "--range", "4..6"],
+        ["classes", "affD:7"],
+        ["classes", "affD:7", "--full"],
+        ["classes", "affD:7", "--reps"],
     ],
-    ids=["csv", "json", "census"],
+    ids=["csv", "json", "census", "text", "full", "reps"],
 )
 def test_output_lines_end_in_bare_newlines(runner, args):
     # Result.stdout turns \r\n into \n, so only the raw bytes show it

@@ -463,6 +463,125 @@ def test_json_export():
     }
 
 
+# -- rendering -------------------------------------------------------------
+# The reference is the class table written one class at a time with the
+# f-strings the byte-matrix renderer replaced; its labels come from
+# decode_state, not from the renderer's character matrix.
+
+
+def reference_labels(d, state, order=None, leads=False):
+    """A state's labels in order, written a0;a1..an with leads."""
+    bits = moves.decode_state(d, int(state)).bits
+    text = "".join(str(bits >> v & 1) for v in (range(d.n_vertices) if order is None else order))
+    return f"{text[0]};{text[1:]}" if leads else text
+
+
+def reference_table(part, order=None, leads=False):
+    """(text lines, --full lines, JSON object, CSV text) of a partition."""
+    d = part.diagram
+    text, full, classes = [], [], []
+    csv = "class,size,min_representative,components,is_singleton_fixed\n"
+    hists = part.component_histograms.tolist()
+    for c, (size, rep, row) in enumerate(zip(part.sizes.tolist(), part.rep_states.tolist(), hists)):
+        pairs = [(k, v) for k, v in enumerate(row) if v]
+        hist = ";".join(f"{k}:{v}" for k, v in pairs)
+        tag = " fixed" if size == 1 else ""
+        text.append(f"{c} {size} {reference_labels(d, rep, order, leads)} {hist}{tag}")
+        full += [text[-1]] + [f"  {reference_labels(d, m, order, leads)}"
+                              for m in part.members(c).tolist()]
+        csv += f"{c},{size},{reference_labels(d, rep)},{hist},{int(size == 1)}\n"
+        classes.append({"size": size, "min_representative": reference_labels(d, rep),
+                        "components": {str(k): v for k, v in pairs},
+                        "is_singleton_fixed": size == 1})
+    obj = {"n_vertices": d.n_vertices, "free_vertices": list(d.free_vertices),
+           "class_count": part.class_count, "classes": classes}
+    return text, full, obj, csv
+
+
+def check_rendering(part, block, order=None, leads=False, reps=None):
+    """Every rendering of part, at a block size, against the reference."""
+    text, full, obj, csv = reference_table(part, order, leads)
+    with mock.patch.object(moves, "_RENDER_BLOCK", block):
+        assert part.to_json() == json.dumps(obj, indent=2)
+        assert part.to_csv() == csv
+        rendered = [(list(part.text_blocks(order, leads)), text),
+                    (list(part.text_blocks(order, leads, full=True)), full)]
+        if reps is not None:
+            tags, states = reps
+            ids = part.class_id_array()[states].tolist()
+            rendered.append((list(part.rep_blocks(tags, states, order, leads)), [
+                f"rep {tag} {reference_labels(part.diagram, s, order, leads)} -> class {c}"
+                for tag, s, c in zip(tags, states.tolist(), ids)
+            ]))
+    for blocks, lines in rendered:
+        # whole blocks of lines, each ending in its newline; only the last short
+        assert [b.count("\n") for b in blocks] == [
+            min(block, len(lines) - i) for i in range(0, len(lines), block)
+        ]
+        assert all(b.endswith("\n") for b in blocks)
+        assert "".join(blocks) == "".join(line + "\n" for line in lines)
+
+
+def digit_boundary_partition():
+    """A hand-made partition of the edgeless 14-vertex diagram, whose states
+    have as many components as lit vertices: the states with 7 lit vertices
+    fall in classes of 1000, 999, 100, 99, 10, 9 and the rest, all other
+    states in classes of one.  Sizes and counts meet every digit boundary."""
+    states = np.arange(1 << 14)
+    seven = states[np.bitwise_count(states) == 7]
+    roots = states.copy()
+    start = 0
+    for size in (1000, 999, 100, 99, 10, 9, len(seven) - 2217):
+        roots[seven[start : start + size]] = seven[start]  # its least state
+        start += size
+    return moves.ClassPartition(parse_dsl("vertices 14\n"), roots.astype(np.int32))
+
+
+def test_digit_boundary_partition():
+    part = digit_boundary_partition()
+    sizes = set(part.sizes.tolist())
+    assert {9, 10, 99, 100, 999, 1000} <= sizes
+    assert {9, 10, 99, 100, 999, 1000} <= set(part.component_histograms[:, 7].tolist())
+
+
+SMALL_RENDER_TARGETS = {
+    "all-pinned": "vertices 3\nedge 0 1\nedge 1 2 mult=3\npin 0\npin 1\npin 2\n",
+    "no-vertices": "vertices 0\n",  # one class, its representative empty
+}
+
+
+@pytest.mark.parametrize("block", [moves._RENDER_BLOCK, 3, 1])
+@pytest.mark.parametrize("target", ["all-pinned", "no-vertices", "affD:7", "Abox:6:ends=1"])
+def test_renderer_matches_reference(target, block):
+    if target in SMALL_RENDER_TARGETS:
+        check_rendering(moves.enumerate_classes(parse_dsl(SMALL_RENDER_TARGETS[target])), block)
+        return
+    spec = families.parse_family(target)
+    d = families.construct(spec)
+    order, leads = families.display_layout(spec, d)
+    rep_set = families.canonical_representatives(spec)
+    reps = (rep_set.provenance, moves.encode_states(d, rep_set.bits))
+    check_rendering(moves.enumerate_classes(d), block, order, leads, reps)
+
+
+@pytest.mark.parametrize("block", [moves._RENDER_BLOCK, 1000])
+@pytest.mark.parametrize("target", ["edgeless-12", "digit-boundaries"])
+def test_renderer_matches_reference_on_many_classes(target, block):
+    # 4096 classes with k up to 12, or 12959 classes whose sizes and counts
+    # meet the digit boundaries; blocks of 1000 lines split the big classes
+    if target == "edgeless-12":
+        part = moves.enumerate_classes(parse_dsl("vertices 12\n"))
+    else:
+        part = digit_boundary_partition()
+    check_rendering(part, block)
+
+
+@settings(deadline=None, max_examples=60)
+@given(dsl_graphs(max_vertices=7), st.sampled_from([moves._RENDER_BLOCK, 1, 2, 5]))
+def test_renderer_matches_reference_on_random_graphs(d, block):
+    check_rendering(moves.enumerate_classes(d), block)
+
+
 def test_count_reads_no_ranking():
     for name, d in family_corpus(14):
         part = moves.enumerate_classes(d)
