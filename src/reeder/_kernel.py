@@ -21,12 +21,19 @@ fixes the axes of a's bits to each pattern that fires it, so its pairs are
 exactly those sub-views and it sweeps them unmasked.  Only a wide or
 overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
 its whole slice and copies back through a bool edge mask.  Each sweep takes
-the minimum of both ends, writing it back at once (Gauss-Seidel, alternate
-sweeps in reverse move order), then pointer-jumps the labels to a fixpoint
-in at most f + 1 jumps, each jump gathering from one of two label buffers
-into the other, so the last jump leaves both equal and the other buffer
-holds the labels before the next sweep.  It stops at the first sweep that
-changes nothing.  The result is the int32 label array itself, so f <= 31.
+the minimum of both ends, writing it back at once (Gauss-Seidel).  The first
+sweep runs the moves from the top state bit down, and later sweeps alternate
+between move order and its reverse; the order changes only the number of
+sweeps, never the roots.  Every sweep starts by checking: each step compares
+its two ends (under the edge mask, if any) into a bool view of the minimum
+buffer and is skipped while they agree, since its writes would change
+nothing.  The first step that finds ends that differ writes, and so does
+every step after it in that sweep.  Labels only fall, so a sweep changed a
+label exactly when it wrote, and the kernel stops at the first sweep that
+wrote nothing: that sweep only compares.  After a sweep that wrote, the
+labels are pointer-jumped to a fixpoint in at most f + 1 jumps, each jump
+gathering from one of two label buffers into the other, so the last jump
+leaves both equal.  The result is the int32 label array itself, so f <= 31.
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
 work is cut in two parts on the top state bit (axis 0), each run by its own
@@ -38,10 +45,12 @@ between them.  Only a move that flips the top bit (one Reeder move, or the
 sigma moves of the top vertex's neighbors) joins both halves: its pairs are
 cut along their own first axis, and each such move is swept between two
 barriers, since the halves of two different moves may overlap.  A barrier
-ends each sweep and each jump; it also folds the parts' flags (whether
-their half changed), so the parts stop together.  A jump gathers each
-part's half from the whole source buffer, _GATHER_BLOCK indices at a time
-through an intp block, so no intp copy of the whole label array is made.
+ends each sweep and each jump; it also folds the parts' flags (whether the
+part wrote in the sweep, whether its half changed in the jump), so the parts
+stop together.  Each part checks its own steps and starts writing on its
+own.  A jump gathers each part's half from the whole source buffer,
+_GATHER_BLOCK indices at a time through an intp block, so no intp copy of
+the whole label array is made.
 Below the threshold one part runs the same loop with no thread started and
 no barrier.  The roots are the same either way.  Memory is about 10 bytes
 per state (the two label buffers and a half-size minimum buffer) plus one
@@ -88,11 +97,11 @@ def kernel_bytes(n_states: int, a, b) -> int:
 
     One bool edge mask over half the states per masked move, plus 12 per
     state, rounded up from what the sweeps hold: two int32 label buffers
-    (the labels, and the jumped labels, which are the labels before a
-    sweep) and a half-size int32 minimum buffer; plus the two parts' intp
-    index blocks and bool comparison blocks of _GATHER_BLOCK entries.  The
-    masks are built before the labels exist, and the int32 result is one of
-    the label buffers.
+    (the labels, and the buffer the pointer jumps alternate with) and a
+    half-size int32 minimum buffer, which the sweeps' comparisons share;
+    plus the two parts' intp index blocks and bool comparison blocks of
+    _GATHER_BLOCK entries.  The masks are built before the labels exist,
+    and the int32 result is one of the label buffers.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
     return 12 * n_states + n_masked * (n_states // 2) + 2 * 9 * _GATHER_BLOCK
@@ -182,19 +191,19 @@ def _schedule(view, moves: list, n_parts: int) -> list:
     return parts
 
 
-def _propagate(label, parts: list) -> None:
+def _propagate(label, parts: list) -> tuple[int, int]:
     """Lower every label to its class minimum, in place: part p of the
     schedule owns the p-th of len(parts) equal slices of label; part 0 runs
-    in the caller's thread and each other part in a thread of its own."""
+    in the caller's thread and each other part in a thread of its own.
+    Returns the number of sweeps and of pointer jumps run."""
     n_parts = len(parts)
     size = len(label) // n_parts
     f = len(label).bit_length() - 1
     least_size = max((step[0].size for steps in parts for step in steps if step), default=0)
     if not least_size:  # no move joins two states
-        return
-    # the labels before a sweep: every pointer jump ends with jumped equal
-    # to label
-    jumped = label.copy()
+        return 0, 0
+    # the buffer that the pointer jumps alternate with
+    jumped = np.empty_like(label)
     # a ufunc's where= runs its loop once per run of true mask entries, so the
     # minimum goes unmasked into a buffer and only the copies are masked
     least = np.empty(n_parts * least_size, dtype=np.int32)
@@ -205,8 +214,9 @@ def _propagate(label, parts: list) -> None:
     # and the comparisons run a block at a time too
     index = np.empty((n_parts, block), dtype=np.intp)
     differ = np.empty((n_parts, block), dtype=bool)
-    # whether each part's labels changed in the last sweep and in the last
-    # jump; every barrier folds them over the parts, while all parts wait
+    # whether each part wrote in the last sweep, and whether its labels
+    # changed in the last jump; every barrier folds them over the parts,
+    # while all parts wait
     seen = [[False, False] for _ in range(n_parts)]
     folded = [False, False]
 
@@ -217,7 +227,7 @@ def _propagate(label, parts: list) -> None:
     barrier = threading.Barrier(n_parts, action=fold) if n_parts > 1 else None
     wait = barrier.wait if barrier else fold
 
-    def run(p: int) -> None:
+    def run(p: int) -> tuple[int, int]:
         blocks = [slice(start, start + block) for start in range(p * size, (p + 1) * size, block)]
         ix, ne = index[p], differ[p]
 
@@ -225,15 +235,29 @@ def _propagate(label, parts: list) -> None:
             return any(np.not_equal(x[b], y[b], out=ne).any() for b in blocks)
 
         buf = least[p * least_size : (p + 1) * least_size]
-        sweeps = [step and (step[0], step[1], buf[: step[0].size].reshape(step[0].shape), step[2])
-                  for step in parts[p]]
-        sweep = 0
+        # a step's minimum and the comparison of its ends share the buffer
+        steps = [step and (*step, buf[: step[0].size].reshape(step[0].shape),
+                           buf.view(bool)[: step[0].size].reshape(step[0].shape))
+                 for step in parts[p]]
+        sweeps = jumps = 0
         while True:
-            for step in sweeps if sweep % 2 == 0 else reversed(sweeps):
+            # the first sweep runs the moves from the top state bit down.  A
+            # sweep skips steps whose ends agree until one differs; that step
+            # and all after it write.  Labels only fall, so a sweep that
+            # wrote has changed a label
+            writing = False
+            for step in reversed(steps) if sweeps % 2 == 0 else steps:
                 if step is None:
                     wait()
                     continue
-                lo, hi, out, mask = step
+                lo, hi, mask, out, differs = step
+                if not writing:
+                    np.not_equal(lo, hi, out=differs)
+                    if mask is not None:
+                        np.logical_and(differs, mask, out=differs)
+                    writing = bool(differs.any())
+                    if not writing:
+                        continue
                 np.minimum(lo, hi, out=out)
                 if mask is None:
                     np.copyto(lo, out)
@@ -241,11 +265,11 @@ def _propagate(label, parts: list) -> None:
                 else:
                     np.copyto(lo, out, where=mask)
                     np.copyto(hi, out, where=mask)
-            seen[p][0] = changed(jumped, label)
+            sweeps += 1
+            seen[p][0] = writing
             wait()
             if not folded[0]:
-                return
-            sweep += 1
+                return sweeps, jumps
             # label[s] <= s stays in s's class, so jumping only shortens
             # chains.  Each jump gathers from one buffer into the other, and
             # the last one, which changes nothing, leaves them equal.  A
@@ -259,6 +283,7 @@ def _propagate(label, parts: list) -> None:
                 for x in blocks:
                     np.copyto(ix, src[x])
                     np.take(src, ix, out=dst[x], mode="clip")
+                jumps += 1
                 seen[p][1] = changed(dst, src)
                 wait()  # every gather has read src
                 if not folded[1]:
@@ -268,13 +293,12 @@ def _propagate(label, parts: list) -> None:
                 raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
 
     if n_parts == 1:
-        run(0)
-        return
+        return run(0)
     errors = []
 
-    def part(p: int) -> None:
+    def part(p: int) -> tuple[int, int] | None:
         try:
-            run(p)
+            return run(p)
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
             barrier.abort()
@@ -283,7 +307,7 @@ def _propagate(label, parts: list) -> None:
     for thread in threads:
         thread.start()
     try:
-        part(0)
+        counts = part(0)  # the parts run in step
     finally:
         for thread in threads:
             thread.join()
@@ -292,6 +316,7 @@ def _propagate(label, parts: list) -> None:
         # raise the error that aborted it
         errors.sort(key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
         raise errors[0]
+    return counts
 
 
 # int32 labels hold the indices of at most 2^31 states

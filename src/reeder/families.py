@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -298,8 +297,8 @@ def canonical_representatives(spec: FamilySpec) -> RepresentativeSet | None:
     reps = _FAMILIES[spec.family].reps
     if reps is None:
         return None
-    bits, provenance = zip(*reps(spec.n))
-    return RepresentativeSet(bits, provenance)
+    out = reps(spec.n)
+    return out if isinstance(out, RepresentativeSet) else RepresentativeSet(*zip(*out))
 
 
 def _reps_A(n):
@@ -433,9 +432,12 @@ def _reps_Z(n):
 
 
 def _reps_flower(d):
+    # 2^(d-1) + 1 representatives: built as columns, not one pair each
     petals = np.arange(1, 1 << d)  # the nonempty petal sets, increasing
     evens = petals[np.bitwise_count(petals) % 2 == 0].tolist()
-    return [(0, "zero"), *zip(evens, repeat("fixed:petals")), (1 << d, "center")]
+    return RepresentativeSet(
+        (0, *evens, 1 << d), ("zero", *("fixed:petals",) * len(evens), "center")
+    )
 
 
 def _reps_Abox_m(m):

@@ -670,6 +670,54 @@ def test_kernels_match_oracle_on_random_graphs(d):
     check_reeder_kernels(d)
 
 
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs(), st.data())
+def test_kernel_roots_do_not_depend_on_move_order(d, data):
+    """The kernel's move order changes only how fast it closes the orbits."""
+    a, b, c = moves._move_tables(d)
+    order = data.draw(st.permutations(range(len(a))))
+    shuffled = [[x[m] for m in order] for x in (a, b, c)]
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            want = _kernel.orbit_roots(1 << len(a), a, b, c)
+            got = _kernel.orbit_roots(1 << len(a), *shuffled)
+        assert np.array_equal(got, want), threshold
+
+
+# most sweeps the kernel may take per family: the first sweep, from the top
+# state bit down, leaves these families at most one sweep of work, and the
+# last sweep only checks that nothing changes
+MAX_SWEEPS = {
+    **dict.fromkeys(("A", "B", "C", "D", "X", "Y", "Z", "affA", "affC",
+                     "Abox_m", "Abox_1m", "Bbox_1", "Dbox_1"), 2),
+    **dict.fromkeys(("affB", "affD", "flower"), 3),
+}
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+def test_kernel_sweeps_per_family(threshold):
+    propagate = _kernel._propagate
+    counts = []
+
+    def counted(label, parts):
+        counts.append(propagate(label, parts))
+        return counts[-1]
+
+    seen = set()
+    with split_kernel(threshold), mock.patch.object(_kernel, "_propagate", counted):
+        for name, d in family_corpus(14):
+            family = name.split(":")[0]
+            if family in MAX_SWEEPS:
+                seen.add(family)
+                a, b, c = moves._move_tables(d)
+                _kernel.orbit_roots(1 << len(a), a, b, c)
+                sweeps, jumps = counts.pop()
+                assert sweeps <= MAX_SWEEPS[family], (name, sweeps)
+                # every sweep but the last is followed by 1 to f + 1 jumps
+                assert sweeps - 1 <= jumps <= max(sweeps - 1, 0) * (len(a) + 1), (name, jumps)
+    assert seen == set(MAX_SWEEPS)
+
+
 def _sigma_tables(d):
     """The sigma moves: the Reeder move tables with a and b swapped."""
     b, a, c = moves._move_tables(d)
