@@ -129,18 +129,8 @@ def flower_classify(d: int) -> FlowerPrediction:
 
 def _is_b_type(diagram: Diagram) -> bool:
     n = diagram.n_vertices
-    if n < 2 or diagram.pinned:
-        return False
-    want = {
-        (min(i, i + 1), max(i, i + 1), 1, False) for i in range(n - 2)
-    } | {(n - 2, n - 1, 2, True)}
-    got = set()
-    for e in diagram._norm.edges:
-        if e.directed:
-            got.add((e.u, e.v, 2, True))
-        else:
-            got.add((min(e.u, e.v), max(e.u, e.v), 1, False))
-    return got == want
+    return (n >= 2 and not diagram.pinned
+            and diagram._effective == families.construct(families.FamilySpec("B", n))._effective)
 
 
 def swallowing_check(diagram: Diagram, a: Labeling) -> list[int] | None:

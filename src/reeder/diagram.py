@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .f2 import F2Matrix, parity
+from .f2 import F2Matrix
 
 
 class DiagramError(ValueError):
@@ -255,11 +255,12 @@ class Diagram:
         return count
 
     def is_fixed(self, a: Labeling) -> bool:
-        a = self.labeling(a)
-        return all(
-            parity(a.bits & _mask(self._effective[i])) == 0
-            for i in self.free_vertices
-        )
+        """Whether every move fixes a: its free bits x solve M x = b (see
+        effective_system)."""
+        bits = self.labeling(a).bits
+        m, b = self.effective_system()
+        x = sum((bits >> v & 1) << j for j, v in enumerate(self.free_vertices))
+        return m.mul_vec(x) == b
 
     # -- linear algebra ---------------------------------------------------
 
@@ -279,6 +280,10 @@ class Diagram:
         where column j of M corresponds to free vertex free_vertices[j] and
         b collects the pinned contributions.
         """
+        return self._system
+
+    @cached_property
+    def _system(self) -> tuple[F2Matrix, int]:
         free = self.free_vertices
         pos = {v: j for j, v in enumerate(free)}
         rows = []
@@ -292,10 +297,6 @@ class Diagram:
                     b ^= 1 << r
             rows.append(row)
         return F2Matrix(len(free), len(free), tuple(rows)), b
-
-
-def _mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:

@@ -186,9 +186,11 @@ def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
 
 def span_states(x0: int, vectors) -> np.ndarray:
     """x0 XOR the vectors[k] of every set bit k of s, for each s below
-    2^len(vectors), as int64: by doubling, each next half is the states so
-    far XOR the next vector."""
-    states = np.full(1 << len(vectors), x0, dtype=np.int64)
+    2^len(vectors): by doubling, each next half is the states so far XOR the
+    next vector.  As in encode_states, the states are int64 when they fit in
+    62 bits, Python ints in an object array past."""
+    width = max([x0, *vectors]).bit_length()
+    states = np.full(1 << len(vectors), x0, dtype=np.int64 if width < 63 else object)
     for j, v in enumerate(vectors):
         np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
     return states

@@ -4,6 +4,10 @@ In the sigma game a 1-labeled vertex may flip all of its neighbors.  On a
 simply-laced diagram the sigma move matrices are the transposes of the
 Reeder move matrices, and when the adjacency matrix A is invertible over
 GF(2) the map a -> A a carries equivalence classes onto sigma orbits.
+
+The duality report comes from two orbit-root arrays: the kernel run on the
+Reeder move tables, and on the same tables with a and b swapped.  It builds
+no class partition and never ranks.
 """
 
 from __future__ import annotations
@@ -92,34 +96,32 @@ class DualityReport:
 def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityReport:
     """Verify that a -> A a maps equivalence classes onto sigma orbits.
 
-    When det A = 0 the report carries both counts but asserts nothing
-    (applicable=False, bijection_verified=None).
+    One gate covers both kernels and the map.  When det A = 1, A s must have
+    the sigma root of A r, for r the class root of s (well-defined), and hit
+    every sigma orbit (onto).  When det A = 0 the report carries both counts
+    but asserts nothing (applicable=False, bijection_verified=None).
     """
     _require_sigma(diagram)
     adj = diagram.adjacency_matrix()
     det = adj.det()
-    partition = moves.enumerate_classes(diagram, cap)
-    # only the map checked when det A = 1 reads the class ids; rank them
-    # before the sigma roots, so that ranking's transient does not overlap
-    # the roots and the mapped states below
-    reeder_id = partition.class_id_array() if det else None
-    sigma_roots = enumerate_sigma_orbits(diagram, cap)
-    sigma_orbit_count = _kernel.orbit_count(sigma_roots)
+    n = diagram.n_vertices
+    a, b, c = moves._move_tables(diagram)
+    # the Reeder kernel; the sigma kernel beside the Reeder roots (4 B/state)
+    # and, when det A = 1, the int64 map and its int32 image (12 B/state more)
+    need = max(_kernel.kernel_bytes(1 << n, a, b),
+               _kernel.kernel_bytes(1 << n, b, a) + ((16 if det else 4) << n))
+    moves.require_states(n, need, cap)
+    reeder_roots = _kernel.orbit_roots(1 << n, a, b, c)
+    sigma_roots = _kernel.orbit_roots(1 << n, b, a, c)
+    classes, orbits = _kernel.orbit_count(reeder_roots), _kernel.orbit_count(sigma_roots)
     if det == 0:
-        return DualityReport(
-            partition.class_count, sigma_orbit_count, 0, False, None
-        )
-    # A s for every state s, by doubling over the columns of A
-    mapped = moves.span_states(0, adj.transpose().rows)
-    image_root = sigma_roots[mapped]
-    # the pairing is well-defined iff each class maps into one orbit
-    first = np.full(partition.class_count, -1, dtype=np.int64)
-    first[reeder_id] = image_root
-    well_defined = bool((first[reeder_id] == image_root).all())
-    onto = len(np.unique(first)) == sigma_orbit_count
-    verified = (
-        well_defined and onto and partition.class_count == sigma_orbit_count
-    )
-    return DualityReport(
-        partition.class_count, sigma_orbit_count, 1, True, verified
-    )
+        return DualityReport(classes, orbits, 0, False, None)
+    # the sigma root of A s for every state s, A s by doubling over the
+    # columns of A
+    image = sigma_roots[moves.span_states(0, adj.transpose().rows)]
+    del sigma_roots  # counted; indexing by the int32 roots copies them as intp
+    well_defined = bool((image == image[reeder_roots]).all())
+    hit = np.zeros(1 << n, dtype=bool)
+    hit[image] = True
+    onto = int(np.count_nonzero(hit)) == orbits
+    return DualityReport(classes, orbits, 1, True, well_defined and onto and classes == orbits)

@@ -463,9 +463,10 @@ def test_duality_rejects_non_simply_laced(runner):
     [
         ["count", "B:12"],
         ["census", "--family", "A", "--range", "1..8"],
-        ["duality", "D:9"],  # det A = 0: the class ids are never read
+        ["duality", "D:9"],  # det A = 0
+        ["duality", "A:12"],  # det A = 1: the map is checked on the roots
     ],
-    ids=["count", "census", "duality-det0"],
+    ids=["count", "census", "duality-det0", "duality-det1"],
 )
 def test_count_paths_never_rank(runner, monkeypatch, args):
     def drop_runtime(text):

@@ -356,10 +356,15 @@ def e6_tree_key_ids(d, cap=None):
         moves.enumerate_classes,
         sigma.enumerate_sigma_orbits,
         e6_tree_key_ids,
+        sigma.orbit_bijection_check,  # E8:8 has det A = 1: both kernels and the map
     ],
-    ids=["classes", "sigma", "e6-tree"],
+    ids=["classes", "sigma", "e6-tree", "duality"],
 )
 def test_entry_points_share_state_gate(entry, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran although the gate refuses")
+
+    monkeypatch.setattr(_kernel, "orbit_roots", no_kernel)
     d = fam("E8:8")
     with pytest.raises(ResourceError, match="8 free vertices exceed the cap of 7"):
         entry(d, cap=7)
@@ -387,6 +392,24 @@ def test_fixed_states_match_brute_force():
             fixed &= np.bitwise_count(full & nbrs) % 2 == 0
         got = moves.fixed_states(d)
         assert got.tolist() == np.flatnonzero(fixed).tolist(), name
+
+
+@pytest.mark.parametrize("target", ["A:65", "Abox:70"])
+def test_fixed_states_past_62_free_vertices(target):
+    """Basis vectors and the particular solution reach bit 63 and past, so
+    the states are Python ints, as encode_states gives them."""
+    d = fam(target)
+    m, _ = d.effective_system()
+    states = moves.fixed_states(d)
+    assert states.dtype == object
+    assert len(states) == 1 << m.nullity()
+    assert max(states).bit_length() > 63
+    assert states.tolist() == sorted(set(states.tolist()))
+    assert all(d.is_fixed(moves.decode_state(d, s)) for s in states)
+    # a labeling one bit away from a fixed one is not fixed
+    for s in states:
+        assert not any(d.is_fixed(moves.decode_state(d, s ^ 1 << j))
+                       for j in range(len(d.free_vertices)))
 
 
 def test_fixed_states_fail_before_allocating(monkeypatch):

@@ -1,12 +1,15 @@
 """Lit-only sigma game and its duality with the move engine."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from reeder import families, moves, sigma
+from reeder.cli import main
 from reeder.diagram import Diagram, DiagramError, Edge, Labeling, parse_dsl
 from reeder.f2 import F2Matrix
 from conftest import check_kernels, check_split_schedule
@@ -166,6 +169,57 @@ def test_orbit_bijection_on_invertible_corpus(small_corpus):
         else:
             assert report.bijection_verified is None, name
     assert checked >= 5
+
+
+def broken_map(break_it):
+    """moves.span_states with its result passed through break_it, for the
+    map a -> A a that orbit_bijection_check reads."""
+    real = moves.span_states
+    return lambda x0, vectors: break_it(real(x0, vectors))
+
+
+def send_state_1_to_0(mapped):
+    # on A:2 the classes and the orbits are {0} and {1, 2, 3}: state 1's
+    # class now reaches both orbits, and both are still hit
+    mapped[1] = 0
+    return mapped
+
+
+@pytest.mark.parametrize(
+    "break_it",
+    [send_state_1_to_0, np.zeros_like],  # every state to 0: one orbit hit
+    ids=["not-well-defined", "not-onto"],
+)
+def test_orbit_bijection_refutes_a_broken_map(monkeypatch, break_it):
+    monkeypatch.setattr(moves, "span_states", broken_map(break_it))
+    report = sigma.orbit_bijection_check(fam("A:2"))
+    assert (report.det_A, report.reeder_classes, report.sigma_orbits) == (1, 2, 2)
+    assert report.bijection_verified is False
+    res = CliRunner().invoke(main, ["duality", "A:2"])
+    assert res.exit_code == 3
+    assert json.loads(res.output)["bijection_verified"] is False
+
+
+@pytest.mark.parametrize("target", ["A:16", "D:15"])  # det A = 1 and 0
+def test_orbit_bijection_peak_within_its_one_charge(monkeypatch, target):
+    needs = []
+    gate = moves.require_states
+
+    def record(f, need, *args):
+        needs.append(need)
+        gate(f, need, *args)
+
+    monkeypatch.setattr(moves, "require_states", record)
+    d = fam(target)
+    tracemalloc.start()
+    try:
+        report = sigma.orbit_bijection_check(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.det_A == (target == "A:16")
+    assert len(needs) == 1
+    assert peak <= needs[0]
 
 
 @settings(deadline=None, max_examples=40)
