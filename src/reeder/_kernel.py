@@ -354,6 +354,22 @@ def orbit_roots(n_states: int, a, b, c):
     return label
 
 
+def gathered_blocks(src, indices):
+    """src[indices], _GATHER_BLOCK indices at a time, as (start, values)
+    pairs: each block is gathered through one intp index block into one
+    buffer, which the next block reuses, so nothing the size of indices is
+    allocated.  Indices must be valid."""
+    block = min(len(indices), _GATHER_BLOCK)
+    index = np.empty(block, dtype=np.intp)
+    values = np.empty(block, dtype=src.dtype)
+    for start in range(0, len(indices), block):
+        chunk = indices[start : start + block]
+        n = len(chunk)
+        np.copyto(index[:n], chunk)
+        # mode="clip" spares take the copy of `out` it makes under mode="raise"
+        yield start, np.take(src, index[:n], out=values[:n], mode="clip")
+
+
 def orbit_count(roots) -> int:
     """Orbits in orbit_roots' result: the states that are their own root."""
     return int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))

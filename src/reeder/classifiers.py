@@ -162,6 +162,9 @@ def tree_from_pruefer(seq: list[int], n: int) -> Diagram:
         raise DiagramError("need at least 2 vertices")
     if len(seq) != n - 2:
         raise DiagramError("sequence length must be n-2")
+    for i, v in enumerate(seq):
+        if not 0 <= v < n:
+            raise DiagramError(f"Pruefer entry {i} is {v}, outside 0..{n - 1}")
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -188,11 +191,20 @@ def random_e6_trees(
     seed: int = 0,
     min_vertices: int = 6,
 ):
-    """Seeded stream of uniform random trees that pass contains_e6."""
-    rng = random.Random(seed)
+    """Seeded stream of uniform random trees that pass contains_e6, of
+    min_vertices to max_vertices vertices; a range that holds no such tree
+    raises DiagramError before anything is drawn."""
+    if max_vertices < 6:
+        raise DiagramError(f"no tree of at most {max_vertices} vertices contains E6, which has 6")
+    if min_vertices > max_vertices:
+        raise DiagramError(f"min_vertices {min_vertices} exceeds max_vertices {max_vertices}")
+    return _random_e6_trees(count, max(min_vertices, 6), max_vertices, random.Random(seed))
+
+
+def _random_e6_trees(count: int, lo: int, hi: int, rng: random.Random):
     produced = 0
     while produced < count:
-        n = rng.randint(max(min_vertices, 6), max_vertices)
+        n = rng.randint(lo, hi)
         seq = [rng.randrange(n) for _ in range(n - 2)]
         t = tree_from_pruefer(seq, n)
         if t.contains_e6():

@@ -208,6 +208,78 @@ def _move_tables(diagram: Diagram):
     return list(m.rows), [1 << j for j in range(f)], [rhs >> j & 1 for j in range(f)]
 
 
+def _strided_runs(a, b, c) -> int:
+    """The kernel's strided-run count for moves (a, b, c): the sum over the
+    moves with views of 2^(f - 1 - l), for l the lowest bit their views fix
+    (b's bits, and a's bits for a move swept on sub-views)."""
+    f = len(a)
+    runs = 0
+    for am, bm, cm in zip(a, b, c):
+        if bm and (am or cm):  # a move with a = c = 0 fires nowhere
+            fixed = bm if _kernel._masked(am, bm) else am | bm
+            runs += 1 << (f - (fixed & -fixed).bit_length())
+    return runs
+
+
+def _layout(a, b, c) -> list[int] | None:
+    """The bit layout the kernel runs a diagram's moves (a, b, c) in: bit i
+    of a state holds free bit order[i], or None for index order.
+
+    Index order stays when it is a connected-prefix order already: every free
+    bit but the least of its component has a neighbour at a lower bit, as on
+    the paper's families.  Otherwise the candidate is the DFS preorder of the
+    free effective graph, each component from one end of a longest path (the
+    farthest bit from its least bit), children by decreasing degree; it is
+    taken only if it lowers _strided_runs, which keeps the flower, whose
+    masked centre would fix a low bit, in index order.
+    """
+    f = len(a)
+    near = [set() for _ in range(f)]
+    for j, am in enumerate(a):
+        for k in range(f):
+            if am >> k & 1 and k != j:
+                near[j].add(k)
+                near[k].add(j)
+    order, seen = [], [False] * f
+    prefix = True
+    for least in range(f):
+        if seen[least]:
+            continue
+        # the farthest bit from the component's least bit, by breadth first
+        dist = {least: 0}
+        queue = [least]
+        for j in queue:
+            for k in sorted(near[j]):
+                if k not in dist:
+                    dist[k] = dist[j] + 1
+                    queue.append(k)
+        start = min(dist, key=lambda k: (-dist[k], k))
+        stack = [start]
+        while stack:
+            j = stack.pop()
+            if seen[j]:
+                continue
+            seen[j] = True
+            order.append(j)
+            # pushed so that the child of highest degree pops first
+            stack += sorted((k for k in near[j] if not seen[k]),
+                            key=lambda k: (len(near[k]), -k))
+        prefix &= all(j == least or min(near[j]) < j for j in dist)
+    if prefix:
+        return None
+    tables = _relabeled(order, a, b, c)
+    return order if _strided_runs(*tables) < _strided_runs(a, b, c) else None
+
+
+def _relabeled(order, a, b, c):
+    """The move tables (a, b, c) in layout order: move i and bit i are those
+    of free bit order[i]."""
+    def relabel(x: int) -> int:
+        return sum((x >> v & 1) << i for i, v in enumerate(order))
+
+    return [relabel(a[v]) for v in order], [relabel(b[v]) for v in order], [c[v] for v in order]
+
+
 # labels and floors of one block of states take at most this many bytes each
 _COMPONENT_BLOCK_BYTES = 1 << 18
 
@@ -346,12 +418,18 @@ class ClassPartition:
     releases the roots; a caller that reads only the count never ranks.
     Before it allocates, ranking is gated through require_states, with the
     cap the partition was built under and the class count known.
+
+    The roots may come from a kernel run in another bit layout (see
+    enumerate_classes): axes then transposes the (2,)*f view of layout-ordered
+    states into index order, and None means index order already.
     """
 
-    def __init__(self, diagram: Diagram, roots: np.ndarray, cap: int | None = None):
+    def __init__(self, diagram: Diagram, roots: np.ndarray, cap: int | None = None,
+                 axes: tuple[int, ...] | None = None):
         self.diagram = diagram
         self._roots = roots
         self._cap = cap  # the free-vertex cap that ranking is gated by
+        self._axes = axes
         self.class_count = _kernel.orbit_count(roots)
 
     @cached_property
@@ -362,18 +440,23 @@ class ClassPartition:
         f = n_states.bit_length() - 1
         need = _RANK_BYTES_PER_STATE * n_states + _RANK_BYTES_PER_CLASS * self.class_count
         require_states(f, need, self._cap)
-        roots = self._roots.astype(np.int64)
+        ids = self._roots
         del self._roots
-        # every root is its class's minimum state, so ranking roots by value
-        # is a counting pass rather than a sort; cumsum over the bool mask
-        # itself would make an int64 copy of it
-        root_rank = (roots == np.arange(n_states)).astype(np.int64)
+        # every root is its class's minimum state in the kernel's layout, so
+        # ranking roots by value is a counting pass rather than a sort; cumsum
+        # over the bool mask itself would make a copy of it
+        root_rank = (ids == np.arange(n_states, dtype=ids.dtype)).astype(ids.dtype)
         np.cumsum(root_rank, out=root_rank)
         root_rank -= 1
-        # into the roots buffer; mode="clip" (roots are valid indices) spares
-        # the copy of `out` that mode="raise" makes
-        class_id = np.take(root_rank, roots, out=roots, mode="clip")
-        del root_rank
+        # into the roots buffer
+        for start, ranks in _kernel.gathered_blocks(root_rank, ids):
+            ids[start : start + len(ranks)] = ranks
+        del root_rank, ranks
+        if self._axes is not None:
+            # back to index layout while the ids are still int32
+            ids = np.ascontiguousarray(ids.reshape((2,) * f).transpose(self._axes)).reshape(-1)
+        class_id = ids.astype(np.int64)
+        del ids
         states = np.arange(n_states, dtype=np.int64)
         key = np.empty_like(states)
         np.bitwise_count(states, out=key)
@@ -529,12 +612,26 @@ class ClassPartition:
 
 
 def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:
-    """Partition of the full state space into classes under all moves."""
+    """Partition of the full state space into classes under all moves.
+
+    The kernel runs in the bit layout that _layout picks from the move
+    tables: index order on the paper's families, a traversal order of the
+    diagram on a tree numbered in no such order, such as a Pruefer tree's.
+    The partition keeps that layout's axes and maps the class ids back to
+    index order when it ranks; the count does not depend on the layout.
+    """
     f = len(diagram.free_vertices)
     n_states = 1 << f
     a, b, c = _move_tables(diagram)
     require_states(f, build_bytes(n_states, a, b), cap)
-    return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c), cap)
+    order = _layout(a, b, c)
+    if order is None:
+        return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c), cap)
+    roots = _kernel.orbit_roots(n_states, *_relabeled(order, a, b, c))
+    # axis x of the (2,)*f view holds bit f - 1 - x; index axis y, free bit
+    # f - 1 - y, is the layout's axis of the bit laid out as that free bit
+    at = {v: i for i, v in enumerate(order)}
+    return ClassPartition(diagram, roots, cap, tuple(f - 1 - at[f - 1 - y] for y in range(f)))
 
 
 def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | None:

@@ -119,8 +119,10 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     # the sigma root of A s for every state s, A s by doubling over the
     # columns of A
     image = sigma_roots[moves.span_states(0, adj.transpose().rows)]
-    del sigma_roots  # counted; indexing by the int32 roots copies them as intp
-    well_defined = bool((image == image[reeder_roots]).all())
+    del sigma_roots  # counted
+    # image == image[reeder_roots], a block at a time
+    well_defined = all(np.array_equal(mapped, image[start : start + len(mapped)])
+                       for start, mapped in _kernel.gathered_blocks(image, reeder_roots))
     hit = np.zeros(1 << n, dtype=bool)
     hit[image] = True
     onto = int(np.count_nonzero(hit)) == orbits

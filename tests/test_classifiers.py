@@ -295,3 +295,20 @@ def test_random_e6_trees_deterministic_and_valid():
     for t in random_e6_trees(15, max_vertices=12, seed=7):
         assert t.contains_e6()
         assert 6 <= t.n_vertices <= 12
+
+
+@pytest.mark.parametrize("seq, entry", [([5, 0], "entry 0 is 5"), ([-1, 0], "entry 0 is -1"),
+                                        ([0, 4], "entry 1 is 4")], ids=["past-n", "negative", "second"])
+def test_tree_from_pruefer_rejects_entries_out_of_range(seq, entry):
+    with pytest.raises(DiagramError, match=f"{entry}, outside 0..3"):
+        tree_from_pruefer(seq, 4)
+
+
+@pytest.mark.parametrize("bounds, match", [
+    ({"max_vertices": 5}, "at most 5 vertices contains E6"),
+    ({"min_vertices": 9, "max_vertices": 8}, "min_vertices 9 exceeds max_vertices 8"),
+], ids=["fewer-than-6", "empty-range"])
+def test_random_e6_trees_rejects_ranges_without_trees(bounds, match):
+    """Refused at the call, before the stream draws anything."""
+    with pytest.raises(DiagramError, match=match):
+        random_e6_trees(1, **bounds)

@@ -1,6 +1,7 @@
 """Move application and class enumeration, cross-checked against a pure
 Python BFS oracle."""
 
+import contextlib
 import json
 import sys
 import threading
@@ -845,9 +846,19 @@ def test_split_kernel_under_thread_contention():
         assert all(np.array_equal(r, roots) for r in runs)
 
 
-@pytest.mark.parametrize("target", ["B:16", "flower:14"])  # few and many classes
+def relabeled_tree(n: int) -> Diagram:
+    """An n-vertex E6 tree numbered by Pruefer decoding, which the kernel
+    runs in a traversal layout, not in index order."""
+    d = next(classifiers.random_e6_trees(1, max_vertices=n, min_vertices=n, seed=3))
+    assert moves._layout(*moves._move_tables(d)) is not None
+    return d
+
+
+# few and many classes, and class ids transposed back from another layout
+@pytest.mark.parametrize("target", ["B:16", "flower:14", "E6-tree:16"])
 def test_ranking_peak_within_estimate(target):
-    part = moves.enumerate_classes(fam(target))
+    d = relabeled_tree(16) if target == "E6-tree:16" else fam(target)
+    part = moves.enumerate_classes(d)
     n_states = 1 << len(part.diagram.free_vertices)
     tracemalloc.start()
     try:
@@ -918,3 +929,97 @@ def test_kernel_rejects_odd_overlap():
     with mock.patch.object(_kernel, "_MASK_BITS", 4):
         assert _kernel._masked(0b111, 0b011)
         check_kernels(8, [0b111], [0b011], [0], classes)
+
+
+# -- bit layout --------------------------------------------------------------
+
+
+def index_layout():
+    """Run enumerate_classes' kernel in index order whatever the diagram."""
+    return mock.patch.object(moves, "_layout", lambda a, b, c: None)
+
+
+def test_families_keep_index_layout():
+    """Every family is numbered in a connected-prefix order, or a traversal
+    order would add strided runs (the flower), so its roots are the index-order
+    kernel's, byte for byte."""
+    for name, d in family_corpus(14):
+        a, b, c = moves._move_tables(d)
+        assert moves._layout(a, b, c) is None, name
+        part = moves.enumerate_classes(d)
+        assert part._axes is None, name
+        assert part._roots.tobytes() == _kernel.orbit_roots(1 << len(a), a, b, c).tobytes(), name
+
+
+def test_layout_rule_on_small_diagrams():
+    # the path 0-2-1-3: bit 1 has no lower neighbour, so DFS runs from the
+    # end farthest from bit 0, and its views fix higher bits
+    d = parse_dsl("vertices 4\nedge 0 2\nedge 2 1\nedge 1 3\n")
+    a, b, c = moves._move_tables(d)
+    assert moves._layout(a, b, c) == [3, 1, 2, 0]
+    assert moves._strided_runs(a, b, c) == 8 + 4 + 8 + 4
+    assert moves._strided_runs(*moves._relabeled([3, 1, 2, 0], a, b, c)) == 8 + 8 + 4 + 2
+    # the path 1-2-0 fails the prefix test too, but DFS lowers no run count
+    d = parse_dsl("vertices 3\nedge 1 2\nedge 0 2\n")
+    a, b, c = moves._move_tables(d)
+    assert moves._strided_runs(*moves._relabeled([1, 2, 0], a, b, c)) \
+        == moves._strided_runs(a, b, c) == 4 + 2 + 4
+    assert moves._layout(a, b, c) is None
+    # DFS would fix a low bit for the flower's masked centre: index order stays
+    d = fam("flower:17")
+    a, b, c = moves._move_tables(d)
+    order = [0, 17, *range(1, 17)]  # the DFS preorder
+    assert (moves._strided_runs(a, b, c), moves._strided_runs(*moves._relabeled(order, a, b, c))) \
+        == ((1 << 18) - 1, 19 << 16)
+    assert moves._layout(a, b, c) is None
+
+
+def check_layout_invisible(d):
+    """The partition read through every public array and export is the same
+    whether the kernel ran in the chosen layout or in index order."""
+    got = moves.enumerate_classes(d)
+    with index_layout():
+        want = moves.enumerate_classes(d)
+    assert want._axes is None
+    assert got.class_count == want.class_count
+    for read in (lambda p: p.class_id_array(), lambda p: p.rep_states, lambda p: p.sizes,
+                 lambda p: p.component_histograms, lambda p: p.member_states):
+        assert np.array_equal(read(got), read(want))
+    assert got.to_json() == want.to_json()
+
+
+@settings(deadline=None, max_examples=60)
+@given(dsl_graphs())
+def test_layout_invisible_on_random_graphs(d):
+    check_layout_invisible(d)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_layout_invisible_on_relabeled_trees(n):
+    d = relabeled_tree(n)
+    assert moves.enumerate_classes(d)._axes is not None
+    check_layout_invisible(d)
+
+
+def test_layout_lowers_sweeps_on_criterion_5_trees():
+    """The 200 random E6 trees of acceptance criterion 5 take fewer kernel
+    sweeps in the chosen layout than in index order; sweep counts depend only
+    on the move tables, so the totals are deterministic."""
+    propagate = _kernel._propagate
+    sweeps = []
+
+    def counted(label, parts):
+        counts = propagate(label, parts)
+        sweeps.append(counts[0])
+        return counts
+
+    trees = list(classifiers.random_e6_trees(200, max_vertices=20, seed=12345))
+    totals = []
+    with mock.patch.object(_kernel, "_propagate", counted):
+        for layout in (contextlib.nullcontext(), index_layout()):
+            with layout:
+                counts = [moves.enumerate_classes(t).class_count for t in trees]
+            totals.append(sum(sweeps))
+            sweeps.clear()
+            assert counts == [(1 << t.adjacency_matrix().nullity()) + 2 for t in trees]
+    assert totals[0] < totals[1], totals
