@@ -30,10 +30,13 @@ buffer and is skipped while they agree, since its writes would change
 nothing.  The first step that finds ends that differ writes, and so does
 every step after it in that sweep.  Labels only fall, so a sweep changed a
 label exactly when it wrote, and the kernel stops at the first sweep that
-wrote nothing: that sweep only compares.  After a sweep that wrote, the
-labels are pointer-jumped to a fixpoint in at most f + 1 jumps, each jump
-gathering from one of two label buffers into the other, so the last jump
-leaves both equal.  The result is the int32 label array itself, so f <= 31.
+wrote nothing: that sweep only compares.  After a sweep that wrote, one
+round of pointer jumps points every label at the root of its chain, in place
+and in one increasing pass over blocks of states.  Since label[s] <= s, a
+label below the block names a state the pass has already resolved, so one
+gather label[label] settles it; the block is gathered again only while some
+label that pointed into the block still changes, at most f + 1 gathers.  The
+result is the int32 label array itself, so f <= 31.
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
 work is cut in two parts on the top state bit (axis 0), each run by its own
@@ -45,16 +48,19 @@ between them.  Only a move that flips the top bit (one Reeder move, or the
 sigma moves of the top vertex's neighbors) joins both halves: its pairs are
 cut along their own first axis, and each such move is swept between two
 barriers, since the halves of two different moves may overlap.  A barrier
-ends each sweep and each jump; it also folds the parts' flags (whether the
-part wrote in the sweep, whether its half changed in the jump), so the parts
-stop together.  Each part checks its own steps and starts writing on its
-own.  A jump gathers each part's half from the whole source buffer,
-_GATHER_BLOCK indices at a time through an intp block, so no intp copy of
-the whole label array is made.
+ends each sweep; it also folds whether each part wrote, so the parts stop
+together.  Each part checks its own steps and starts writing on its own.
+The bottom half's labels stay in the bottom half, so in a round of jumps
+part 0 resolves its half alone while part 1 resolves its own; a label that
+part 1 reads in the bottom half is an ancestor in the same class, whether
+part 0 has lowered it yet or not.  After a barrier, when the bottom half
+holds only roots, each part gathers once more over half of the top half,
+and a second barrier ends the round.  The gathers run through an intp
+block, so no intp copy of the whole label array is made.
 Below the threshold one part runs the same loop with no thread started and
-no barrier.  The roots are the same either way.  Memory is about 10 bytes
-per state (the two label buffers and a half-size minimum buffer) plus one
-bool edge mask over half the states per masked move.
+no barrier.  The roots are the same either way.  Memory is about 6 bytes
+per state (the label array and a half-size minimum buffer, which the jumps
+gather into) plus one bool edge mask over half the states per masked move.
 """
 
 from __future__ import annotations
@@ -82,7 +88,10 @@ _MASK_BITS = 7
 # the host delays thread wake-ups
 _SPLIT_STATES = 1 << 19
 
-# indices per block of a pointer-jumping gather
+# indices per block of a gather.  A part's pointer jumps take blocks of a
+# sixteenth of its states, at least an eighth and at most all of this: larger
+# blocks gather again more often, smaller ones pass the interpreter lock
+# between the parts more often
 _GATHER_BLOCK = 1 << 16
 
 
@@ -95,16 +104,17 @@ def kernel_bytes(n_states: int, a, b) -> int:
     """Upper bound on the array bytes orbit_roots holds at once for moves
     with masks a and b.
 
-    One bool edge mask over half the states per masked move, plus 12 per
-    state, rounded up from what the sweeps hold: two int32 label buffers
-    (the labels, and the buffer the pointer jumps alternate with) and a
-    half-size int32 minimum buffer, which the sweeps' comparisons share;
-    plus the two parts' intp index blocks and bool comparison blocks of
-    _GATHER_BLOCK entries.  The masks are built before the labels exist,
-    and the int32 result is one of the label buffers.
+    One bool edge mask over half the states per masked move, plus 8 per
+    state, rounded up from what the sweeps hold: the int32 label array and
+    a half-size int32 minimum buffer, which the sweeps' comparisons and the
+    pointer jumps' gathers share; plus, per part, an intp index block of at
+    most _GATHER_BLOCK entries and as many int32 entries again for a
+    minimum buffer shorter than a block.  Building a mask holds less: an
+    int32 state array and half-size temporaries, before the labels exist.
+    The int32 result is the label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    return 12 * n_states + n_masked * (n_states // 2) + 2 * 9 * _GATHER_BLOCK
+    return 8 * n_states + n_masked * (n_states // 2) + 2 * 12 * _GATHER_BLOCK
 
 
 def _move_pairs(f: int, a, b, c) -> list:
@@ -140,11 +150,10 @@ def _move_pairs(f: int, a, b, c) -> list:
                     pairs.append(((*lo, ...), (*hi, ...), None))
         else:
             if states is None:
-                states = np.arange(1 << f, dtype=np.int32)
-            cond = (np.bitwise_count(states & am) & 1).astype(bool)
-            if cm:
-                cond = ~cond
-            mask = cond.reshape((2,) * f)[(*lo, ...)].copy()
+                states = np.arange(1 << f, dtype=np.int32).reshape((2,) * f)
+            # read at the bit-j-clear end only, so its temporaries are
+            # half-size
+            mask = np.bitwise_count(states[(*lo, ...)] & am) & 1 != cm
             if mask.any():
                 pairs.append(((*lo, ...), (*hi, ...), mask))
         if pairs:
@@ -195,46 +204,77 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     """Lower every label to its class minimum, in place: part p of the
     schedule owns the p-th of len(parts) equal slices of label; part 0 runs
     in the caller's thread and each other part in a thread of its own.
-    Returns the number of sweeps and of pointer jumps run."""
+    Returns the number of sweeps and of pointer jumps run, the jumps of a
+    round counting the gathers of the block that took the most."""
     n_parts = len(parts)
     size = len(label) // n_parts
     f = len(label).bit_length() - 1
     least_size = max((step[0].size for steps in parts for step in steps if step), default=0)
     if not least_size:  # no move joins two states
         return 0, 0
-    # the buffer that the pointer jumps alternate with
-    jumped = np.empty_like(label)
+    block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
-    # minimum goes unmasked into a buffer and only the copies are masked
-    least = np.empty(n_parts * least_size, dtype=np.int32)
-    block = min(size, _GATHER_BLOCK)
+    # minimum goes unmasked into a buffer and only the copies are masked.  The
+    # pointer jumps gather into the same buffer
+    width = max(least_size, block)
+    least = np.empty(n_parts * width, dtype=np.int32)
     # the parts allocate nothing themselves: what a thread frees stays
     # resident in its own malloc arena.  take() gathers through intp
-    # indices, a block at a time, not an intp copy of the whole label array,
-    # and the comparisons run a block at a time too
+    # indices, a block at a time, not an intp copy of the whole label array
     index = np.empty((n_parts, block), dtype=np.intp)
-    differ = np.empty((n_parts, block), dtype=bool)
-    # whether each part wrote in the last sweep, and whether its labels
-    # changed in the last jump; every barrier folds them over the parts,
-    # while all parts wait
-    seen = [[False, False] for _ in range(n_parts)]
-    folded = [False, False]
+    # whether each part wrote in the last sweep; every barrier folds them
+    # over the parts, while all parts wait
+    wrote = [False] * n_parts
+    folded = [False]
 
     def fold() -> None:
-        folded[:] = [any(flags) for flags in zip(*seen)]
+        folded[0] = any(wrote)
 
     # a part alone has no one to wait for
     barrier = threading.Barrier(n_parts, action=fold) if n_parts > 1 else None
     wait = barrier.wait if barrier else fold
 
     def run(p: int) -> tuple[int, int]:
-        blocks = [slice(start, start + block) for start in range(p * size, (p + 1) * size, block)]
-        ix, ne = index[p], differ[p]
+        def blocks(start: int, stop: int) -> list:
+            return [slice(x, min(x + block, stop)) for x in range(start, stop, block)]
 
-        def changed(x, y) -> bool:  # in part p's half; stops at the first block that did
-            return any(np.not_equal(x[b], y[b], out=ne).any() for b in blocks)
+        own = blocks(p * size, (p + 1) * size)
+        # with two parts, part p then fixes up the p-th half of the top half
+        cut = (size, size + size // 2, 2 * size)
+        fixes = blocks(cut[p], cut[p + 1]) if n_parts > 1 else []
 
-        buf = least[p * least_size : (p + 1) * least_size]
+        buf = least[p * width : (p + 1) * width]
+
+        def gather(x: slice):
+            """label[label[x]], into the part's minimum buffer."""
+            n = x.stop - x.start
+            np.copyto(index[p, :n], label[x])
+            # mode="clip" (never needed: labels are valid indices) spares
+            # take the copy of `out` it makes under mode="raise"
+            return np.take(label, index[p, :n], out=buf[:n], mode="clip")
+
+        def resolve(x: slice) -> int:
+            """Point every label of block x at its root, given that each
+            label below x.start points at its root or, with two parts, at a
+            state of the bottom half.  Returns the gathers taken."""
+            lab = label[x]
+            n = len(lab)
+            # the comparisons reuse the bytes of the indices already read
+            inside, moved = index[p].view(bool)[:n], index[p].view(bool)[n : 2 * n]
+            for gathers in range(1, f + 2):
+                got = gather(x)
+                if not np.not_equal(got, lab, out=moved).any():
+                    return gathers
+                np.greater_equal(lab, x.start, out=inside)
+                np.copyto(lab, got)
+                # a label below x.start settled in this gather; one inside
+                # the block that did not move names a root
+                if not np.logical_and(inside, moved, out=inside).any():
+                    return gathers
+            # each gather halves a chain inside the block, so ceil(log2
+            # block) + 1 <= f + 1 gathers settle it
+            raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
+
         # a step's minimum and the comparison of its ends share the buffer
         steps = [step and (*step, buf[: step[0].size].reshape(step[0].shape),
                            buf.view(bool)[: step[0].size].reshape(step[0].shape))
@@ -266,39 +306,31 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                     np.copyto(lo, out, where=mask)
                     np.copyto(hi, out, where=mask)
             sweeps += 1
-            seen[p][0] = writing
+            wrote[p] = writing
             wait()
             if not folded[0]:
                 return sweeps, jumps
-            # label[s] <= s stays in s's class, so jumping only shortens
-            # chains.  Each jump gathers from one buffer into the other, and
-            # the last one, which changes nothing, leaves them equal.  A
-            # chain holds fewer than 2^f states, so f jumps reach every root
-            # and jump f + 1 changes nothing; a part still changing after it
-            # has lost step with the others.
-            # mode="clip" (never needed: labels are valid indices) spares
-            # take the copy of `out` it makes under mode="raise"
-            src, dst = label, jumped
-            for _ in range(f + 1):
-                for x in blocks:
-                    np.copyto(ix, src[x])
-                    np.take(src, ix, out=dst[x], mode="clip")
-                jumps += 1
-                seen[p][1] = changed(dst, src)
-                wait()  # every gather has read src
-                if not folded[1]:
-                    break
-                src, dst = dst, src
-            else:
-                raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
+            # label[s] <= s stays in s's class, so one increasing pass points
+            # every label at its root: the labels below a block already do.
+            # With two parts, the bottom half's labels stay in it, so part 0
+            # resolves it alone, while part 1 reads there labels that part 0
+            # may be lowering, any of them an ancestor in the same class.
+            # Once part 0 is done, one more gather finishes the top half
+            jumps += max(resolve(x) for x in own)
+            if n_parts > 1:
+                wait()  # the bottom half holds roots only
+                for x in fixes:
+                    np.copyto(label[x], gather(x))
+                wait()  # no part sweeps while the top half is fixed up
 
     if n_parts == 1:
         return run(0)
     errors = []
+    counts = [None] * n_parts
 
-    def part(p: int) -> tuple[int, int] | None:
+    def part(p: int) -> None:
         try:
-            return run(p)
+            counts[p] = run(p)
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
             barrier.abort()
@@ -307,7 +339,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     for thread in threads:
         thread.start()
     try:
-        counts = part(0)  # the parts run in step
+        part(0)  # the parts run in step
     finally:
         for thread in threads:
             thread.join()
@@ -316,7 +348,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         # raise the error that aborted it
         errors.sort(key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
         raise errors[0]
-    return counts
+    return counts[0][0], max(jumps for _, jumps in counts)
 
 
 # int32 labels hold the indices of at most 2^31 states
@@ -371,5 +403,16 @@ def gathered_blocks(src, indices):
 
 
 def orbit_count(roots) -> int:
-    """Orbits in orbit_roots' result: the states that are their own root."""
-    return int(np.count_nonzero(roots == np.arange(len(roots), dtype=roots.dtype)))
+    """Orbits in orbit_roots' result: the states that are their own root,
+    counted _GATHER_BLOCK states at a time against one reused range."""
+    block = min(len(roots), _GATHER_BLOCK)
+    ids = np.arange(block, dtype=roots.dtype)
+    own = np.empty(block, dtype=bool)
+    count = 0
+    for start in range(0, len(roots), block):
+        if start:
+            ids += block
+        chunk = roots[start : start + block]
+        n = len(chunk)
+        count += np.count_nonzero(np.equal(chunk, ids[:n], out=own[:n]))
+    return int(count)

@@ -236,12 +236,26 @@ def _layout(a, b, c) -> list[int] | None:
     f = len(a)
     near = [set() for _ in range(f)]
     for j, am in enumerate(a):
-        for k in range(f):
-            if am >> k & 1 and k != j:
-                near[j].add(k)
-                near[k].add(j)
+        am &= ~(1 << j)
+        while am:
+            k = (am & -am).bit_length() - 1
+            am &= am - 1
+            near[j].add(k)
+            near[k].add(j)
+    # the least bit of each bit's component
+    least_of = [-1] * f
+    for least in range(f):
+        if least_of[least] < 0:
+            least_of[least] = least
+            stack = [least]
+            while stack:
+                for k in near[stack.pop()]:
+                    if least_of[k] < 0:
+                        least_of[k] = least
+                        stack.append(k)
+    if all(j == least_of[j] or min(near[j]) < j for j in range(f)):
+        return None
     order, seen = [], [False] * f
-    prefix = True
     for least in range(f):
         if seen[least]:
             continue
@@ -264,9 +278,6 @@ def _layout(a, b, c) -> list[int] | None:
             # pushed so that the child of highest degree pops first
             stack += sorted((k for k in near[j] if not seen[k]),
                             key=lambda k: (len(near[k]), -k))
-        prefix &= all(j == least or min(near[j]) < j for j in dist)
-    if prefix:
-        return None
     tables = _relabeled(order, a, b, c)
     return order if _strided_runs(*tables) < _strided_runs(a, b, c) else None
 

@@ -106,20 +106,32 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     det = adj.det()
     n = diagram.n_vertices
     a, b, c = moves._move_tables(diagram)
-    # the Reeder kernel; the sigma kernel beside the Reeder roots (4 B/state)
-    # and, when det A = 1, the int64 map and its int32 image (12 B/state more)
-    need = max(_kernel.kernel_bytes(1 << n, a, b),
-               _kernel.kernel_bytes(1 << n, b, a) + ((16 if det else 4) << n))
+    # the Reeder kernel, or the sigma kernel beside the Reeder roots (4
+    # B/state); that also covers both roots and the int32 image (12 B/state)
+    # with one int64 block of the map, then the image and the hit mask
+    need = max(_kernel.kernel_bytes(1 << n, a, b), _kernel.kernel_bytes(1 << n, b, a) + (4 << n))
     moves.require_states(n, need, cap)
     reeder_roots = _kernel.orbit_roots(1 << n, a, b, c)
     sigma_roots = _kernel.orbit_roots(1 << n, b, a, c)
     classes, orbits = _kernel.orbit_count(reeder_roots), _kernel.orbit_count(sigma_roots)
     if det == 0:
         return DualityReport(classes, orbits, 0, False, None)
-    # the sigma root of A s for every state s, A s by doubling over the
-    # columns of A
-    image = sigma_roots[moves.span_states(0, adj.transpose().rows)]
-    del sigma_roots  # counted
+    # the sigma root of A s for every state s, a block of states at a time:
+    # A s is the span of A's low columns at s's low bits, by doubling, XOR
+    # the span of its high columns at s's high bits, so each next block's
+    # map is the last one XOR the change in the high span
+    columns = adj.transpose().rows
+    k = min(n, _kernel._GATHER_BLOCK.bit_length() - 1)
+    targets = moves.span_states(0, columns[:k])
+    highs = [0]
+    for v in columns[k:]:
+        highs += [h ^ v for h in highs]
+    image = np.empty(1 << n, dtype=np.int32)
+    for start, last, high in zip(range(0, 1 << n, 1 << k), [0, *highs], highs):
+        targets ^= last ^ high
+        # mode="clip" (A s is a state) spares take a copy of `out`
+        np.take(sigma_roots, targets, out=image[start : start + len(targets)], mode="clip")
+    del sigma_roots, targets  # counted
     # image == image[reeder_roots], a block at a time
     well_defined = all(np.array_equal(mapped, image[start : start + len(mapped)])
                        for start, mapped in _kernel.gathered_blocks(image, reeder_roots))

@@ -708,6 +708,60 @@ def test_kernel_roots_do_not_depend_on_move_order(d, data):
         assert np.array_equal(got, want), threshold
 
 
+def kernel_sweeps(a, b, c) -> int:
+    """The sweeps of one orbit_roots call."""
+    propagate = _kernel._propagate
+    counts = []
+
+    def counted(label, parts):
+        counts.append(propagate(label, parts))
+        return counts[-1]
+
+    with mock.patch.object(_kernel, "_propagate", counted):
+        _kernel.orbit_roots(1 << len(a), a, b, c)
+    return counts[0][0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs())
+def test_kernels_match_oracle_in_small_jump_blocks(d):
+    """Jump blocks of at most 8 states: each part resolves several blocks in
+    turn, chains run inside a block, and with two parts the top half is
+    fixed up block by block.  Every round reaches the same fixpoint in any
+    blocks, so the sweeps do not change either."""
+    a, b, c = moves._move_tables(d)
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            want = kernel_sweeps(a, b, c)
+            with mock.patch.object(_kernel, "_GATHER_BLOCK", 8):
+                assert kernel_sweeps(a, b, c) == want, threshold
+    with mock.patch.object(_kernel, "_GATHER_BLOCK", 8):
+        check_reeder_kernels(d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 11), st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_pointer_jumps_reach_the_fixpoint(f, near, split, small, rng):
+    """After a sweep that wrote, one round of pointer jumps leaves every
+    label at the root of its chain, as label = label[label] repeated to a
+    fixpoint does: on random forests with label[s] <= s whose chains step to
+    nearby states (inside a jump block) or anywhere below (across blocks,
+    and from the top half into the bottom half), in blocks of at most 8
+    states or of the default size."""
+    n = 1 << f
+    label = np.array([0, 1, *(rng.randint(max(0, s - 3) if near else 0, s) for s in range(2, n))],
+                     dtype=np.int32)
+    # the one step joins states 0 and 1, and its first sweep writes
+    step = (label[0:1], label[1:2], None)
+    want = label.copy()
+    want[1] = 0
+    while not np.array_equal(want[want], want):
+        want = want[want]
+    with split_kernel(), mock.patch.object(_kernel, "_GATHER_BLOCK", 8 if small else _kernel._GATHER_BLOCK):
+        assert _kernel._propagate(label, [[step], []] if split else [[step]]) == (2, mock.ANY)
+    assert np.array_equal(label, want)
+
+
 # most sweeps the kernel may take per family: the first sweep, from the top
 # state bit down, leaves these families at most one sweep of work, and the
 # last sweep only checks that nothing changes
@@ -773,6 +827,59 @@ def test_kernel_peak_within_estimate(target, tables):
 def test_split_kernel_peak_within_estimate(target, tables):
     with split_kernel():
         test_kernel_peak_within_estimate(target, tables)
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+@pytest.mark.parametrize("target, tables", [("B:18", moves._move_tables), ("D:17", _sigma_tables)])
+def test_kernel_peak_under_nine_bytes_per_state(target, tables, threshold):
+    """One int32 label array, a half-size minimum buffer that the pointer
+    jumps gather into, and blocks."""
+    a, b, c = tables(fam(target))
+    n_states = 1 << len(a)
+    with split_kernel(threshold):
+        tracemalloc.start()
+        try:
+            _kernel.orbit_roots(n_states, a, b, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= _kernel.kernel_bytes(n_states, a, b)
+    assert peak < 9 * n_states
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+def test_pointer_jumps_capped(threshold):
+    """A gather that never settles raises past f + 1 gathers of one block,
+    with no thread left behind."""
+    a, b, c = moves._move_tables(fam("B:10"))
+
+    def unsettled(src, indices, out=None, mode="raise"):
+        np.copyto(out, indices ^ 1)  # every label moves on, in range
+        return out
+
+    threads = threading.active_count()
+    with split_kernel(threshold), mock.patch.object(np, "take", unsettled):
+        with pytest.raises(RuntimeError, match="after 11 pointer jumps"):
+            _kernel.orbit_roots(1 << 10, a, b, c)
+    assert threading.active_count() == threads
+
+
+def test_kernel_sweep_totals():
+    """Every round of pointer jumps reaches the same fixpoint however it gets
+    there, so the sweep totals stay fixed: over family_corpus(14), and over
+    72 random 16-vertex E6 trees, each in its chosen layout."""
+    tables = [moves._move_tables(d) for _, d in family_corpus(14)]
+    trees = []
+    for seed in (101, 102, 103):
+        for t in classifiers.random_e6_trees(24, max_vertices=16, min_vertices=16, seed=seed):
+            a, b, c = moves._move_tables(t)
+            order = moves._layout(a, b, c)
+            trees.append((a, b, c) if order is None else moves._relabeled(order, a, b, c))
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            totals = [sum(kernel_sweeps(*x) for x in tables),
+                      sum(kernel_sweeps(*x) for x in trees)]
+        assert totals == [462, 396], threshold
 
 
 def test_one_cpu_starts_no_thread():

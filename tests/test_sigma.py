@@ -200,6 +200,21 @@ def test_orbit_bijection_refutes_a_broken_map(monkeypatch, break_it):
     assert json.loads(res.output)["bijection_verified"] is False
 
 
+def test_orbit_bijection_in_small_blocks(monkeypatch, small_corpus):
+    """The map A s, gathered eight states at a time from the span of A's
+    three low columns XOR each span of its high columns, as when gathered
+    whole."""
+    monkeypatch.setattr(sigma._kernel, "_GATHER_BLOCK", 8)
+    got = {name: sigma.orbit_bijection_check(d) for name, d in small_corpus
+           if d.is_simply_laced and not d.pinned and 4 <= d.n_vertices <= 10}
+    monkeypatch.undo()
+    assert sum(report.det_A for report in got.values()) >= 5
+    for name, d in small_corpus:
+        if name in got:
+            assert got[name] == sigma.orbit_bijection_check(d), name
+            assert got[name].bijection_verified is (True if got[name].det_A else None), name
+
+
 @pytest.mark.parametrize("target", ["A:16", "D:15"])  # det A = 1 and 0
 def test_orbit_bijection_peak_within_its_one_charge(monkeypatch, target):
     needs = []
