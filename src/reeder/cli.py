@@ -113,8 +113,7 @@ def classes(ctx, target, reps, full, fmt):
     if reps:
         if spec is None:
             raise DiagramError("--reps requires a family target")
-        rep_set = families.canonical_representatives(spec)
-        if rep_set is None:
+        if spec.family in families.DEFERRED:
             raise DiagramError(f"{spec}: no published representative list")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt == "json":
@@ -130,9 +129,12 @@ def classes(ctx, target, reps, full, fmt):
         click.echo("class size min_rep components")
         _echo_blocks(part.text_blocks(order, leads, full))
     if reps:
-        states, ids = families.representative_classes(rep_set, part)
-        problems = families.check_representatives(spec, rep_set, part, (states, ids))
+        # built once the enumeration has passed the gate: flower:d's list
+        # has 2^(d-1) + 1 entries
+        rep_set = families.canonical_representatives(spec)
+        states = moves.encode_states(diagram, rep_set.bits)
         _echo_blocks(part.rep_blocks(rep_set.provenance, states, order, leads))
+        problems = families.check_representatives(spec, rep_set, part)
         for p in problems:
             click.echo(f"FAIL: {p}")
         if problems:

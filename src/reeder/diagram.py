@@ -1,9 +1,11 @@
 """Immutable diagrams, labelings, and the move-relevant graph structure.
 
-A diagram is a finite graph with optional edge multiplicities, directions on
+A diagram is a finite graph with edge multiplicities, directions on
 even-multiplicity edges (the arrow points at the shorter vertex), and a set of
-pinned vertices whose label is frozen at 1.  Labelings assign one bit per
-vertex; bit i of the packed integer is the label of vertex i.
+pinned vertices whose label is frozen at 1.  A multiplicity matters only mod
+2, so an edge stores it that way: single undirected or double directed.
+Labelings assign one bit per vertex; bit i of the packed integer is the label
+of vertex i.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ class ResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge u-v of the given multiplicity, stored mod 2: an odd one as 1,
+    undirected; an even one as 2, directed u => v (u the longer vertex),
+    which it must be."""
+
     u: int
     v: int
     multiplicity: int = 1
@@ -34,6 +40,10 @@ class Edge:
             raise DiagramError(f"self-loop at vertex {self.u}")
         if self.multiplicity < 1:
             raise DiagramError(f"edge {self.u}-{self.v}: multiplicity must be >= 1")
+        if self.multiplicity % 2 == 0 and not self.directed:
+            raise DiagramError(f"edge {self.u}-{self.v}: even multiplicity requires a direction")
+        object.__setattr__(self, "multiplicity", 2 - self.multiplicity % 2)
+        object.__setattr__(self, "directed", self.multiplicity == 2)
 
     @property
     def pair(self) -> frozenset[int]:
@@ -102,33 +112,6 @@ class Diagram:
             if not 0 <= p < self.n_vertices:
                 raise DiagramError(f"pinned vertex {p} out of range")
 
-    # -- normalization ---------------------------------------------------
-
-    def normalize(self) -> "Diagram":
-        """Reduce multiplicities mod parity: odd -> 1 undirected, even -> 2 directed."""
-        out = []
-        for e in self.edges:
-            if e.multiplicity % 2:
-                out.append(Edge(e.u, e.v, 1, False))
-            else:
-                if not e.directed:
-                    raise DiagramError(
-                        f"edge {e.u}-{e.v}: even multiplicity requires a direction"
-                    )
-                out.append(Edge(e.u, e.v, 2, True))
-        return Diagram(self.n_vertices, tuple(out), self.pinned)
-
-    @property
-    def is_normalized(self) -> bool:
-        return all(
-            e.multiplicity in (1, 2) and e.directed == (e.multiplicity == 2)
-            for e in self.edges
-        )
-
-    @cached_property
-    def _norm(self) -> "Diagram":
-        return self if self.is_normalized else self.normalize()
-
     # -- basic graph structure (direction and multiplicity ignored) ------
 
     @cached_property
@@ -171,7 +154,7 @@ class Diagram:
 
     @property
     def is_simply_laced(self) -> bool:
-        return all(e.multiplicity == 1 for e in self._norm.edges)
+        return all(e.multiplicity == 1 for e in self.edges)
 
     def contains_e6(self) -> bool:
         """True iff this is a simply-laced tree with a branch vertex carrying
@@ -197,7 +180,7 @@ class Diagram:
     @cached_property
     def _effective(self) -> tuple[frozenset[int], ...]:
         nbrs: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for e in self._norm.edges:
+        for e in self.edges:
             nbrs[e.v].add(e.u)
             if not e.directed:
                 nbrs[e.u].add(e.v)
@@ -389,4 +372,4 @@ def parse_dsl(text: str) -> Diagram:
             err(lineno, f"unknown declaration {kw!r}")
     if n_vertices is None:
         raise DiagramError("missing 'vertices' declaration")
-    return Diagram(n_vertices, tuple(edges.values()), frozenset(pinned)).normalize()
+    return Diagram(n_vertices, tuple(edges.values()), frozenset(pinned))

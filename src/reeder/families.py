@@ -235,7 +235,7 @@ def _build_D4_3(_):
 
 
 def construct(spec: FamilySpec) -> Diagram:
-    return _FAMILIES[spec.family].build(spec.n).normalize()
+    return _FAMILIES[spec.family].build(spec.n)
 
 
 def display_layout(spec: FamilySpec, diagram: Diagram) -> tuple[tuple[int, ...], bool]:
@@ -544,23 +544,17 @@ def _reps_D4_3(_):
     return [(0, "xi:0"), (1 << 2, "xi:1"), (1 << 2 | 1 << 1, "xi:2")]
 
 
-def representative_classes(reps: RepresentativeSet, partition):
-    """The free-encoded states of a published list and their class ids."""
-    states = moves.encode_states(partition.diagram, reps.bits)
-    return states, partition.class_id_array()[states]
-
-
-def check_representatives(spec: FamilySpec, reps, partition, classes=None) -> list[str]:
+def check_representatives(spec: FamilySpec, reps, partition) -> list[str]:
     """Problems with the published list reps = canonical_representatives(spec)
-    against a partition; classes is representative_classes(reps, partition)
-    when the caller already holds it.
+    against a partition.
 
     Empty result means the list is pairwise inequivalent, complete, and
     weight-minimal per class.  Deferred families report a single problem.
     """
     if reps is None:
         return [f"{spec}: no published representative list"]
-    states, ids = classes or representative_classes(reps, partition)
+    states = moves.encode_states(partition.diagram, reps.bits)
+    ids = partition.class_id_array()[states]
     # a labeling's weight counts its pinned vertices, which are always lit
     pinned = len(partition.diagram.pinned)
     weights = np.bitwise_count(states) + pinned

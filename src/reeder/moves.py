@@ -63,21 +63,35 @@ def build_bytes(n_states: int, a, b) -> int:
     return max(_kernel.kernel_bytes(n_states, a, b), _RANK_BYTES_PER_STATE * n_states)
 
 
-def require_states(f: int, need: int, cap: int | None = None, dimension: str = "") -> None:
-    """Refuse, before anything is allocated, to enumerate 2^f states.
+def _states_text(f: int) -> str:
+    """2^f states, written out in full only while that is short."""
+    return f"{1 << f} states" if f < 63 else f"2^{f} states"
 
-    Raises ResourceError when f exceeds the cap (see state_cap) or when the
-    need bytes estimated for the enumeration exceed the available memory.
-    The cap refusal counts f as free vertices unless a dimension names f.
+
+def require_cap(f: int, cap: int | None = None, dimension: str = "") -> None:
+    """Refuse to enumerate 2^f states when f exceeds the cap (see state_cap).
+
+    It reads f alone, so an entry point calls it before anything that grows
+    with the diagram.  The refusal counts f as free vertices unless a
+    dimension names f.
     """
     cap = state_cap(cap)
     if f > cap:
         what = f"{dimension} {f} exceeds" if dimension else f"{f} free vertices exceed"
-        raise ResourceError(f"{what} the cap of {cap}: would require {1 << f} states")
+        raise ResourceError(f"{what} the cap of {cap}: would require {_states_text(f)}")
+
+
+def require_states(f: int, need: int, cap: int | None = None, dimension: str = "") -> None:
+    """Refuse, before anything is allocated, to enumerate 2^f states.
+
+    Raises ResourceError when f exceeds the cap (see require_cap) or when the
+    need bytes estimated for the enumeration exceed the available memory.
+    """
+    require_cap(f, cap, dimension)
     avail = available_memory()
     if need > avail:
         raise ResourceError(
-            f"enumerating {1 << f} states needs about {need >> 20} MB, "
+            f"enumerating {_states_text(f)} needs about {need >> 20} MB, "
             f"but only {avail >> 20} MB of memory is available"
         )
 
@@ -229,7 +243,7 @@ def _layout(a, b, c) -> list[int] | None:
     bit but the least of its component has a neighbour at a lower bit, as on
     the paper's families.  Otherwise the candidate is the DFS preorder of the
     free effective graph, each component from one end of a longest path (the
-    farthest bit from its least bit), children by decreasing degree; it is
+    farthest bit from its least bit), children in increasing bit order; it is
     taken only if it lowers _strided_runs, which keeps the flower, whose
     masked centre would fix a low bit, in index order.
     """
@@ -275,9 +289,8 @@ def _layout(a, b, c) -> list[int] | None:
                 continue
             seen[j] = True
             order.append(j)
-            # pushed so that the child of highest degree pops first
-            stack += sorted((k for k in near[j] if not seen[k]),
-                            key=lambda k: (len(near[k]), -k))
+            # pushed so that the least child pops first
+            stack += sorted((k for k in near[j] if not seen[k]), reverse=True)
     tables = _relabeled(order, a, b, c)
     return order if _strided_runs(*tables) < _strided_runs(a, b, c) else None
 
@@ -631,7 +644,8 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     The partition keeps that layout's axes and maps the class ids back to
     index order when it ranks; the count does not depend on the layout.
     """
-    f = len(diagram.free_vertices)
+    f = diagram.n_vertices - len(diagram.pinned)
+    require_cap(f, cap)  # before the tables, which grow as f^2
     n_states = 1 << f
     a, b, c = _move_tables(diagram)
     require_states(f, build_bytes(n_states, a, b), cap)

@@ -71,6 +71,7 @@ def enumerate_sigma_orbits(diagram: Diagram, cap: int | None = None) -> np.ndarr
     a = 1 << i, flips its neighbors, b = row i of A, with c = 0)."""
     _require_sigma(diagram)
     n = diagram.n_vertices
+    moves.require_cap(n, cap)  # before the tables, which grow as n^2
     b, a, c = moves._move_tables(diagram)
     moves.require_states(n, _kernel.kernel_bytes(1 << n, a, b), cap)
     return _kernel.orbit_roots(1 << n, a, b, c)
@@ -102,9 +103,10 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     but asserts nothing (applicable=False, bijection_verified=None).
     """
     _require_sigma(diagram)
+    n = diagram.n_vertices
+    moves.require_cap(n, cap)  # before det A and the tables, which grow as n^2
     adj = diagram.adjacency_matrix()
     det = adj.det()
-    n = diagram.n_vertices
     a, b, c = moves._move_tables(diagram)
     # the Reeder kernel, or the sigma kernel beside the Reeder roots (4
     # B/state); that also covers both roots and the int32 image (12 B/state)

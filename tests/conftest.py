@@ -1,8 +1,9 @@
 """Shared corpus and independent oracles.
 
 The oracles deliberately avoid the library's fast paths: class enumeration by
-dictionary BFS with effective neighbors recomputed from the raw edge list,
-and GF(2) rank by dense numpy elimination.
+dictionary BFS with effective neighbors recomputed from the edge list (an odd
+edge seen from both ends, an even one only from its shorter end v), and GF(2)
+rank by dense numpy elimination.
 """
 
 from __future__ import annotations
@@ -20,21 +21,19 @@ from reeder.diagram import Diagram
 
 
 def oracle_effective_neighbors(diagram: Diagram) -> list[list[int]]:
-    d = diagram.normalize()
-    eff = [[] for _ in range(d.n_vertices)]
-    for e in d.edges:
+    eff = [[] for _ in range(diagram.n_vertices)]
+    for e in diagram.edges:
         eff[e.v].append(e.u)
-        if not e.directed:
+        if e.multiplicity % 2:
             eff[e.u].append(e.v)
     return eff
 
 
 def oracle_classes(diagram: Diagram) -> list[frozenset[int]]:
     """All equivalence classes as frozensets of full labeling integers."""
-    d = diagram.normalize()
-    eff = oracle_effective_neighbors(d)
-    free = [i for i in range(d.n_vertices) if i not in d.pinned]
-    pinned_bits = sum(1 << p for p in d.pinned)
+    eff = oracle_effective_neighbors(diagram)
+    free = [i for i in range(diagram.n_vertices) if i not in diagram.pinned]
+    pinned_bits = sum(1 << p for p in diagram.pinned)
     all_states = []
     for s in range(1 << len(free)):
         full = pinned_bits

@@ -96,6 +96,43 @@ def test_count_memory_short_exit_4(runner, monkeypatch):
     assert "memory" in res.output
 
 
+def test_count_far_over_the_cap_exit_4(runner):
+    """2^20000 has more digits than int() may write out: the refusal does
+    not write it."""
+    res = runner.invoke(main, ["count", "A:20000"], env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4, res.output
+    assert "20000 free vertices exceed the cap of 26: would require 2^20000 states" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["count", "classes", "verify", "duality"])
+def test_over_cap_graph_refused_before_the_tables(runner, tmp_path, monkeypatch, command):
+    """The cap is checked on the vertex count before anything that grows with
+    the diagram: the move tables, det A, and ranks."""
+    def grows(*args, **kwargs):
+        raise AssertionError("work that grows with the diagram ran before the cap")
+
+    monkeypatch.setattr(moves, "_move_tables", grows)
+    monkeypatch.setattr(F2Matrix, "rank", grows)
+    path = tmp_path / "big.dg"
+    path.write_text("vertices 100000\nedge 0 1\nedge 1 2\nedge 2 0\n")
+    res = runner.invoke(main, [command, str(path)], env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4, res.output
+    assert "100000 free vertices exceed the cap of 26" in res.stderr
+    assert res.stdout == ""
+
+
+def test_classes_reps_list_built_after_the_gate(runner, monkeypatch):
+    """flower:d's published list has 2^(d-1) + 1 entries, so past the cap
+    it is never built."""
+    def built(spec):
+        raise AssertionError(f"the list of {spec} was built before the cap")
+
+    monkeypatch.setattr(families, "canonical_representatives", built)
+    res = runner.invoke(main, ["classes", "flower:40", "--reps"], env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4, res.output
+    assert "41 free vertices exceed the cap of 26" in res.stderr
+
+
 # -- classes ---------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Diagram structure: normalization, effective neighbors, components,
+"""Diagram structure: edge forms, effective neighbors, components,
 fixed labelings, and the text DSL."""
 
 import pytest
@@ -20,28 +20,29 @@ def fam(text):
     return families.construct(families.parse_family(text))
 
 
-# -- normalization ---------------------------------------------------------
+# -- edge forms ------------------------------------------------------------
 
 
-def test_normalize_examples():
-    triple = Diagram(2, [Edge(0, 1, 3)]).normalize()
-    assert triple.edges[0].multiplicity == 1 and not triple.edges[0].directed
-    quad = Diagram(2, [Edge(0, 1, 4, True)]).normalize()
-    assert quad.edges[0].multiplicity == 2 and quad.edges[0].directed
-    single = Diagram(2, [Edge(0, 1)]).normalize()
-    assert single.edges[0] == Edge(0, 1, 1, False)
+def test_edges_store_multiplicity_mod_2():
+    # an odd edge has no direction, even when given one
+    for mult, directed, stored in [(1, False, (1, False)), (3, False, (1, False)),
+                                   (3, True, (1, False)), (2, True, (2, True)),
+                                   (4, True, (2, True))]:
+        e = Edge(0, 1, mult, directed)
+        assert (e.multiplicity, e.directed) == stored, mult
+        assert e == Edge(0, 1, *stored)
 
 
-def test_normalize_idempotent_on_corpus(small_corpus):
-    for _, d in small_corpus:
-        once = d.normalize()
-        assert once.normalize() == once
-        assert once.is_normalized
+def test_corpus_edges_single_undirected_or_double_directed(small_corpus):
+    for name, d in small_corpus:
+        for e in d.edges:
+            assert (e.multiplicity, e.directed) in ((1, False), (2, True)), name
 
 
 def test_even_multiplicity_requires_direction():
-    with pytest.raises(DiagramError):
-        Diagram(2, [Edge(0, 1, 2)]).normalize()
+    for mult in (2, 4):
+        with pytest.raises(DiagramError, match="even multiplicity requires a direction"):
+            Edge(0, 1, mult)
 
 
 def test_construction_errors():
@@ -67,7 +68,7 @@ def test_effective_neighbors_directed_pair():
 
 
 def test_effective_neighbors_triple_edge_sees_both_ways():
-    d = fam("G2:2").normalize()
+    d = fam("G2:2")
     assert d.effective_neighbors(0) == frozenset({1})
     assert d.effective_neighbors(1) == frozenset({0})
 
@@ -84,7 +85,7 @@ def test_effective_neighbors_match_oracle_and_symmetry(small_corpus):
         oracle = oracle_effective_neighbors(d)
         for i in range(d.n_vertices):
             assert d.effective_neighbors(i) == frozenset(oracle[i])
-        for e in d.normalize().edges:
+        for e in d.edges:
             if not e.directed:
                 assert e.u in d.effective_neighbors(e.v)
                 assert e.v in d.effective_neighbors(e.u)
@@ -283,7 +284,7 @@ def test_parse_dsl_roundtrip():
     assert d.n_vertices == 4
     assert d.pinned == frozenset({3})
     assert Edge(1, 2, 2, True) in d.edges
-    assert d.is_normalized
+    assert [(e.multiplicity, e.directed) for e in d.edges] == [(1, False), (2, True)]
 
 
 def test_parse_dsl_direction_orientation():

@@ -378,6 +378,25 @@ def test_entry_points_share_state_gate(entry, monkeypatch):
         entry(d)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [moves.enumerate_classes, sigma.enumerate_sigma_orbits, sigma.orbit_bijection_check],
+    ids=["classes", "sigma", "duality"],
+)
+def test_cap_checked_before_anything_grows(entry, monkeypatch):
+    """The move tables grow as f^2 bits and det A as n^2: each entry point
+    refuses on the vertex count first, and never writes 2^f out."""
+    def grows(*args, **kwargs):
+        raise AssertionError("work that grows with the diagram ran before the cap")
+
+    monkeypatch.setattr(moves, "_move_tables", grows)
+    monkeypatch.setattr(F2Matrix, "rank", grows)
+    d = Diagram(100000, [Edge(0, 1), Edge(1, 2)])
+    with pytest.raises(ResourceError, match=r"100000 free vertices exceed the cap of 26: "
+                                            r"would require 2\^100000 states"):
+        entry(d, cap=26)
+
+
 def test_fixed_states_match_brute_force():
     for name, d in family_corpus(14):
         free = d.free_vertices
@@ -879,7 +898,7 @@ def test_kernel_sweep_totals():
         with split_kernel(threshold):
             totals = [sum(kernel_sweeps(*x) for x in tables),
                       sum(kernel_sweeps(*x) for x in trees)]
-        assert totals == [462, 396], threshold
+        assert totals == [462, 388], threshold
 
 
 def test_one_cpu_starts_no_thread():
