@@ -50,13 +50,11 @@ cut along their own first axis, and each such move is swept between two
 barriers, since the halves of two different moves may overlap.  A barrier
 ends each sweep; it also folds whether each part wrote, so the parts stop
 together.  Each part checks its own steps and starts writing on its own.
-The bottom half's labels stay in the bottom half, so in a round of jumps
-part 0 resolves its half alone while part 1 resolves its own; a label that
-part 1 reads in the bottom half is an ancestor in the same class, whether
-part 0 has lowered it yet or not.  After a barrier, when the bottom half
-holds only roots, each part gathers once more over half of the top half,
-and a second barrier ends the round.  The gathers run through an intp
-block, so no intp copy of the whole label array is made.
+Whichever part reaches that barrier last runs the round of pointer jumps
+over all the states, as one part does, while the other part waits, so a
+sweep that writes costs one barrier, plus two per move that flips the top
+bit.  The gathers run through an intp block, so no intp copy of the whole
+label array is made.
 Below the threshold one part runs the same loop with no thread started and
 no barrier.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
@@ -88,10 +86,9 @@ _MASK_BITS = 7
 # the host delays thread wake-ups
 _SPLIT_STATES = 1 << 19
 
-# indices per block of a gather.  A part's pointer jumps take blocks of a
-# sixteenth of its states, at least an eighth and at most all of this: larger
-# blocks gather again more often, smaller ones pass the interpreter lock
-# between the parts more often
+# indices per block of a gather.  The pointer jumps take blocks of a
+# sixteenth of a part's states, at least an eighth and at most all of this:
+# larger blocks gather again more often, smaller ones take more calls
 _GATHER_BLOCK = 1 << 16
 
 
@@ -107,8 +104,8 @@ def kernel_bytes(n_states: int, a, b) -> int:
     One bool edge mask over half the states per masked move, plus 8 per
     state, rounded up from what the sweeps hold: the int32 label array and
     a half-size int32 minimum buffer, which the sweeps' comparisons and the
-    pointer jumps' gathers share; plus, per part, an intp index block of at
-    most _GATHER_BLOCK entries and as many int32 entries again for a
+    pointer jumps' gathers share; plus an intp index block of at most
+    _GATHER_BLOCK entries and, per part, as many int32 entries again for a
     minimum buffer shorter than a block.  Building a mask holds less: an
     int32 state array and half-size temporaries, before the labels exist.
     The int32 result is the label array.
@@ -214,73 +211,67 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         return 0, 0
     block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
-    # minimum goes unmasked into a buffer and only the copies are masked.  The
-    # pointer jumps gather into the same buffer
+    # minimum goes unmasked into a buffer and only the copies are masked
     width = max(least_size, block)
     least = np.empty(n_parts * width, dtype=np.int32)
     # the parts allocate nothing themselves: what a thread frees stays
     # resident in its own malloc arena.  take() gathers through intp
-    # indices, a block at a time, not an intp copy of the whole label array
-    index = np.empty((n_parts, block), dtype=np.intp)
-    # whether each part wrote in the last sweep; every barrier folds them
-    # over the parts, while all parts wait
+    # indices, a block at a time, not an intp copy of the whole label array,
+    # into part 0's minimum buffer: the jumps run while no part sweeps
+    index = np.empty(block, dtype=np.intp)
+    got = least[:block]
+    # whether each part wrote in the last sweep
     wrote = [False] * n_parts
-    folded = [False]
+    sweeps = jumps = 0
+    writes = True
 
-    def fold() -> None:
-        folded[0] = any(wrote)
-
-    # a part alone has no one to wait for
-    barrier = threading.Barrier(n_parts, action=fold) if n_parts > 1 else None
-    wait = barrier.wait if barrier else fold
-
-    def run(p: int) -> tuple[int, int]:
-        def blocks(start: int, stop: int) -> list:
-            return [slice(x, min(x + block, stop)) for x in range(start, stop, block)]
-
-        own = blocks(p * size, (p + 1) * size)
-        # with two parts, part p then fixes up the p-th half of the top half
-        cut = (size, size + size // 2, 2 * size)
-        fixes = blocks(cut[p], cut[p + 1]) if n_parts > 1 else []
-
-        buf = least[p * width : (p + 1) * width]
-
-        def gather(x: slice):
-            """label[label[x]], into the part's minimum buffer."""
-            n = x.stop - x.start
-            np.copyto(index[p, :n], label[x])
+    def resolve(x: slice) -> int:
+        """Point every label of block x at its root, given that each label
+        below x.start points at its root.  Returns the gathers taken."""
+        lab = label[x]
+        n = len(lab)
+        # the comparisons reuse the bytes of the indices already read
+        inside, moved = index.view(bool)[:n], index.view(bool)[n : 2 * n]
+        for gathers in range(1, f + 2):
+            np.copyto(index[:n], lab)
             # mode="clip" (never needed: labels are valid indices) spares
             # take the copy of `out` it makes under mode="raise"
-            return np.take(label, index[p, :n], out=buf[:n], mode="clip")
+            np.take(label, index[:n], out=got[:n], mode="clip")
+            if not np.not_equal(got[:n], lab, out=moved).any():
+                return gathers
+            np.greater_equal(lab, x.start, out=inside)
+            np.copyto(lab, got[:n])
+            # a label below x.start settled in this gather; one inside the
+            # block that did not move names a root
+            if not np.logical_and(inside, moved, out=inside).any():
+                return gathers
+        # each gather halves a chain inside the block, so ceil(log2 block)
+        # + 1 <= f + 1 gathers settle it
+        raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
 
-        def resolve(x: slice) -> int:
-            """Point every label of block x at its root, given that each
-            label below x.start points at its root or, with two parts, at a
-            state of the bottom half.  Returns the gathers taken."""
-            lab = label[x]
-            n = len(lab)
-            # the comparisons reuse the bytes of the indices already read
-            inside, moved = index[p].view(bool)[:n], index[p].view(bool)[n : 2 * n]
-            for gathers in range(1, f + 2):
-                got = gather(x)
-                if not np.not_equal(got, lab, out=moved).any():
-                    return gathers
-                np.greater_equal(lab, x.start, out=inside)
-                np.copyto(lab, got)
-                # a label below x.start settled in this gather; one inside
-                # the block that did not move names a root
-                if not np.logical_and(inside, moved, out=inside).any():
-                    return gathers
-            # each gather halves a chain inside the block, so ceil(log2
-            # block) + 1 <= f + 1 gathers settle it
-            raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
+    def end_sweep() -> None:
+        """Count the sweep and, if a part wrote, run one round of pointer
+        jumps, while every part waits.  label[s] <= s stays in s's class, so
+        one increasing pass points every label at its root: the labels
+        below a block already do."""
+        nonlocal sweeps, jumps, writes
+        sweeps += 1
+        writes = any(wrote)
+        if writes:
+            jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
 
+    # the last part at the barrier runs end_sweep; a part alone calls it
+    barrier = threading.Barrier(n_parts, action=end_sweep) if n_parts > 1 else None
+    section = threading.Barrier(n_parts) if n_parts > 1 else None
+    end = barrier.wait if barrier else end_sweep
+
+    def run(p: int) -> None:
+        buf = least[p * width : (p + 1) * width]
         # a step's minimum and the comparison of its ends share the buffer
         steps = [step and (*step, buf[: step[0].size].reshape(step[0].shape),
                            buf.view(bool)[: step[0].size].reshape(step[0].shape))
                  for step in parts[p]]
-        sweeps = jumps = 0
-        while True:
+        while writes:
             # the first sweep runs the moves from the top state bit down.  A
             # sweep skips steps whose ends agree until one differs; that step
             # and all after it write.  Labels only fall, so a sweep that
@@ -288,7 +279,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
             writing = False
             for step in reversed(steps) if sweeps % 2 == 0 else steps:
                 if step is None:
-                    wait()
+                    section.wait()
                     continue
                 lo, hi, mask, out, differs = step
                 if not writing:
@@ -305,35 +296,21 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                 else:
                     np.copyto(lo, out, where=mask)
                     np.copyto(hi, out, where=mask)
-            sweeps += 1
             wrote[p] = writing
-            wait()
-            if not folded[0]:
-                return sweeps, jumps
-            # label[s] <= s stays in s's class, so one increasing pass points
-            # every label at its root: the labels below a block already do.
-            # With two parts, the bottom half's labels stay in it, so part 0
-            # resolves it alone, while part 1 reads there labels that part 0
-            # may be lowering, any of them an ancestor in the same class.
-            # Once part 0 is done, one more gather finishes the top half
-            jumps += max(resolve(x) for x in own)
-            if n_parts > 1:
-                wait()  # the bottom half holds roots only
-                for x in fixes:
-                    np.copyto(label[x], gather(x))
-                wait()  # no part sweeps while the top half is fixed up
+            end()
 
     if n_parts == 1:
-        return run(0)
+        run(0)
+        return sweeps, jumps
     errors = []
-    counts = [None] * n_parts
 
     def part(p: int) -> None:
         try:
-            counts[p] = run(p)
+            run(p)
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
             barrier.abort()
+            section.abort()
 
     threads = [threading.Thread(target=part, args=(p,)) for p in range(1, n_parts)]
     for thread in threads:
@@ -344,11 +321,11 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         for thread in threads:
             thread.join()
     if errors:
-        # a part stopped by the aborted barrier raised BrokenBarrierError;
+        # a part stopped by an aborted barrier raised BrokenBarrierError;
         # raise the error that aborted it
         errors.sort(key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
         raise errors[0]
-    return counts[0][0], max(jumps for _, jumps in counts)
+    return sweeps, jumps
 
 
 # int32 labels hold the indices of at most 2^31 states

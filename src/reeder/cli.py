@@ -6,10 +6,12 @@ cap exceeded.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 import sys
-import tempfile
 import time
+import uuid
 from functools import wraps
 from pathlib import Path
 
@@ -40,11 +42,17 @@ def _exit_codes(f):
     return wrapper
 
 
-def _load_target(target: str) -> tuple[Diagram, families.FamilySpec | None]:
+def _construct(spec: families.FamilySpec, cap: int | None) -> Diagram:
+    """The family's diagram, refused on the free-vertex cap before it is built."""
+    moves.require_cap(families.free_count(spec), cap)
+    return families.construct(spec)
+
+
+def _load_target(target: str, cap: int | None) -> tuple[Diagram, families.FamilySpec | None]:
     """A family string like A:5 or a DSL file path."""
     if target.split(":", 1)[0] in families.FAMILY_HEADS:
         spec = families.parse_family(target)
-        return families.construct(spec), spec
+        return _construct(spec, cap), spec
     path = Path(target)
     if not path.is_file():
         raise DiagramError(f"{target!r} is neither a family string nor a file")
@@ -71,7 +79,7 @@ def main(ctx, max_vertices):
 @_exit_codes
 def count(ctx, target, formula):
     """Brute-force class count of a family instance or DSL diagram."""
-    diagram, spec = _load_target(target)
+    diagram, spec = _load_target(target, ctx.obj["cap"])
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if not formula:
         click.echo(str(part.class_count))
@@ -109,7 +117,7 @@ def classes(ctx, target, reps, full, fmt):
     """Class table with sizes, minimal representatives, and components."""
     if fmt != "text" and (reps or full):
         raise DiagramError(f"--reps and --full print text only, not --format {fmt}")
-    diagram, spec = _load_target(target)
+    diagram, spec = _load_target(target, ctx.obj["cap"])
     if reps:
         if spec is None:
             raise DiagramError("--reps requires a family target")
@@ -164,7 +172,7 @@ def census(ctx, family_name, range_str, fmt, out):
     any_mismatch = False
     for n in range(lo, hi + 1):
         spec = families.parse_family(f"{family_name}:{n}")
-        diagram = families.construct(spec)
+        diagram = _construct(spec, ctx.obj["cap"])
         t0 = time.perf_counter()
         part = moves.enumerate_classes(diagram, ctx.obj["cap"])
         ms = int((time.perf_counter() - t0) * 1000)
@@ -181,10 +189,15 @@ def census(ctx, family_name, range_str, fmt, out):
     if out is None:
         click.echo(text, nl=False)
     else:
+        tmp = f"{out}.{uuid.uuid4().hex}.tmp"
         try:
-            fd, tmp = tempfile.mkstemp(dir=Path(out).parent, suffix=".tmp")
+            # created as a plain open() creates a file, under the umask, and
+            # given the mode of the file it replaces
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.chmod(tmp, stat.S_IMODE(os.stat(out).st_mode))
                     fh.write(text)
                 os.replace(tmp, out)
             except BaseException:
@@ -203,8 +216,8 @@ def census(ctx, family_name, range_str, fmt, out):
 @_exit_codes
 def verify(ctx, target):
     """Run every invariant check that applies to the target diagram."""
-    diagram, spec = _load_target(target)
     cap = ctx.obj["cap"]
+    diagram, spec = _load_target(target, cap)
     failures = []
 
     def check(name, ok):
@@ -253,7 +266,7 @@ def verify(ctx, target):
 @_exit_codes
 def duality(ctx, target):
     """Sigma-game duality report (JSON) for a simply-laced diagram."""
-    diagram, _ = _load_target(target)
+    diagram, _ = _load_target(target, ctx.obj["cap"])
     report = sigma.orbit_bijection_check(diagram, ctx.obj["cap"])
     click.echo(report.to_json())
     if report.bijection_verified is False:

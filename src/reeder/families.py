@@ -238,6 +238,15 @@ def construct(spec: FamilySpec) -> Diagram:
     return _FAMILIES[spec.family].build(spec.n)
 
 
+def free_count(spec: FamilySpec) -> int:
+    """The free vertices of construct(spec), from the family's smallest
+    diagram alone: each step of a parametric family's parameter adds one
+    free vertex."""
+    record = _FAMILIES[spec.family]
+    least = record.least or spec.n
+    return len(record.build(least).free_vertices) + spec.n - least
+
+
 def display_layout(spec: FamilySpec, diagram: Diagram) -> tuple[tuple[int, ...], bool]:
     """(internal indices in printed order, leads-with-vertex-0 flag)."""
     n = diagram.n_vertices

@@ -94,8 +94,8 @@ BARRIER_TIMEOUT = 30
 @contextmanager
 def split_kernel(threshold: int = 4):
     """Run the orbit kernel's two-part split from threshold states on (from
-    f = 2 on by default), as on a process allowed two CPUs.  Its barrier
-    waits at most BARRIER_TIMEOUT seconds, so a part that skips a wait()
+    f = 2 on by default), as on a process allowed two CPUs.  Its barriers
+    wait at most BARRIER_TIMEOUT seconds, so a part that skips a wait()
     breaks the barrier and the call raises BrokenBarrierError, rather than
     leaving the other part waiting forever."""
     from reeder import _kernel

@@ -1,7 +1,10 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import dataclasses
+import errno
 import json
 import os
+import stat
 from collections import Counter
 
 import click
@@ -102,6 +105,30 @@ def test_count_far_over_the_cap_exit_4(runner):
     res = runner.invoke(main, ["count", "A:20000"], env={"REEDER_MAX_VERTICES": None})
     assert res.exit_code == 4, res.output
     assert "20000 free vertices exceed the cap of 26: would require 2^20000 states" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["count", "A:100000000"],
+                                  ["census", "--family", "A", "--range", "100000000..100000000"]])
+def test_over_cap_family_refused_before_it_is_built(runner, monkeypatch, args):
+    """A family's parameter is gated before its diagram is built: A:10^8
+    would build 10^8 edges."""
+    record = families._FAMILIES["A"]
+
+    def build(n):
+        if n > 1000:
+            raise AssertionError(f"A:{n} was built before the cap")
+        return record.build(n)
+
+    monkeypatch.setitem(families._FAMILIES, "A", dataclasses.replace(record, build=build))
+    res = runner.invoke(main, args, env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4, res.output
+    assert "100000000 free vertices exceed the cap of 26" in res.stderr
+
+
+def test_fixed_size_family_gated_on_its_free_vertices(runner):
+    """E6_2 has size 6 but 5 free vertices, so a cap of 5 admits it."""
+    assert runner.invoke(main, ["--max-vertices", "5", "count", "E6_2"]).exit_code == 0
+    assert runner.invoke(main, ["--max-vertices", "4", "count", "E6_2"]).exit_code == 4
 
 
 @pytest.mark.parametrize("command", ["count", "classes", "verify", "duality"])
@@ -395,7 +422,52 @@ def test_census_out_atomic(runner, tmp_path):
     assert res.exit_code == 0
     assert out.exists()
     assert len(out.read_text().splitlines()) == 5
-    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+    assert os.listdir(tmp_path) == ["census.csv"]
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_census_out_mode_as_plain_open(runner, tmp_path, umask_022):
+    """A new file gets 0o666 under the umask; a file that is replaced keeps
+    its mode."""
+    out = tmp_path / "census.csv"
+    args = ["census", "--family", "A", "--range", "1..2", "--out", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    out.chmod(0o640)
+    assert runner.invoke(main, args).exit_code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["census.csv"]
+
+
+def test_census_out_failed_write_keeps_target(runner, tmp_path, monkeypatch):
+    fdopen = os.fdopen
+
+    def full_disk(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", full_disk)
+    out = tmp_path / "census.csv"
+    out.write_text("old\n")
+    res = runner.invoke(
+        main,
+        ["census", "--family", "A", "--range", "1..2", "--out", str(out)],
+    )
+    assert res.exit_code == 2
+    assert f"error: cannot write {out}: No space left on device" in res.stderr
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["census.csv"]
 
 
 def test_census_out_missing_dir_exit_2(runner, tmp_path):

@@ -114,6 +114,17 @@ def test_affine_diagram_extends_its_finite_prefix(name, params):
         assert families.display_layout(spec, aff) == ((n - 1, *range(n - 1)), True)
 
 
+@pytest.mark.parametrize("name", families.FAMILY_NAMES)
+def test_free_count_without_building(name):
+    """free_count reads the free vertices of a family's diagram from its
+    smallest one: each parameter step adds one free vertex."""
+    least = _least_spec(name)
+    params = [None] if least.param is None else range(least.param, least.param + 24)
+    for param in params:
+        spec = FamilySpec(name, param)
+        assert families.free_count(spec) == len(families.construct(spec).free_vertices), spec
+
+
 def test_vertex_counts():
     assert fam("A:6").n_vertices == 6
     assert fam("affA:6").n_vertices == 7

@@ -1,6 +1,7 @@
 """Move application and class enumeration, cross-checked against a pure
 Python BFS oracle."""
 
+import collections
 import contextlib
 import json
 import sys
@@ -22,7 +23,7 @@ from reeder.diagram import (
     parse_dsl,
 )
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, family_corpus, oracle_classes, split_kernel
+from conftest import BARRIER_TIMEOUT, check_kernels, family_corpus, oracle_classes, split_kernel
 
 
 def fam(text):
@@ -744,10 +745,10 @@ def kernel_sweeps(a, b, c) -> int:
 @settings(deadline=None, max_examples=40)
 @given(dsl_graphs())
 def test_kernels_match_oracle_in_small_jump_blocks(d):
-    """Jump blocks of at most 8 states: each part resolves several blocks in
-    turn, chains run inside a block, and with two parts the top half is
-    fixed up block by block.  Every round reaches the same fixpoint in any
-    blocks, so the sweeps do not change either."""
+    """Jump blocks of at most 8 states: a round resolves many blocks in
+    turn, and chains run inside a block and across blocks.  Every round
+    reaches the same fixpoint in any blocks, so the sweeps do not change
+    either."""
     a, b, c = moves._move_tables(d)
     for threshold in (_kernel._SPLIT_STATES, 4):
         with split_kernel(threshold):
@@ -910,35 +911,108 @@ def test_one_cpu_starts_no_thread():
         assert np.array_equal(_kernel.orbit_roots(1 << 10, a, b, c), want)
 
 
-@pytest.mark.parametrize("failing_part", [0, 1])
-def test_split_kernel_error_reaches_caller(failing_part):
-    """An error in either part aborts the other at its next barrier and is
-    raised in the caller, with no thread left behind."""
-    a, b, c = moves._move_tables(fam("B:10"))
-    take = np.take
+def raised_in_caller(a, b, c, name: str, failing) -> list:
+    """The MemoryErrors that orbit_roots raised in its caller, a thread of
+    its own, while np.<name> raised one in each thread where failing() holds
+    (it is handed the caller thread); checks that no thread is left."""
+    ufunc = getattr(np, name)
     caller = []
     raised = []
 
-    def failing_take(*args, **kwargs):
-        if (threading.current_thread() is caller[0]) == (failing_part == 0):
+    def failing_ufunc(*args, **kwargs):
+        if failing(caller[0]):
             raise MemoryError("injected")
-        return take(*args, **kwargs)
+        return ufunc(*args, **kwargs)
 
     def call():
         caller.append(threading.current_thread())
         try:
-            _kernel.orbit_roots(1 << 10, a, b, c)
+            _kernel.orbit_roots(1 << len(a), a, b, c)
         except MemoryError as exc:
             raised.append(exc)
 
     threads = threading.active_count()
-    with split_kernel(), mock.patch.object(np, "take", failing_take):
+    with split_kernel(), mock.patch.object(np, name, failing_ufunc):
         worker = threading.Thread(target=call)
         worker.start()
         worker.join(timeout=60)
     assert not worker.is_alive()
-    assert [str(exc) for exc in raised] == ["injected"]
     assert threading.active_count() == threads
+    return [str(exc) for exc in raised]
+
+
+@pytest.mark.parametrize("failing_part", [0, 1])
+def test_split_kernel_error_reaches_caller(failing_part):
+    """An error in either part's sweep aborts the other at its next barrier
+    and is raised in the caller, with no thread left behind."""
+    a, b, c = moves._move_tables(fam("B:10"))
+
+    def failing(caller):
+        return (threading.current_thread() is caller) == (failing_part == 0)
+
+    assert raised_in_caller(a, b, c, "minimum", failing) == ["injected"]
+
+
+def test_split_kernel_jump_error_reaches_caller():
+    """An error in the round of pointer jumps, which runs in whichever part
+    reaches the end of the sweep last, is raised in the caller, with no
+    thread left behind."""
+    a, b, c = moves._move_tables(fam("B:10"))
+    assert raised_in_caller(a, b, c, "take", lambda caller: True) == ["injected"]
+
+
+def test_split_kernel_one_barrier_per_sweep():
+    """A two-part call passes one end-of-sweep barrier per sweep in each
+    part, plus the two section barriers of each move that flips the top
+    bit, and takes no pointer jump outside that barrier's action, while the
+    other part waits."""
+    a, b, c = moves._move_tables(fam("B:10"))
+    ends = collections.Counter()
+    waits = collections.Counter()
+    jumping = []
+    outside = []
+
+    class Counted(threading.Barrier):
+        def __init__(self, parties, action=None, timeout=None):
+            def jumps():
+                jumping.append(True)
+                try:
+                    action()
+                finally:
+                    jumping.pop()
+
+            super().__init__(parties, action and jumps, BARRIER_TIMEOUT)
+            self.ends_sweep = action is not None
+
+        def wait(self, timeout=None):
+            waits[threading.get_ident()] += 1
+            ends[threading.get_ident()] += self.ends_sweep
+            return super().wait(timeout)
+
+    take = np.take
+
+    def counted_take(*args, **kwargs):
+        if not jumping:
+            outside.append(threading.get_ident())
+        return take(*args, **kwargs)
+
+    propagate = _kernel._propagate
+    calls = []
+
+    def counted(label, parts):
+        calls.append((propagate(label, parts), parts))
+        return calls[-1][0]
+
+    with split_kernel(), mock.patch.object(_kernel.threading, "Barrier", Counted), \
+            mock.patch.object(np, "take", counted_take), \
+            mock.patch.object(_kernel, "_propagate", counted):
+        _kernel.orbit_roots(1 << 10, a, b, c)
+    [((sweeps, jumps), parts)] = calls
+    section_waits = sum(step is None for step in parts[0])
+    assert sweeps == 2 and jumps > 0 and section_waits == 2
+    assert sorted(ends.values()) == [sweeps, sweeps]
+    assert sorted(waits.values()) == [sweeps * (1 + section_waits)] * 2
+    assert not outside
 
 
 def test_split_kernel_under_thread_contention():
