@@ -58,12 +58,15 @@ class E6TreePrediction:
         classes, then 2, 3, ... for the fixed states in increasing order.
         The one pass over the 2^n states, gated before it allocates."""
         n = self.diagram.n_vertices
-        # the int64 counts, which become the ids, and the count pass's blocks
-        # (1.26 MB of them traced at n = 16, 0.8 MB at n = 20)
-        moves.require_states(n, (8 << n) + 6 * moves._COMPONENT_BLOCK_BYTES, cap)
+        # the int8 counts with the count pass's block buffers, then the
+        # counts with the int64 ids made from their parity, beside the fixed
+        # states and their ids (int64, one of each per singleton class)
+        need = (9 << n) + moves._COMPONENT_BLOCK_BYTES + 16 * self.class_count
+        moves.require_states(n, need, cap)
         fixed = moves.fixed_states(self.diagram, cap)
-        ids = moves.component_counts(self.diagram)
-        ids &= 1
+        counts = moves.component_counts(self.diagram)
+        ids = np.empty(len(counts), dtype=np.int64)  # the fixed ids pass 127
+        np.bitwise_and(counts, 1, out=ids)
         ids[fixed] = np.arange(2, 2 + len(fixed))
         return ids
 

@@ -8,6 +8,7 @@ Pinned bits are stripped on encode and re-inserted (as 1) on decode.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -304,12 +305,206 @@ def _relabeled(order, a, b, c):
     return [relabel(a[v]) for v in order], [relabel(b[v]) for v in order], [c[v] for v in order]
 
 
-# labels and floors of one block of states take at most this many bytes each
-_COMPONENT_BLOCK_BYTES = 1 << 18
+# the buffers of one block of states take at most this many bytes (in the
+# propagation, the labels and the floors take this many each)
+_COMPONENT_BLOCK_BYTES = 1 << 20
+# component_counts counts the cycle-space elements of graphs with at most this
+# many independent cycles and propagates labels past it: on 18-vertex random
+# graphs the two cost about the same at 9 cycles (see CHANGES.md), and the
+# 2^8 - 1 nonzero elements at 8 still fit in a uint8 tally
+_CYCLE_RANK_BOUND = 8
 
 
 def component_counts(diagram: Diagram) -> np.ndarray:
-    """Lit-component count of every free-encoded state 0..2^f-1.
+    """Lit-component count of every free-encoded state 0..2^f-1, as int8
+    below 128 vertices and a wider int past.
+
+    With S the lit set of a state (pinned vertices lit) and beta1(S) the
+    number of independent cycles of the subgraph induced on S,
+
+        components(S) = |S| - |E(S)| + beta1(S).
+
+    |S| - |E(S)| is a constant for the pinned vertices and the edges among
+    them, plus 1 - p for each lit free bit with p pinned neighbours, minus
+    the free-free edges with both ends lit.  Those edges are counted in
+    groups, by bit distance d, popcount(s & s >> d & M_d), or by an endpoint
+    u of each, [bit u of s] * popcount(s & N_u), whichever grouping has
+    fewer groups: a path has one distance, the flower one centre.
+    2^beta1(S) is the number of cycle-space elements whose free support lies
+    inside s (_cycle_supports), so the nonzero ones inside s number
+    2^beta1(S) - 1, whose popcount is beta1(S).
+
+    Past _CYCLE_RANK_BOUND independent cycles the 2^k - 1 nonzero elements
+    cost more to test than labels cost to propagate, and the counts come
+    from _propagated_counts.  Either way the states are worked in blocks of
+    at most _COMPONENT_BLOCK_BYTES.
+    """
+    n = diagram.n_vertices
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if n <= np.iinfo(t).max)
+    counts = np.empty(1 << len(diagram.free_vertices), dtype=dtype)
+    supports = _cycle_supports(diagram)
+    if supports is None:
+        _propagated_counts(diagram, counts)
+    else:
+        _euler_counts(diagram, supports, counts)
+    return counts
+
+
+def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
+    """The free supports of the nonzero cycle-space elements, each with the
+    number of elements that have it, or None past _CYCLE_RANK_BOUND
+    independent cycles.
+
+    The elements are the sums of the fundamental cycles of a breadth-first
+    spanning forest, one per edge outside it, taken as edge sets; an
+    element's free support is the free bits of its edges' ends.
+    """
+    n = diagram.n_vertices
+    parent, depth = [-1] * n, [-1] * n
+    for root in range(n):
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = [root]
+            for u in queue:
+                for v in diagram.neighbors(u):
+                    if depth[v] < 0:
+                        depth[v], parent[v] = depth[u] + 1, u
+                        queue.append(v)
+    chords = [e for e in diagram.edges if e.u != parent[e.v] and e.v != parent[e.u]]
+    if len(chords) > _CYCLE_RANK_BOUND:
+        return None
+    index = {e.pair: i for i, e in enumerate(diagram.edges)}
+    elements = [0]  # as masks of edge indices
+    for e in chords:
+        cycle = 1 << index[e.pair]
+        u, v = e.u, e.v
+        while u != v:  # up the forest to the ends' common ancestor
+            if depth[u] < depth[v]:
+                u, v = v, u
+            cycle |= 1 << index[frozenset((u, parent[u]))]
+            u = parent[u]
+        elements += [x ^ cycle for x in elements]
+    bit = {v: 1 << j for j, v in enumerate(diagram.free_vertices)}
+    ends = [bit.get(e.u, 0) | bit.get(e.v, 0) for e in diagram.edges]
+    supports: dict[int, int] = {}
+    for x in elements[1:]:
+        support = 0
+        while x:
+            support |= ends[(x & -x).bit_length() - 1]
+            x &= x - 1
+        supports[support] = supports.get(support, 0) + 1
+    return supports
+
+
+def _edge_groups(pairs) -> tuple[bool, list[tuple[int, int]]]:
+    """The free-free edges (i, j), i < j, in the grouping with fewer groups:
+    (True, [(d, M_d)]), bit i of M_d set for each edge (i, i + d), or
+    (False, [(u, N_u)]), N_u the other ends of the edges given to u, each u
+    the least bit among those with the most edges not yet given."""
+    by_distance: dict[int, int] = {}
+    for i, j in pairs:
+        by_distance[j - i] = by_distance.get(j - i, 0) | 1 << i
+    stars, left = [], set(pairs)
+    while left and len(stars) < len(by_distance):
+        degree = Counter(x for pair in left for x in pair)
+        u = max(sorted(degree), key=degree.get)
+        mask = 0
+        for pair in [pair for pair in left if u in pair]:
+            mask |= 1 << (pair[0] + pair[1] - u)
+            left.remove(pair)
+        stars.append((u, mask))
+    if left or len(by_distance) <= len(stars):
+        return True, list(by_distance.items())
+    return False, stars
+
+
+def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray) -> None:
+    """component_counts from the identity into counts, given the cycle
+    supports of _cycle_supports.  The sums wrap in the unsigned int of the
+    counts' width, and only the final counts need to fit."""
+    bit = {v: j for j, v in enumerate(diagram.free_vertices)}
+    f = len(bit)
+    const = len(diagram.pinned)
+    weight = [1] * f
+    pairs = []
+    for e in diagram.edges:
+        ends = sorted(bit[x] for x in (e.u, e.v) if x in bit)
+        if len(ends) == 2:
+            pairs.append(tuple(ends))
+        elif ends:
+            weight[ends[0]] -= 1
+        else:
+            const -= 1
+    by_weight: dict[int, int] = {}
+    for j, w in enumerate(weight):
+        if w:
+            by_weight[w] = by_weight.get(w, 0) | 1 << j
+    by_distance, groups = _edge_groups(pairs)
+
+    uint = np.dtype(f"u{counts.itemsize}")
+    wrap = 1 << 8 * uint.itemsize
+    word = np.dtype(np.uint32 if f <= 32 else np.uint64)
+    # the states and a scratch word, a popcount, and the cycle tally and hits
+    fit = _COMPONENT_BLOCK_BYTES // (2 * word.itemsize + uint.itemsize + 2)
+    k = min(f, max(fit.bit_length() - 1, 0))
+    block = 1 << k
+    s, t = np.arange(block, dtype=word), np.empty(block, word)
+    pc = np.empty(block, uint)
+    tally, hit = np.empty(block, np.uint8), np.empty(block, np.uint8)
+    out = counts.view(uint)
+    for start in range(0, 1 << f, block):
+        if start:
+            s += block
+        acc = out[start : start + block]
+        acc.fill(const % wrap)
+        for w, mask in by_weight.items():
+            np.bitwise_and(s, mask, out=t)
+            np.bitwise_count(t, out=pc)
+            if w != 1:
+                pc *= w % wrap
+            acc += pc
+        for u, mask in groups:
+            if by_distance:
+                np.right_shift(s, u, out=t)
+                t &= s
+                t &= mask
+                np.bitwise_count(t, out=pc)
+                acc -= pc
+                continue
+            if u >= k:  # bit u is the same across the block
+                if not start >> u & 1:
+                    continue
+                sv, tv, pv, av = s, t, pc, acc
+            else:  # the half of the block with bit u set
+                sv, tv, pv, av = (x.reshape(-1, 2, 1 << u)[:, 1] for x in (s, t, pc, acc))
+            np.bitwise_and(sv, mask, out=tv)
+            np.bitwise_count(tv, out=pv)
+            av -= pv
+        # supports with a high bit the block lacks are never inside its
+        # states, and those with none below bit k always are
+        live, inside = [], 0
+        for support, m in supports.items():
+            if support >> k & ~(start >> k) == 0:
+                if support & block - 1:
+                    live.append((support & block - 1, m))
+                else:
+                    inside += m
+        if not live:
+            acc += inside.bit_count()
+            continue
+        tally.fill(inside)
+        for support, m in live:
+            np.bitwise_and(s, support, out=t)
+            np.equal(t, support, out=hit.view(bool))
+            if m != 1:
+                hit *= m
+            tally += hit
+        np.bitwise_count(tally, out=tally)
+        acc += tally
+
+
+def _propagated_counts(diagram: Diagram, counts: np.ndarray) -> None:
+    """component_counts by label propagation into counts.
 
     Minimum labels propagate over the edges for a block of states at once,
     row v holding vertex v's label.  A lit vertex starts at its own index,
@@ -330,7 +525,6 @@ def component_counts(diagram: Diagram) -> np.ndarray:
         # bit j of the states in a block repeats in runs of 2^j
         floor[v].reshape(-1, 2, 1 << j)[:, 0] = n
     own = np.arange(n, dtype=dtype)[:, None]
-    counts = np.empty(1 << f, dtype=np.int64)
     low = np.empty(block, dtype=dtype)
     for start in range(0, 1 << f, block):
         for j, v in enumerate(free[k:], start=k):
@@ -347,7 +541,6 @@ def component_counts(diagram: Diagram) -> np.ndarray:
                 break
             order = order[::-1]
         counts[start : start + block] = np.count_nonzero(label == own, axis=0)
-    return counts
 
 
 # -- class partition ------------------------------------------------------
@@ -521,9 +714,11 @@ class ClassPartition:
         """Read-only class x component-count matrix: entry [c, k] counts the
         members of class c whose lit vertices form k components."""
         class_id = self._class_id  # ranks, if need be, before the counts are held
-        key = component_counts(self.diagram)
-        width = int(key.max(initial=0)) + 1
-        key += class_id * width
+        counts = component_counts(self.diagram)
+        width = int(counts.max(initial=0)) + 1
+        key = class_id * width
+        key += counts
+        del counts
         hist = np.bincount(key, minlength=self.class_count * width)
         hist = hist.reshape(self.class_count, width)
         hist.flags.writeable = False

@@ -193,6 +193,18 @@ def test_key_ids_peak_within_charge(monkeypatch):
     assert peak <= charged[0]
 
 
+def test_key_ids_past_the_count_width():
+    """Nullity 7: the 128 fixed states take ids 2..129, past what the int8
+    component counts hold; the ids still induce the brute-force partition."""
+    arms = [Edge(0, 1), Edge(1, 2), Edge(0, 3), Edge(3, 4)]
+    d = Diagram(13, arms + [Edge(0, leaf) for leaf in range(5, 13)])
+    pred = e6_tree_classify(d)
+    assert d.adjacency_matrix().nullity() == 7 and not pred.fallback
+    ids = pred.key_ids()
+    assert int(ids.max()) == 129
+    assert same_partition(moves.enumerate_classes(d).class_id_array(), ids)
+
+
 # -- flower classifier -----------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -371,6 +372,83 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
             res = runner.invoke(main, ["classes", target, "--reps"])
             assert res.exit_code == 0
             assert res.stdout.splitlines() == header + table + rep_lines
+
+
+# a 14-vertex tree plus 3 chords (one of them doubly laced) and a pin
+CHORDED_DSL = """\
+vertices 14
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 4
+edge 4 5
+edge 5 6
+edge 6 7
+edge 2 8
+edge 8 9
+edge 9 10
+edge 4 11
+edge 11 12
+edge 12 13
+edge 0 3
+edge 7 10
+edge 9 12 mult=2 dir=9>12
+pin 6
+"""
+
+# sha256 of the stdout of `classes TARGET [FLAGS]`, recorded when the counts
+# still came from label propagation into int64; GRAPH is CHORDED_DSL's path
+CLASSES_SHA256 = {
+    "B:12": (
+        "f8721590dbb5825ac3a2b078924aecebb6db9e13ce14f261045027836338cc7f",
+        "b63932b4b5d5a0d22471d4b28e033a2030afce924e657de6a7ac36abda16b286",
+        "9d458214f71b2be415b71be00053be923f6d9b0af81863817cbd8ad8511d217f",
+        "eb8603a930617286c1f188a62e0191a7cf39d681ebba09de8bbdf50abe89a5e3",
+    ),
+    "affA:11": (
+        "119b80ac2af10fd47066cc1ec4dcce3bb4515664f5e304f8e1f39d47bdaf229e",
+        "d1e13d706aa0d059527907d7cf4dbf5198c7ca6385fdbcf75b944acecd5cb273",
+        "0ba46b97b6b63db9861e42169425f632d415cfd5d8f4892e9cfe3b73e3a6ea26",
+        "7dccaed2d06736dc2a57517a4024fee8bf6456934cfcf279d99cb5ea029dcfc0",
+    ),
+    "flower:10": (
+        "f19c3e26c9f1fa428231285d755be530cf13743594b42a658d2725b0850a36e4",
+        "21ae8fbc66c53b58edc89132c3c97ad8ba3434a6db9a3d9b832ea336bfc9f40a",
+        "3eeaa8c7f54bc4dc927d25c3a3220fb127ee59642c1cf9747a3237a195b1db7e",
+        "b6625d63627ff338dc005c3e30d2c3123dd044b74a034b7b57f6002b601121e2",
+    ),
+    "Y:9": (
+        "f5596b0084dc89579e755f5af6b2e3124d86b47cc9491bd2ec376a5ab5b3fef5",
+        "508c0124f7955d8d27ad056ad7ef1dbc4f35132e22ee0996d12f31619b320dbd",
+        "4b36e68177f9caece714fbcbcf3caf4747b94253294717667611f18b8b76a3f5",
+        "24a07b99992eb5c60023e9edefcda76d8356dc1ae448be870e5c28908dddca40",
+    ),
+    "Dbox_1:11": (  # pinned
+        "ae921593a8653662269931ae3a849c44c3245931095ade60cd0eff6fe806e43d",
+        "3bcb4a076e6e4706aebde0d9fa38f224272d1580b91595ba53b571e3650ffb78",
+        "09b3f18080b1118c2102334e27d5fb482e020672e894b0ca0521ce3c4948da5f",
+        "10de6783c61bae773615c44c101f9f1975182ebb04b7ad7c2d707d437ab5e617",
+    ),
+    "GRAPH": (
+        "531475c56248598b04cccba360f2f12a4e2c0082b3c4b65a411cdc831b93b71a",
+        "8818125fde2d131cfb1c48fc7b31086a3e86a3265b038612eb5656d2682d609b",
+        "8a5778c16e229dfa2607c55290df5ce5dfaa19c4e0377f645639a7575aebd6ff",
+        "811cfe592bc1d25606b85c30bccbad74bb0f4750fa2105be7adc502222ae1fc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(CLASSES_SHA256))
+def test_classes_output_unchanged(runner, tmp_path, target):
+    path = tmp_path / "graph.dg"
+    path.write_text(CHORDED_DSL)
+    argv_target = str(path) if target == "GRAPH" else target
+    for flags, want in zip(([], ["--full"], ["--format", "json"], ["--format", "csv"]),
+                           CLASSES_SHA256[target]):
+        res = runner.invoke(main, ["classes", argv_target, *flags])
+        assert res.exit_code == 0, res.output
+        out = res.stdout.replace(argv_target, target)
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (target, flags)
 
 
 # -- census ----------------------------------------------------------------

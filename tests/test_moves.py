@@ -226,6 +226,91 @@ def test_component_counts_match_walker_on_random_graphs(d):
     check_component_counts(d)
 
 
+def chorded_tree(n, chords, seed):
+    """A random labelled tree on n vertices plus chords between random
+    non-adjacent pairs: a connected graph with that many independent cycles."""
+    rng = np.random.default_rng(seed)
+    tree = classifiers.tree_from_pruefer(rng.integers(n, size=n - 2).tolist(), n)
+    pairs = {e.pair for e in tree.edges}
+    while len(pairs) < n - 1 + chords:
+        pairs.add(frozenset(rng.choice(n, size=2, replace=False).tolist()))
+    return Diagram(n, [Edge(*sorted(p)) for p in pairs])
+
+
+def wheel(spokes, pinned=()):
+    """A hub (the last vertex) joined to every vertex of a cycle of spokes
+    vertices: spokes independent cycles."""
+    rim = [Edge(i, (i + 1) % spokes) for i in range(spokes)]
+    return Diagram(spokes + 1, rim + [Edge(i, spokes) for i in range(spokes)], pinned)
+
+
+def no_path(*args):
+    raise AssertionError("component_counts took the other path")
+
+
+BOUND = moves._CYCLE_RANK_BOUND
+
+
+def test_component_counts_identity_on_corpus_and_chorded_tree(monkeypatch):
+    """Without label propagation, the identity gives the counts propagation
+    does on every corpus diagram and on an 18-vertex tree with 3 chords."""
+    graphs = family_corpus(14) + [("tree+3 chords", chorded_tree(18, 3, seed=301))]
+    wants = []
+    for _, d in graphs:
+        want = np.empty(1 << len(d.free_vertices), dtype=np.int8)
+        moves._propagated_counts(d, want)
+        wants.append(want)
+    monkeypatch.setattr(moves, "_propagated_counts", no_path)
+    for (name, d), want in zip(graphs, wants):
+        got = moves.component_counts(d)
+        assert got.dtype == np.int8, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "d, path",
+    [
+        pytest.param(wheel(BOUND), "_propagated_counts", id="at-bound"),
+        pytest.param(wheel(BOUND, {BOUND}), "_propagated_counts", id="at-bound-hub-pinned"),
+        pytest.param(wheel(BOUND, {0, 3}), "_propagated_counts", id="at-bound-rim-pinned"),
+        pytest.param(wheel(BOUND + 1), "_euler_counts", id="past-bound"),
+        pytest.param(Diagram(6, [Edge(u, v) for u in range(6) for v in range(u + 1, 6)]),
+                     "_euler_counts", id="K6"),
+    ],
+)
+def test_component_counts_either_side_of_the_bound(d, path, monkeypatch):
+    """The identity up to _CYCLE_RANK_BOUND independent cycles, propagation
+    past it, each against the walker; path names the one that must not run."""
+    monkeypatch.setattr(moves, path, no_path)
+    check_component_counts(d)
+
+
+def test_component_counts_peak():
+    """int8 counts and one block's buffers."""
+    d = fam("B:18")
+    tracemalloc.start()
+    try:
+        counts = moves.component_counts(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.int8
+    assert peak <= len(counts) + moves._COMPONENT_BLOCK_BYTES
+
+
+def test_component_histograms_peak():
+    """The int8 counts and the int64 key, beside the ranked class ids."""
+    part = moves.enumerate_classes(fam("B:18"))
+    part.rep_states  # ranks before tracing
+    tracemalloc.start()
+    try:
+        part.component_histograms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 18
+
+
 # -- enumeration -----------------------------------------------------------
 
 
