@@ -20,23 +20,32 @@ end.  A move with a & b = 0 whose condition reads fewer than _MASK_BITS bits
 fixes the axes of a's bits to each pattern that fires it, so its pairs are
 exactly those sub-views and it sweeps them unmasked.  Only a wide or
 overlapping move (a high-degree vertex, an even overlap of a and b) sweeps
-its whole slice and copies back through a bool edge mask.  Each sweep takes
-the minimum of both ends, writing it back at once (Gauss-Seidel).  The first
-sweep runs the moves from the top state bit down, and later sweeps alternate
-between move order and its reverse; the order changes only the number of
-sweeps, never the roots.  Every sweep starts by checking: each step compares
-its two ends (under the edge mask, if any) into a bool view of the minimum
-buffer and is skipped while they agree, since its writes would change
-nothing.  The first step that finds ends that differ writes, and so does
-every step after it in that sweep.  Labels only fall, so a sweep changed a
-label exactly when it wrote, and the kernel stops at the first sweep that
-wrote nothing: that sweep only compares.  After a sweep that wrote, one
-round of pointer jumps points every label at the root of its chain, in place
-and in one increasing pass over blocks of states.  Since label[s] <= s, a
-label below the block names a state the pass has already resolved, so one
-gather label[label] settles it; the block is gathered again only while some
-label that pointed into the block still changes, at most f + 1 gathers.  The
-result is the int32 label array itself, so f <= 31.
+its whole slice and copies back through a bool edge mask.  The first sweep
+runs the moves from the top state bit down and takes the minimum of both
+ends, writing it back at once (Gauss-Seidel).  Every later sweep is a hook
+round (Shiloach and Vishkin, J. Algorithms 3, 1982), in move order and its
+reverse by turns; the order changes only the number of sweeps, never the
+roots.  Each step compares its two ends (under the edge mask, if any) into a
+bool view of the minimum buffer and is skipped while they agree.  For each
+pair that differs it lowers label[max] to min, a scatter-min, and writes no
+end: the larger root is hooked under the smaller, and the pointer jumps that
+end the sweep carry the merge to every state that named it.  Writing the
+minimum into both ends instead would tell only the larger end, so a minimum
+that must pass many states would reach them one pair per sweep: 12 to 21
+sweeps on the sigma moves of E8, odd D, affD and affA, against at most 5
+with hooks.  Labels never rise, and each stays in its state's class, since a
+hook joins the roots of a pair.  A sweep in which some pair differs lowers a
+label: the pair's larger root, or its larger end where the pair takes the
+minimum, unless the same sweep has lowered it already.  So the kernel stops,
+at the first sweep in which no pair differs.  Then the ends of every pair
+name one root and every root names itself, so each class carries one label,
+which is its minimum member since label[s] <= s.  After a sweep in which a
+pair differed, one round of pointer jumps points every label at the root of
+its chain, in place and in one increasing pass over blocks of states.  Since
+label[s] <= s, a label below the block names a state the pass has already
+resolved, so one gather label[label] settles it; the block is gathered again
+only while some label that pointed into the block still changes, at most
+f + 1 gathers.  The result is the int32 label array itself, so f <= 31.
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
 work is cut in two parts on the top state bit (axis 0), each run by its own
@@ -48,21 +57,33 @@ between them.  Only a move that flips the top bit (one Reeder move, or the
 sigma moves of the top vertex's neighbors) joins both halves: its pairs are
 cut along their own first axis, and each such move is swept between two
 barriers, since the halves of two different moves may overlap.  A barrier
-ends each sweep; it also folds whether each part wrote, so the parts stop
-together.  Each part checks its own steps and starts writing on its own.
-Whichever part reaches that barrier last runs the round of pointer jumps
-over all the states, as one part does, while the other part waits, so a
-sweep that writes costs one barrier, plus two per move that flips the top
-bit.  The gathers run through an intp block, so no intp copy of the whole
-label array is made.
+ends each sweep; it also folds whether a pair of each part differed, so the
+parts stop together.  Whichever part reaches that barrier last runs the
+round of pointer jumps over all the states, as one part does, while the
+other part waits, so a sweep costs one barrier, plus two per move that
+flips the top bit.  The gathers run through an intp block, so no intp copy
+of the whole label array is made.  Hooks write labels of roots, not of the
+step's ends, so a part hooks only in a step inside its own half, and only a
+pair whose larger root lies in that half too: labels never exceed their
+states, so a root below the half is the other part's.  Every other pair
+that differs, a section's pairs among them, takes the minimum into both
+ends as the first sweep does.  Between two barriers no part then writes a
+label that the other reads, and the roots, the sweeps and the jumps repeat
+from run to run; the two parts take more sweeps than one part on some
+tables, since they hook fewer pairs.
 Below the threshold one part runs the same loop with no thread started and
 no barrier.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
 gather into) plus one bool edge mask over half the states per masked move.
+A hook takes a jump block of pairs at a time: its larger roots go into the
+part's own intp index block, which the jumps gather through, and its lower
+ends and bools into the bytes of the part's minimum buffer past those that a
+step's comparison uses.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -86,9 +107,10 @@ _MASK_BITS = 7
 # the host delays thread wake-ups
 _SPLIT_STATES = 1 << 19
 
-# indices per block of a gather.  The pointer jumps take blocks of a
-# sixteenth of a part's states, at least an eighth and at most all of this:
-# larger blocks gather again more often, smaller ones take more calls
+# indices per block of a gather.  The pointer jumps, and the hooks, take
+# blocks of a sixteenth of a part's states, at least an eighth and at most
+# all of this: larger blocks gather again more often, smaller ones take more
+# calls
 _GATHER_BLOCK = 1 << 16
 
 
@@ -104,14 +126,16 @@ def kernel_bytes(n_states: int, a, b) -> int:
     One bool edge mask over half the states per masked move, plus 8 per
     state, rounded up from what the sweeps hold: the int32 label array and
     a half-size int32 minimum buffer, which the sweeps' comparisons and the
-    pointer jumps' gathers share; plus an intp index block of at most
-    _GATHER_BLOCK entries and, per part, as many int32 entries again for a
-    minimum buffer shorter than a block.  Building a mask holds less: an
+    pointer jumps' gathers share; plus, per part, an intp index block of at
+    most _GATHER_BLOCK entries, which holds the part's hooked roots and the
+    jumps' indices, and twice as many int32 entries again for a minimum
+    buffer shorter than two blocks, whose bytes past a step's comparison
+    hold the hooks' lower ends and bools.  Building a mask holds less: an
     int32 state array and half-size temporaries, before the labels exist.
     The int32 result is the label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    return 8 * n_states + n_masked * (n_states // 2) + 2 * 12 * _GATHER_BLOCK
+    return 8 * n_states + n_masked * (n_states // 2) + 2 * 16 * _GATHER_BLOCK
 
 
 def _move_pairs(f: int, a, b, c) -> list:
@@ -197,6 +221,18 @@ def _schedule(view, moves: list, n_parts: int) -> list:
     return parts
 
 
+def _chunks(view, block: int):
+    """view cut along its leading axes into sub-views of at most block
+    entries, in C order: the view itself when it holds no more."""
+    if view.size <= block:
+        return (view,)
+    k = 0
+    while math.prod(view.shape[k:]) > block:
+        k += 1
+    # the trailing Ellipsis keeps a 0-d view, not a scalar
+    return (view[(*i, ...)] for i in np.ndindex(view.shape[:k]))
+
+
 def _propagate(label, parts: list) -> tuple[int, int]:
     """Lower every label to its class minimum, in place: part p of the
     schedule owns the p-th of len(parts) equal slices of label; part 0 runs
@@ -206,24 +242,30 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     n_parts = len(parts)
     size = len(label) // n_parts
     f = len(label).bit_length() - 1
-    least_size = max((step[0].size for steps in parts for step in steps if step), default=0)
-    if not least_size:  # no move joins two states
+    # each part's largest step
+    sizes = [max((step[0].size for step in steps if step), default=0) for steps in parts]
+    if not any(sizes):  # no move joins two states
         return 0, 0
     block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
-    # minimum goes unmasked into a buffer and only the copies are masked
-    width = max(least_size, block)
-    least = np.empty(n_parts * width, dtype=np.int32)
+    # minimum goes unmasked into a buffer and only the copies are masked.
+    # Each part's buffer holds its largest step and at least two blocks: a
+    # hook's lower ends and bools lie in its bytes past those of a step's
+    # comparison
+    offsets = np.cumsum([0] + [max(x, 2 * block) for x in sizes]).tolist()
+    least = np.empty(offsets[-1], dtype=np.int32)
     # the parts allocate nothing themselves: what a thread frees stays
     # resident in its own malloc arena.  take() gathers through intp
-    # indices, a block at a time, not an intp copy of the whole label array,
-    # into part 0's minimum buffer: the jumps run while no part sweeps
-    index = np.empty(block, dtype=np.intp)
+    # indices, a block at a time, not an intp copy of the whole label
+    # array, into part 0's minimum buffer: the jumps run while no part
+    # sweeps.  While the parts hook, each holds a block of roots in its own
+    # block of indices
+    index = np.empty(n_parts * block, dtype=np.intp)
     got = least[:block]
-    # whether each part wrote in the last sweep
-    wrote = [False] * n_parts
+    # whether a pair of each part's differed in the last sweep
+    differed = [False] * n_parts
     sweeps = jumps = 0
-    writes = True
+    changes = True
 
     def resolve(x: slice) -> int:
         """Point every label of block x at its root, given that each label
@@ -250,14 +292,14 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
 
     def end_sweep() -> None:
-        """Count the sweep and, if a part wrote, run one round of pointer
+        """Count the sweep and, if a pair differed, run one round of pointer
         jumps, while every part waits.  label[s] <= s stays in s's class, so
         one increasing pass points every label at its root: the labels
         below a block already do."""
-        nonlocal sweeps, jumps, writes
+        nonlocal sweeps, jumps, changes
         sweeps += 1
-        writes = any(wrote)
-        if writes:
+        changes = any(differed)
+        if changes:
             jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
 
     # the last part at the barrier runs end_sweep; a part alone calls it
@@ -266,29 +308,79 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     end = barrier.wait if barrier else end_sweep
 
     def run(p: int) -> None:
-        buf = least[p * width : (p + 1) * width]
-        # a step's minimum and the comparison of its ends share the buffer
+        buf = least[offsets[p] : offsets[p + 1]]
+        # a hook's bools and lower ends lie in the buffer's bytes past the
+        # first len(buf), which the comparison of a step never reaches
+        width = len(buf)
+        at = -(-(width + block) // 4)
+        spare = buf.view(bool)[width : width + block]
+        lows = buf[at : at + block]
+        tops = index[p * block : (p + 1) * block]
+        # part p owns the states from `start` on; labels are never above
+        # their states, so a root below `start` is another part's
+        start = p * size
+        others = label[:start], label[start + size :]
+        # a step's minimum and the comparison of its ends share the buffer.
+        # After the first sweep a step hooks when it lies in the part's own
+        # states, which a section's step does not
         steps = [step and (*step, buf[: step[0].size].reshape(step[0].shape),
-                           buf.view(bool)[: step[0].size].reshape(step[0].shape))
+                           buf.view(bool)[: step[0].size].reshape(step[0].shape),
+                           n_parts == 1 or not any(np.may_share_memory(view, x)
+                                                   for view in step[:2] for x in others))
                  for step in parts[p]]
-        while writes:
-            # the first sweep runs the moves from the top state bit down.  A
-            # sweep skips steps whose ends agree until one differs; that step
-            # and all after it write.  Labels only fall, so a sweep that
-            # wrote has changed a label
-            writing = False
+
+        def hook(lo, hi, differs, mask) -> None:
+            """Hook the larger root of each differing pair under the smaller,
+            a block of pairs at a time, by a scatter-min; a pair whose root
+            another part owns takes the minimum into both ends instead."""
+            n = min(lo.size, block)
+            low, top, own = lows[:n], tops[:n], spare[:n]
+            for x, (lo, hi) in enumerate(zip(_chunks(lo, block), _chunks(hi, block))):
+                pairs = differs.reshape(-1)[x * n : (x + 1) * n]
+                if n < differs.size and not pairs.any():
+                    continue
+                np.maximum(lo, hi, out=top.reshape(lo.shape))
+                np.minimum(lo, hi, out=low.reshape(lo.shape))
+                # a pair whose ends agree hooks its root to itself, which
+                # changes nothing since label[s] <= s; so does a position
+                # sent to hook `start` to itself, or its root to itself
+                if start:
+                    np.greater_equal(top, start, out=own)
+                    np.logical_and(own, pairs, out=own)
+                    # the differing pairs whose root is another part's
+                    np.logical_xor(pairs, own, out=pairs)
+                    if pairs.any():
+                        np.copyto(lo, low.reshape(lo.shape), where=pairs.reshape(lo.shape))
+                        np.copyto(hi, low.reshape(lo.shape), where=pairs.reshape(lo.shape))
+                    idle = np.logical_not(own, out=own)
+                    np.copyto(top, start, where=idle)
+                    np.copyto(low, start, where=idle)
+                elif mask is not None:
+                    # a state the move does not pair hooks nothing
+                    np.copyto(low, top, where=np.logical_not(pairs, out=pairs))
+                np.minimum.at(label, top, low)
+
+        while changes:
+            # the first sweep runs the moves from the top state bit down and
+            # writes every step: labels start as the identity, so every pair
+            # differs
+            first = not sweeps
+            seen = False
             for step in reversed(steps) if sweeps % 2 == 0 else steps:
                 if step is None:
                     section.wait()
                     continue
-                lo, hi, mask, out, differs = step
-                if not writing:
+                lo, hi, mask, out, differs, hooks = step
+                if not first:
                     np.not_equal(lo, hi, out=differs)
                     if mask is not None:
                         np.logical_and(differs, mask, out=differs)
-                    writing = bool(differs.any())
-                    if not writing:
+                    if not differs.any():
                         continue
+                seen = True
+                if not first and hooks:
+                    hook(lo, hi, differs, mask)
+                    continue
                 np.minimum(lo, hi, out=out)
                 if mask is None:
                     np.copyto(lo, out)
@@ -296,7 +388,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                 else:
                     np.copyto(lo, out, where=mask)
                     np.copyto(hi, out, where=mask)
-            wrote[p] = writing
+            differed[p] = seen
             end()
 
     if n_parts == 1:

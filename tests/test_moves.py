@@ -911,6 +911,7 @@ KERNEL_PEAK_CASES = [
     ("B:16", moves._move_tables),  # every move on sub-views
     ("flower:14", moves._move_tables),  # the centre is masked
     ("D:14", _sigma_tables),
+    ("affD:15", _sigma_tables),  # the most hooks, about one per state
 ]
 
 
@@ -969,10 +970,19 @@ def test_pointer_jumps_capped(threshold):
     assert threading.active_count() == threads
 
 
+def sigma_corpus(max_vertices: int) -> list:
+    """The sigma tables of family_corpus(max_vertices): its simply-laced,
+    unpinned diagrams, each with its name."""
+    return [(name, _sigma_tables(d)) for name, d in family_corpus(max_vertices)
+            if d.is_simply_laced and not d.pinned]
+
+
 def test_kernel_sweep_totals():
     """Every round of pointer jumps reaches the same fixpoint however it gets
-    there, so the sweep totals stay fixed: over family_corpus(14), and over
-    72 random 16-vertex E6 trees, each in its chosen layout."""
+    there, so the sweep totals stay fixed: over family_corpus(14), over 72
+    random 16-vertex E6 trees, each in its chosen layout, and over the sigma
+    tables of family_corpus(14).  Two parts hook only the pairs whose root
+    lies in their own half, so they take more sweeps than one part."""
     tables = [moves._move_tables(d) for _, d in family_corpus(14)]
     trees = []
     for seed in (101, 102, 103):
@@ -980,11 +990,145 @@ def test_kernel_sweep_totals():
             a, b, c = moves._move_tables(t)
             order = moves._layout(a, b, c)
             trees.append((a, b, c) if order is None else moves._relabeled(order, a, b, c))
-    for threshold in (_kernel._SPLIT_STATES, 4):
+    sigmas = [x for _, x in sigma_corpus(14)]
+    assert len(sigmas) == 68
+    for threshold, want in ((_kernel._SPLIT_STATES, [433, 216, 237]), (4, [443, 270, 283])):
         with split_kernel(threshold):
             totals = [sum(kernel_sweeps(*x) for x in tables),
-                      sum(kernel_sweeps(*x) for x in trees)]
-        assert totals == [462, 388], threshold
+                      sum(kernel_sweeps(*x) for x in trees),
+                      sum(kernel_sweeps(*x) for x in sigmas)]
+        assert totals == want, threshold
+
+
+# most sweeps the kernel may take per family on the sigma tables: a hook
+# round joins whole classes, however far apart their members lie
+MAX_SIGMA_SWEEPS = {
+    **dict.fromkeys(("G2", "affG2", "D4_3"), 3),
+    **dict.fromkeys(("A", "flower", "affE6"), 4),
+    **dict.fromkeys(("affA", "D", "affD", "E6", "E7", "E8", "affE8"), 5),
+    "affE7": 6,
+}
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+def test_sigma_sweeps_per_family(threshold):
+    seen = set()
+    with split_kernel(threshold):
+        for name, tables in sigma_corpus(14):
+            family = name.split(":")[0]
+            seen.add(family)
+            assert kernel_sweeps(*tables) <= MAX_SIGMA_SWEEPS[family], name
+    assert seen == set(MAX_SIGMA_SWEEPS)
+
+
+def pinned_y18_swapped():
+    """The Reeder tables of Y:18 with vertex 0 pinned, a and b swapped and c
+    set to 0."""
+    d = fam("Y:18")
+    b, a, c = moves._move_tables(Diagram(d.n_vertices, list(d.edges), pinned={0}))
+    return a, b, [0] * len(a)
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+@pytest.mark.parametrize("target",
+                         ["D:17", "D:19", "affD:15", "affA:16", "Y:18 pinned at 0, swapped"])
+def test_slow_sigma_tables_close_in_six_sweeps(target, threshold):
+    """The tables on which a Gauss-Seidel write took 13 to 21 sweeps: the
+    sigma moves of odd D, affD and affA, and the swapped tables of a pinned
+    Y.  Hooks close them in at most 6, in one part and in two."""
+    tables = pinned_y18_swapped() if target.startswith("Y") else _sigma_tables(fam(target))
+    with split_kernel(threshold):
+        assert kernel_sweeps(*tables) <= 6
+
+
+def oracle_table_classes(a, b, c) -> list[set[int]]:
+    """Orbits of the transvections s -> s ^ ((parity(s & a) ^ c) * b), by
+    plain set BFS over every state."""
+    n_states = 1 << len(a)
+    unseen = set(range(n_states))
+    classes = []
+    while unseen:
+        start = min(unseen)
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            s = frontier.pop()
+            for am, bm, cm in zip(a, b, c):
+                t = s ^ (((s & am).bit_count() & 1 ^ cm) * bm)
+                if t not in orbit:
+                    orbit.add(t)
+                    frontier.append(t)
+        classes.append(orbit)
+        unseen -= orbit
+    return classes
+
+
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs())
+def test_hooks_match_oracle_on_random_graphs(d):
+    """The Reeder tables and the swapped ones, with their c and with c = 0,
+    against plain BFS: in one part, in two, in jump (and so hook) blocks of
+    at most 8 states, and with every move masked, so that hooks skip the
+    states a move does not pair."""
+    a, b, c = moves._move_tables(d)
+    zeros = [0] * len(a)
+    for tables in ((a, b, c), (b, a, c), (b, a, zeros)):
+        classes = oracle_table_classes(*tables)
+        check_kernels(1 << len(a), *tables, classes)
+        with mock.patch.object(_kernel, "_GATHER_BLOCK", 8):
+            check_kernels(1 << len(a), *tables, classes)
+        with mock.patch.object(_kernel, "_MASK_BITS", 0):
+            check_kernels(1 << len(a), *tables, classes)
+
+
+def test_hooks_repeat_in_two_parts():
+    """Two parts write disjoint labels between barriers, so three runs give
+    the same roots, sweeps and jumps: on the sigma tables of D:12, and on
+    the Reeder tables of a pinned 12-vertex graph with chords and a double
+    edge."""
+    graph = parse_dsl("vertices 12\n" + "".join(f"edge {i} {i + 1}\n" for i in range(11))
+                      + "edge 0 5\nedge 3 9\nedge 6 11 mult=2 dir=11>6\npin 4\n")
+    propagate = _kernel._propagate
+    for a, b, c in (_sigma_tables(fam("D:12")), moves._move_tables(graph)):
+        runs = []
+
+        def counted(label, parts):
+            counts = propagate(label, parts)
+            runs.append((label.tobytes(), counts))
+            return counts
+
+        with split_kernel(), mock.patch.object(_kernel, "_propagate", counted):
+            for _ in range(3):
+                _kernel.orbit_roots(1 << len(a), a, b, c)
+        assert len(runs) == 3 and runs[0][1][0] > 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_split_kernel_hooks_only_its_own_roots():
+    """Each part's scatter-min writes only labels of its own half, so the
+    parts never write one label between two barriers: on the sigma tables
+    of D:12 and of affD:9, whose moves at the top vertex's neighbors flip
+    the top bit."""
+    minimum = np.minimum
+    caller = threading.current_thread()
+    targets = collections.defaultdict(list)
+
+    class Recorded:
+        def __call__(self, *args, **kwargs):
+            return minimum(*args, **kwargs)
+
+        def at(self, a, indices, values):
+            targets[threading.current_thread() is caller].append(indices.copy())
+            return minimum.at(a, indices, values)
+
+    for target in ("D:12", "affD:9"):
+        a, b, c = _sigma_tables(fam(target))
+        half = 1 << (len(a) - 1)
+        targets.clear()
+        with split_kernel(), mock.patch.object(np, "minimum", Recorded()):
+            _kernel.orbit_roots(1 << len(a), a, b, c)
+        mine, theirs = np.concatenate(targets[True]), np.concatenate(targets[False])
+        assert mine.max() < half <= theirs.min(), target
 
 
 def test_one_cpu_starts_no_thread():
