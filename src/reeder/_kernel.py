@@ -53,24 +53,26 @@ thread, since numpy releases the interpreter lock inside its loops.  Part p
 owns the states whose top bit is p.  A pair of views that leaves axis 0 free
 is cut into its two halves, and one that fixes axis 0 goes whole to its
 part; each part sweeps its pairs in Gauss-Seidel order with no barrier
-between them.  Only a move that flips the top bit (one Reeder move, or the
-sigma moves of the top vertex's neighbors) joins both halves: its pairs are
-cut along their own first axis, and each such move is swept between two
-barriers, since the halves of two different moves may overlap.  A barrier
-ends each sweep; it also folds whether a pair of each part differed, so the
-parts stop together.  Whichever part reaches that barrier last runs the
-round of pointer jumps over all the states, as one part does, while the
-other part waits, so a sweep costs one barrier, plus two per move that
-flips the top bit.  The gathers run through an intp block, so no intp copy
-of the whole label array is made.  Hooks write labels of roots, not of the
-step's ends, so a part hooks only in a step inside its own half, and only a
-pair whose larger root lies in that half too: labels never exceed their
-states, so a root below the half is the other part's.  Every other pair
-that differs, a section's pairs among them, takes the minimum into both
-ends as the first sweep does.  Between two barriers no part then writes a
-label that the other reads, and the roots, the sweeps and the jumps repeat
-from run to run; the two parts take more sweeps than one part on some
-tables, since they hook fewer pairs.
+between them.  Only a pair that flips the top bit (of one Reeder move, or of
+the sigma moves at the top vertex's neighbors) joins both halves.  It goes
+whole into the joined steps, which open every sweep while no part sweeps:
+before the first in the caller, before any thread starts, and before each
+later one in the barrier that ends the sweep before.  Run last in a sweep
+instead, they cost most Reeder families a sweep more.  That barrier, the
+only one, folds whether a pair of each part, or a joined one, differed, so
+the parts stop together.  Whichever part reaches it last runs the round of
+pointer jumps over all the states, as one part does, and then the joined
+steps, while the other part waits.  The gathers run through an intp block,
+so no intp copy of the whole label array is made.  Hooks write labels of
+roots, not of the step's ends.  Labels never exceed their states, so part
+0's roots lie in its own half; the joined steps run alone; both hook any
+root.  Part 1 hooks only a pair whose larger root lies in its own half,
+since a root below it is part 0's, and every other pair of its own that
+differs takes the minimum into both ends as the first sweep does.  While
+both parts sweep, no part then writes a label that the other reads, and the
+roots, the sweeps and the jumps repeat from run to run; the sweeps may
+differ from one part's, since part 1 hooks fewer pairs and the joined steps
+run at other points of each sweep.
 Below the threshold one part runs the same loop with no thread started and
 no barrier.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
@@ -78,7 +80,8 @@ gather into) plus one bool edge mask over half the states per masked move.
 A hook takes a jump block of pairs at a time: its larger roots go into the
 part's own intp index block, which the jumps gather through, and its lower
 ends and bools into the bytes of the part's minimum buffer past those that a
-step's comparison uses.
+step's comparison uses.  The joined steps run while the parts wait, so they
+take the whole minimum buffer and part 0's index block.
 """
 
 from __future__ import annotations
@@ -183,41 +186,31 @@ def _move_pairs(f: int, a, b, c) -> list:
 
 
 def _schedule(view, moves: list, n_parts: int) -> list:
-    """Each part's steps: (end, partner end, mask or None) views to sweep, or
-    None for a barrier that every part passes together.
+    """Each part's steps, then the joined steps: lists of (end, partner end,
+    mask or None) views to sweep, in move order.
 
     With two parts, part p owns view[p], the states whose top bit is p.  A
     pair that leaves axis 0 free is cut into its two halves, and a pair that
-    fixes axis 0 to p goes whole to part p.  A move that flips the top bit
-    joins both halves: its pairs are cut along their own first axis (or,
-    when 0-d, go whole to part 0).  Its pairs are disjoint, and so are the
-    two halves of each, but the halves of two such moves may overlap, so
-    each such move is swept in a section of its own between two barriers.
+    fixes axis 0 to p goes whole to part p.  A pair that flips the top bit
+    (of one Reeder move, or of a sigma move at a neighbor of the top vertex)
+    joins both halves: it goes whole into the joined steps, which run while
+    no part sweeps.  One part takes every pair, and no step is joined.
     """
     if n_parts == 1:
-        return [[(view[lo], view[hi], mask) for pairs in moves for lo, hi, mask in pairs]]
-    parts = [[], []]
-    crossing = False
+        return [[(view[lo], view[hi], mask) for pairs in moves for lo, hi, mask in pairs], []]
+    parts = [[], [], []]
     for pairs in moves:
-        lo, hi, _ = pairs[0]
-        if crossing or lo[0] != hi[0]:  # a section opens or closes
-            for steps in parts:
-                steps.append(None)
-        crossing = lo[0] != hi[0]
         for lo, hi, mask in pairs:
             pair = view[lo], view[hi], mask
-            if crossing and pair[0].ndim == 0:
-                parts[0].append(pair)
-            elif crossing or not isinstance(lo[0], int):
-                for p, steps in enumerate(parts):
+            if lo[0] != hi[0]:
+                parts[2].append(pair)
+            elif isinstance(lo[0], int):
+                parts[lo[0]].append(pair)
+            else:
+                for p in range(2):
                     half = tuple(x if x is None else x[p, ...] for x in pair)
                     if half[2] is None or half[2].any():
-                        steps.append(half)
-            else:
-                parts[lo[0]].append(pair)
-    if crossing:
-        for steps in parts:
-            steps.append(None)
+                        parts[p].append(half)
     return parts
 
 
@@ -234,16 +227,20 @@ def _chunks(view, block: int):
 
 
 def _propagate(label, parts: list) -> tuple[int, int]:
-    """Lower every label to its class minimum, in place: part p of the
-    schedule owns the p-th of len(parts) equal slices of label; part 0 runs
-    in the caller's thread and each other part in a thread of its own.
-    Returns the number of sweeps and of pointer jumps run, the jumps of a
-    round counting the gathers of the block that took the most."""
+    """Lower every label to its class minimum, in place.  parts holds each
+    part's steps, then the joined steps: part p owns the p-th of
+    len(parts) - 1 equal slices of label, part 0 runs in the caller's thread
+    and each other part in a thread of its own.  The joined steps open every
+    sweep while no part sweeps: in the caller before the first, and in the
+    barrier that ends each sweep before the next.  Returns the number of
+    sweeps and of pointer jumps run, the jumps of a round counting the
+    gathers of the block that took the most."""
+    *parts, joined = parts
     n_parts = len(parts)
     size = len(label) // n_parts
     f = len(label).bit_length() - 1
-    # each part's largest step
-    sizes = [max((step[0].size for step in steps if step), default=0) for steps in parts]
+    # each part's largest step, then the largest joined step
+    sizes = [max((step[0].size for step in steps), default=0) for steps in (*parts, joined)]
     if not any(sizes):  # no move joins two states
         return 0, 0
     block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
@@ -251,9 +248,10 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # minimum goes unmasked into a buffer and only the copies are masked.
     # Each part's buffer holds its largest step and at least two blocks: a
     # hook's lower ends and bools lie in its bytes past those of a step's
-    # comparison
-    offsets = np.cumsum([0] + [max(x, 2 * block) for x in sizes]).tolist()
-    least = np.empty(offsets[-1], dtype=np.int32)
+    # comparison.  The joined steps run while the parts wait, so they take
+    # the whole buffer
+    offsets = np.cumsum([0] + [max(x, 2 * block) for x in sizes[:-1]]).tolist()
+    least = np.empty(max(offsets[-1], sizes[-1]), dtype=np.int32)
     # the parts allocate nothing themselves: what a thread frees stays
     # resident in its own malloc arena.  take() gathers through intp
     # indices, a block at a time, not an intp copy of the whole label
@@ -262,8 +260,9 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # block of indices
     index = np.empty(n_parts * block, dtype=np.intp)
     got = least[:block]
-    # whether a pair of each part's differed in the last sweep
-    differed = [False] * n_parts
+    # whether a pair of each part's, and of the joined steps, differed in
+    # the last sweep
+    differed = [False] * (n_parts + 1)
     sweeps = jumps = 0
     changes = True
 
@@ -293,46 +292,39 @@ def _propagate(label, parts: list) -> tuple[int, int]:
 
     def end_sweep() -> None:
         """Count the sweep and, if a pair differed, run one round of pointer
-        jumps, while every part waits.  label[s] <= s stays in s's class, so
-        one increasing pass points every label at its root: the labels
-        below a block already do."""
+        jumps and the joined steps of the next sweep, while every part
+        waits.  label[s] <= s stays in s's class, so one increasing pass
+        points every label at its root: the labels below a block already
+        do."""
         nonlocal sweeps, jumps, changes
         sweeps += 1
         changes = any(differed)
         if changes:
             jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
+            differed[-1] = sweep_joined()
 
     # the last part at the barrier runs end_sweep; a part alone calls it
     barrier = threading.Barrier(n_parts, action=end_sweep) if n_parts > 1 else None
-    section = threading.Barrier(n_parts) if n_parts > 1 else None
     end = barrier.wait if barrier else end_sweep
 
-    def run(p: int) -> None:
-        buf = least[offsets[p] : offsets[p + 1]]
+    def sweeper(steps: list, buf, tops, start: int):
+        """A sweep of steps through minimum buffer buf and index block tops,
+        hooking only roots from start on: a function that runs the sweep
+        numbered `sweeps` and returns whether a pair differed."""
         # a hook's bools and lower ends lie in the buffer's bytes past the
         # first len(buf), which the comparison of a step never reaches
         width = len(buf)
         at = -(-(width + block) // 4)
         spare = buf.view(bool)[width : width + block]
         lows = buf[at : at + block]
-        tops = index[p * block : (p + 1) * block]
-        # part p owns the states from `start` on; labels are never above
-        # their states, so a root below `start` is another part's
-        start = p * size
-        others = label[:start], label[start + size :]
-        # a step's minimum and the comparison of its ends share the buffer.
-        # After the first sweep a step hooks when it lies in the part's own
-        # states, which a section's step does not
-        steps = [step and (*step, buf[: step[0].size].reshape(step[0].shape),
-                           buf.view(bool)[: step[0].size].reshape(step[0].shape),
-                           n_parts == 1 or not any(np.may_share_memory(view, x)
-                                                   for view in step[:2] for x in others))
-                 for step in parts[p]]
+        # a step's minimum and the comparison of its ends share the buffer
+        steps = [(*step, buf[: step[0].size].reshape(step[0].shape),
+                  buf.view(bool)[: step[0].size].reshape(step[0].shape)) for step in steps]
 
         def hook(lo, hi, differs, mask) -> None:
             """Hook the larger root of each differing pair under the smaller,
             a block of pairs at a time, by a scatter-min; a pair whose root
-            another part owns takes the minimum into both ends instead."""
+            lies below start takes the minimum into both ends instead."""
             n = min(lo.size, block)
             low, top, own = lows[:n], tops[:n], spare[:n]
             for x, (lo, hi) in enumerate(zip(_chunks(lo, block), _chunks(hi, block))):
@@ -347,7 +339,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                 if start:
                     np.greater_equal(top, start, out=own)
                     np.logical_and(own, pairs, out=own)
-                    # the differing pairs whose root is another part's
+                    # the differing pairs whose root is below start
                     np.logical_xor(pairs, own, out=pairs)
                     if pairs.any():
                         np.copyto(lo, low.reshape(lo.shape), where=pairs.reshape(lo.shape))
@@ -360,37 +352,47 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                     np.copyto(low, top, where=np.logical_not(pairs, out=pairs))
                 np.minimum.at(label, top, low)
 
-        while changes:
-            # the first sweep runs the moves from the top state bit down and
-            # writes every step: labels start as the identity, so every pair
-            # differs
-            first = not sweeps
+        def sweep() -> bool:
+            if not sweeps:
+                # labels start as the identity, so every pair differs: the
+                # first sweep writes the minimum into both ends, from the
+                # top state bit down
+                for lo, hi, mask, out, _ in reversed(steps):
+                    np.minimum(lo, hi, out=out)
+                    if mask is None:
+                        np.copyto(lo, out)
+                        np.copyto(hi, out)
+                    else:
+                        np.copyto(lo, out, where=mask)
+                        np.copyto(hi, out, where=mask)
+                return bool(steps)
             seen = False
-            for step in reversed(steps) if sweeps % 2 == 0 else steps:
-                if step is None:
-                    section.wait()
-                    continue
-                lo, hi, mask, out, differs, hooks = step
-                if not first:
-                    np.not_equal(lo, hi, out=differs)
-                    if mask is not None:
-                        np.logical_and(differs, mask, out=differs)
-                    if not differs.any():
-                        continue
-                seen = True
-                if not first and hooks:
+            # later sweeps run forward and backward by turns
+            for lo, hi, mask, _, differs in reversed(steps) if sweeps % 2 == 0 else steps:
+                np.not_equal(lo, hi, out=differs)
+                if mask is not None:
+                    np.logical_and(differs, mask, out=differs)
+                if differs.any():
                     hook(lo, hi, differs, mask)
-                    continue
-                np.minimum(lo, hi, out=out)
-                if mask is None:
-                    np.copyto(lo, out)
-                    np.copyto(hi, out)
-                else:
-                    np.copyto(lo, out, where=mask)
-                    np.copyto(hi, out, where=mask)
-            differed[p] = seen
+                    seen = True
+            return seen
+
+        return sweep
+
+    # part p owns the states from p * size on; labels are never above their
+    # states, so a root below that is another part's.  The joined steps run
+    # alone and hook any root
+    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]],
+                         index[p * block : (p + 1) * block], p * size)
+                 for p, steps in enumerate(parts)]
+    sweep_joined = sweeper(joined, least, index[:block], 0)
+
+    def run(p: int) -> None:
+        while changes:
+            differed[p] = sweeps_of[p]()
             end()
 
+    differed[-1] = sweep_joined()
     if n_parts == 1:
         run(0)
         return sweeps, jumps
@@ -402,7 +404,6 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
             barrier.abort()
-            section.abort()
 
     threads = [threading.Thread(target=part, args=(p,)) for p in range(1, n_parts)]
     for thread in threads:

@@ -346,6 +346,8 @@ def parse_dsl(text: str) -> Diagram:
                     direction = (int(sides[0]), int(sides[1]))
                 else:
                     err(lineno, f"unknown option {opt!r}")
+            if mult < 1:
+                err(lineno, f"edge {u} {v}: multiplicity must be >= 1")
             if mult % 2 == 0 and direction is None:
                 err(lineno, f"edge {u} {v}: even multiplicity requires dir=")
             if direction is not None:

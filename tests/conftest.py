@@ -108,37 +108,49 @@ def split_kernel(threshold: int = 4):
 
 
 def check_split_schedule(n_states: int, a, b, c) -> list:
-    """The two-part schedule must never let the parts touch one state
-    between the same two barriers, which would let one part write back a
-    label that the other has just lowered.  Scheduling a view of the state
-    indices makes every step's views hold the states they touch.  Returns
-    each part's list of the sets of states it touches between barriers."""
+    """The two-part schedule must keep each part inside the half of the
+    states it owns, so that the parts never touch one state while both
+    sweep, and must put every pair that flips the top state bit into the
+    joined steps, which run while no part sweeps.  Between them the steps
+    must join exactly the pairs of the one-part schedule.  Scheduling a view
+    of the state indices makes every step's views hold the states they
+    touch.  Returns the schedule: each part's steps, then the joined
+    steps."""
     from reeder import _kernel
 
     f = n_states.bit_length() - 1
     moves = _kernel._move_pairs(f, *(np.asarray(x, dtype=np.int64) for x in (a, b, c)))
     states = np.arange(n_states).reshape((2,) * f)
-    sections = []
-    for steps in _kernel._schedule(states, moves, 2):
-        touched = [[]]
+    half = n_states // 2
+
+    def pairs(step) -> list:
+        lo, hi, mask = step
+        if mask is None:
+            return list(zip(np.ravel(lo).tolist(), np.ravel(hi).tolist()))
+        return list(zip(lo[mask].tolist(), hi[mask].tolist()))
+
+    schedule = _kernel._schedule(states, moves, 2)
+    assert len(schedule) == 3
+    for p, steps in enumerate(schedule[:2]):
         for step in steps:
-            if step is None:
-                touched.append([])
-            else:
-                touched[-1] += [np.ravel(step[0]), np.ravel(step[1])]
-        sections.append([set(np.concatenate(x).tolist()) if x else set() for x in touched])
-    assert len(sections[0]) == len(sections[1])  # the same barriers
-    for first, second in zip(*sections):
-        assert not first & second, sorted(first & second)[:8]
-    return sections
+            for lo, hi in pairs(step):
+                assert lo // half == hi // half == p, (p, lo, hi)
+    for step in schedule[2]:
+        for lo, hi in pairs(step):
+            assert lo ^ hi >= half, (lo, hi)
+    got = [x for steps in schedule for step in steps for x in pairs(step)]
+    [whole, none] = _kernel._schedule(states, moves, 1)
+    assert not none
+    assert sorted(got) == sorted(x for step in whole for x in pairs(step))
+    return schedule
 
 
 def check_kernels(n_states: int, a, b, c, classes) -> None:
     """The orbit kernel against oracle classes of state indices: the
-    two-part schedule must keep the parts apart between barriers (checked
-    first, since parts with unequal barriers would wait forever), and the
-    kernel must root every state at its class's minimum member, under the
-    default split threshold and with the two-part split forced."""
+    two-part schedule must keep each part in its own half and join the
+    pairs that flip the top bit, and the kernel must root every state at
+    its class's minimum member, under the default split threshold and with
+    the two-part split forced."""
     from reeder import _kernel
 
     if n_states >= 4:

@@ -306,6 +306,10 @@ def test_parse_dsl_direction_orientation():
         ("vertices 3\nedge 0 1\nedge 1 2\nedge 1 0\n", "line 4: duplicate edge between 0 and 1"),
         ("vertices 2\nfrob 1\n", "unknown"),
         ("vertices 2\nedge 0 1 mult=x\n", "multiplicity"),
+        # checked before the parity, which would ask for dir=
+        ("vertices 2\nedge 0 1 mult=0\n", "line 2: edge 0 1: multiplicity must be >= 1"),
+        ("vertices 2\nedge 0 1 mult=-2 dir=1>0\n", "line 2: edge 0 1: multiplicity must be >= 1"),
+        ("vertices 2\nedge 0 1 mult=-2\n", "line 2: edge 0 1: multiplicity must be >= 1"),
         ("", "missing 'vertices'"),
     ],
 )

@@ -278,17 +278,13 @@ def test_sigma_kernels_match_oracle(d):
 
 def test_split_schedule_parts_sigma_moves_that_flip_the_top_bit():
     """The sigma moves at the top vertex's neighbors all flip the top state
-    bit.  The halves of two such moves overlap (here those of vertices 3
-    and 4, neighbors of vertex 5), so each is swept in a section of its
-    own, between barriers."""
-    d = Diagram(6, [Edge(0, 3), Edge(1, 4), Edge(2, 3), Edge(3, 5), Edge(4, 5)])
-    b, a, c = moves._move_tables(d)  # the sigma moves
-    first, second = check_split_schedule(1 << 6, a, b, c)
-    # the moves at 0..2, the moves at 3 and at 4, and the move at 5
-    assert len(first) == 4
-    # swept in one section, the moves at 3 and 4 would share states
-    assert (first[1] | first[2]) & (second[1] | second[2])
-    check_sigma_kernels(d)
+    bit, so their pairs join the two halves and go whole into the joined
+    steps: on flower:9, the moves at the nine petals, one pair each."""
+    b, a, c = moves._move_tables(fam("flower:9"))  # the sigma moves
+    f = len(a)
+    assert sum(x >> (f - 1) & 1 for x in b) == 9
+    *_, joined = check_split_schedule(1 << f, a, b, c)
+    assert len(joined) == 9
 
 
 @st.composite
