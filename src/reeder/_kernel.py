@@ -77,11 +77,11 @@ Below the threshold one part runs the same loop with no thread started and
 no barrier.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
 gather into) plus one bool edge mask over half the states per masked move.
-A hook takes a jump block of pairs at a time: its larger roots go into the
-part's own intp index block, which the jumps gather through, and its lower
-ends and bools into the bytes of the part's minimum buffer past those that a
-step's comparison uses.  The joined steps run while the parts wait, so they
-take the whole minimum buffer and part 0's index block.
+Each part's steps take its own slice of the minimum buffer, and the joined
+steps, which run while the parts wait, take all of it.  A hook takes a block
+of pairs at a time and selects only those that differ, through the bools of
+the step's comparison, so it allocates at most a block of their ends, roots
+and lower ends, and scatters only them.
 """
 
 from __future__ import annotations
@@ -129,16 +129,17 @@ def kernel_bytes(n_states: int, a, b) -> int:
     One bool edge mask over half the states per masked move, plus 8 per
     state, rounded up from what the sweeps hold: the int32 label array and
     a half-size int32 minimum buffer, which the sweeps' comparisons and the
-    pointer jumps' gathers share; plus, per part, an intp index block of at
-    most _GATHER_BLOCK entries, which holds the part's hooked roots and the
-    jumps' indices, and twice as many int32 entries again for a minimum
-    buffer shorter than two blocks, whose bytes past a step's comparison
-    hold the hooks' lower ends and bools.  Building a mask holds less: an
-    int32 state array and half-size temporaries, before the labels exist.
-    The int32 result is the label array.
+    pointer jumps' gathers share; plus 42 per entry of a block of at most
+    _GATHER_BLOCK: the jumps' intp index block (8), and what both parts'
+    hooks hold at once per differing pair of a block.  Part 0 and the joined
+    steps hold its int32 ends, of which the lower end reuses one, and its
+    root (12).  Part 1 holds those, two bools of whether it owns the root,
+    and its owned roots and their lower ends (22).  Building a mask holds
+    less: an int32 state array and half-size temporaries, before the labels
+    exist.  The int32 result is the label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    return 8 * n_states + n_masked * (n_states // 2) + 2 * 16 * _GATHER_BLOCK
+    return 8 * n_states + n_masked * (n_states // 2) + (8 + 12 + 22) * _GATHER_BLOCK
 
 
 def _move_pairs(f: int, a, b, c) -> list:
@@ -246,19 +247,16 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
     # minimum goes unmasked into a buffer and only the copies are masked.
-    # Each part's buffer holds its largest step and at least two blocks: a
-    # hook's lower ends and bools lie in its bytes past those of a step's
-    # comparison.  The joined steps run while the parts wait, so they take
-    # the whole buffer
-    offsets = np.cumsum([0] + [max(x, 2 * block) for x in sizes[:-1]]).tolist()
-    least = np.empty(max(offsets[-1], sizes[-1]), dtype=np.int32)
-    # the parts allocate nothing themselves: what a thread frees stays
-    # resident in its own malloc arena.  take() gathers through intp
-    # indices, a block at a time, not an intp copy of the whole label
-    # array, into part 0's minimum buffer: the jumps run while no part
-    # sweeps.  While the parts hook, each holds a block of roots in its own
-    # block of indices
-    index = np.empty(n_parts * block, dtype=np.intp)
+    # Each part's buffer holds its largest step.  The joined steps, and the
+    # jumps' gathers of a block, run while the parts wait, so they take the
+    # whole buffer
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    least = np.empty(max(offsets[-1], sizes[-1], block), dtype=np.int32)
+    # take() gathers through intp indices, a block at a time, not an intp
+    # copy of the whole label array.  A hooking part allocates temporaries of
+    # at most a block of pairs, which stay resident in its thread's malloc
+    # arena once freed
+    index = np.empty(block, dtype=np.intp)
     got = least[:block]
     # whether a pair of each part's, and of the joined steps, differed in
     # the last sweep
@@ -307,49 +305,29 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     barrier = threading.Barrier(n_parts, action=end_sweep) if n_parts > 1 else None
     end = barrier.wait if barrier else end_sweep
 
-    def sweeper(steps: list, buf, tops, start: int):
-        """A sweep of steps through minimum buffer buf and index block tops,
-        hooking only roots from start on: a function that runs the sweep
-        numbered `sweeps` and returns whether a pair differed."""
-        # a hook's bools and lower ends lie in the buffer's bytes past the
-        # first len(buf), which the comparison of a step never reaches
-        width = len(buf)
-        at = -(-(width + block) // 4)
-        spare = buf.view(bool)[width : width + block]
-        lows = buf[at : at + block]
+    def sweeper(steps: list, buf, start: int):
+        """A sweep of steps through minimum buffer buf, hooking only roots
+        from start on: a function that runs the sweep numbered `sweeps` and
+        returns whether a pair differed."""
         # a step's minimum and the comparison of its ends share the buffer
         steps = [(*step, buf[: step[0].size].reshape(step[0].shape),
                   buf.view(bool)[: step[0].size].reshape(step[0].shape)) for step in steps]
 
-        def hook(lo, hi, differs, mask) -> None:
+        def hook(lo, hi, differs) -> None:
             """Hook the larger root of each differing pair under the smaller,
             a block of pairs at a time, by a scatter-min; a pair whose root
             lies below start takes the minimum into both ends instead."""
-            n = min(lo.size, block)
-            low, top, own = lows[:n], tops[:n], spare[:n]
-            for x, (lo, hi) in enumerate(zip(_chunks(lo, block), _chunks(hi, block))):
-                pairs = differs.reshape(-1)[x * n : (x + 1) * n]
-                if n < differs.size and not pairs.any():
-                    continue
-                np.maximum(lo, hi, out=top.reshape(lo.shape))
-                np.minimum(lo, hi, out=low.reshape(lo.shape))
-                # a pair whose ends agree hooks its root to itself, which
-                # changes nothing since label[s] <= s; so does a position
-                # sent to hook `start` to itself, or its root to itself
+            for lo, hi, pairs in zip(*(_chunks(x, block) for x in (lo, hi, differs))):
+                x, y = lo[pairs], hi[pairs]
+                top, low = np.maximum(x, y), np.minimum(x, y, out=x)
                 if start:
-                    np.greater_equal(top, start, out=own)
-                    np.logical_and(own, pairs, out=own)
-                    # the differing pairs whose root is below start
-                    np.logical_xor(pairs, own, out=pairs)
-                    if pairs.any():
-                        np.copyto(lo, low.reshape(lo.shape), where=pairs.reshape(lo.shape))
-                        np.copyto(hi, low.reshape(lo.shape), where=pairs.reshape(lo.shape))
-                    idle = np.logical_not(own, out=own)
-                    np.copyto(top, start, where=idle)
-                    np.copyto(low, start, where=idle)
-                elif mask is not None:
-                    # a state the move does not pair hooks nothing
-                    np.copyto(low, top, where=np.logical_not(pairs, out=pairs))
+                    own = top >= start
+                    if not own.all():
+                        # the differing pairs whose root is below start
+                        below = ~own
+                        pairs[pairs] = below
+                        lo[pairs] = hi[pairs] = low[below]
+                        top, low = top[own], low[own]
                 np.minimum.at(label, top, low)
 
         def sweep() -> bool:
@@ -373,7 +351,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                 if mask is not None:
                     np.logical_and(differs, mask, out=differs)
                 if differs.any():
-                    hook(lo, hi, differs, mask)
+                    hook(lo, hi, differs)
                     seen = True
             return seen
 
@@ -382,10 +360,9 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # part p owns the states from p * size on; labels are never above their
     # states, so a root below that is another part's.  The joined steps run
     # alone and hook any root
-    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]],
-                         index[p * block : (p + 1) * block], p * size)
+    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]], p * size)
                  for p, steps in enumerate(parts)]
-    sweep_joined = sweeper(joined, least, index[:block], 0)
+    sweep_joined = sweeper(joined, least, 0)
 
     def run(p: int) -> None:
         while changes:

@@ -124,12 +124,12 @@ def classes(ctx, target, reps, full, fmt):
         if spec.family in families.DEFERRED:
             raise DiagramError(f"{spec}: no published representative list")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
-    if fmt == "json":
-        # the newline echoed on its own: appending it would copy the table
-        click.echo(part.to_json(), nl=False)
-        click.echo()
-    elif fmt == "csv":
-        click.echo(part.to_csv(), nl=False)
+    if fmt != "text":
+        # echoed a block at a time, so the whole table is never one string
+        for block in part.json_blocks() if fmt == "json" else part.csv_blocks():
+            click.echo(block, nl=False)
+        if fmt == "json":
+            click.echo()
     else:
         order, leads = families.display_layout(spec, diagram) if spec else (None, False)
         click.echo(f"target={target} vertices={diagram.n_vertices} "

@@ -61,8 +61,12 @@ class Labeling:
 
     @classmethod
     def from_bits(cls, bits_seq) -> "Labeling":
+        """Vertex i labeled by entry i: 0 or 1, as an int or a string."""
         bits_seq = list(bits_seq)
-        packed = sum((int(b) & 1) << i for i, b in enumerate(bits_seq))
+        for i, b in enumerate(bits_seq):
+            if b not in (0, 1, "0", "1"):
+                raise DiagramError(f"labeling entry {i} is {b!r}, not 0 or 1")
+        packed = sum(int(b) << i for i, b in enumerate(bits_seq))
         return cls(len(bits_seq), packed)
 
     def __getitem__(self, i: int) -> int:

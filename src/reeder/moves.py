@@ -816,18 +816,30 @@ class ClassPartition:
                 b" -> class ", _digits(ids[block]), b"\n",
             ])])
 
-    def to_json(self) -> str:
-        """The class table as json.dumps(..., indent=2) writes it; nothing needs
-        escaping, as representatives are 0/1 strings, the rest ints and flags."""
+    def json_blocks(self):
+        """The class table as json.dumps(..., indent=2) writes it, with no
+        final newline: a head, _table_blocks' blocks and a tail.  Nothing
+        needs escaping, as representatives are 0/1 strings, the rest ints
+        and flags."""
         d = self.diagram
         free = ",".join(f"\n    {v}" for v in d.free_vertices)
-        head = _JSON_HEAD.format(d.n_vertices, f"[{free}\n  ]" if free else "[]", self.class_count)
-        return "".join([head, *self._table_blocks(_json_fields), "\n  ]\n}"])
+        yield _JSON_HEAD.format(d.n_vertices, f"[{free}\n  ]" if free else "[]", self.class_count)
+        yield from self._table_blocks(_json_fields)
+        yield "\n  ]\n}"
+
+    def csv_blocks(self):
+        """The class table as CSV, a header line and then _table_blocks'
+        blocks; no field holds a comma, a quote or a newline."""
+        yield "class,size,min_representative,components,is_singleton_fixed\n"
+        yield from self._table_blocks(_csv_fields)
+
+    def to_json(self) -> str:
+        """json_blocks joined."""
+        return "".join(self.json_blocks())
 
     def to_csv(self) -> str:
-        """The class table as CSV; no field holds a comma, a quote or a newline."""
-        head = "class,size,min_representative,components,is_singleton_fixed\n"
-        return "".join([head, *self._table_blocks(_csv_fields)])
+        """csv_blocks joined."""
+        return "".join(self.csv_blocks())
 
 
 def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:

@@ -451,6 +451,26 @@ def test_classes_output_unchanged(runner, tmp_path, target):
         assert hashlib.sha256(out.encode()).hexdigest() == want, (target, flags)
 
 
+@pytest.mark.parametrize("block", [moves._RENDER_BLOCK, 3])
+@pytest.mark.parametrize("target", ["flower:10", "Dbox_1:11", "A:1"])
+def test_classes_json_csv_streamed(runner, monkeypatch, target, block):
+    """classes --format json|csv echoes the table's blocks as they come, and
+    never joins it into one string through to_json or to_csv."""
+    monkeypatch.setattr(moves, "_RENDER_BLOCK", block)
+    part = moves.enumerate_classes(families.construct(families.parse_family(target)))
+    want = {"json": part.to_json() + "\n", "csv": part.to_csv()}
+
+    def joined(self):
+        raise AssertionError("the whole table joined into one string")
+
+    monkeypatch.setattr(moves.ClassPartition, "to_json", joined)
+    monkeypatch.setattr(moves.ClassPartition, "to_csv", joined)
+    for fmt, text in want.items():
+        res = runner.invoke(main, ["classes", target, "--format", fmt])
+        assert res.exit_code == 0, res.output
+        assert res.stdout_bytes == text.encode(), (target, fmt)
+
+
 # -- census ----------------------------------------------------------------
 
 

@@ -260,6 +260,17 @@ def test_diagram_labeling_validation():
     assert d.labeling(d.pinned_bits).bits == d.pinned_bits
 
 
+def test_labeling_from_bits_takes_only_zeros_and_ones():
+    assert Labeling.from_bits("10000").bits == 0b00001
+    assert Labeling.from_bits([True, 0, "1"]).bits == 0b101
+    for bits in ([2, 1], [0, -1], ["2"], ["01"], [1, None], ["", 0]):
+        with pytest.raises(DiagramError, match="not 0 or 1"):
+            Labeling.from_bits(bits)
+    # a stray 2 was read as its low bit, 0, and named class 0
+    with pytest.raises(DiagramError, match="entry 0 is 2"):
+        moves.enumerate_classes(fam("A:3")).class_of([2, 0, 0])
+
+
 def test_disjoint_union_shifts_indices():
     a = fam("Abox:2")
     b = fam("A:2")

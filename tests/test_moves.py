@@ -1144,11 +1144,13 @@ def test_split_kernel_hooks_only_its_own_roots():
     labels of its own half, so the parts never write one label while both
     sweep; inside it the joined steps hook any root.  On the sigma tables
     of D:12 and of affD:9, whose moves at the top vertex's neighbors flip
-    the top bit."""
+    the top bit, and on the Reeder tables of affD:12, where part 1 hooks
+    roots of its own half."""
     minimum = np.minimum
     caller = threading.current_thread()
     watched = Watched()
     targets = collections.defaultdict(list)
+    hooked = collections.Counter()
 
     class Recorded:
         def __call__(self, *args, **kwargs):
@@ -1159,15 +1161,19 @@ def test_split_kernel_hooks_only_its_own_roots():
             targets[key].append(indices.copy())
             return minimum.at(a, indices, values)
 
-    for target in ("D:12", "affD:9"):
-        a, b, c = _sigma_tables(fam(target))
+    for target, tables in (("D:12", _sigma_tables), ("affD:9", _sigma_tables),
+                           ("affD:12", moves._move_tables)):
+        a, b, c = tables(fam(target))
         half = 1 << (len(a) - 1)
         targets.clear()
         with watched.watch(), split_kernel(), mock.patch.object(np, "minimum", Recorded()):
             _kernel.orbit_roots(1 << len(a), a, b, c)
-        mine, theirs = np.concatenate(targets[True]), np.concatenate(targets[False])
-        assert mine.max() < half <= theirs.min(), target
-        assert targets["action"], target
+        mine, theirs, acted = (np.concatenate([np.empty(0, np.intp), *targets[key]])
+                               for key in (True, False, "action"))
+        assert np.all(mine < half), target
+        assert np.all(theirs >= half), target
+        hooked.update({"part 0": mine.size, "part 1": theirs.size, "action": acted.size})
+    assert all(hooked[key] for key in ("part 0", "part 1", "action")), hooked
 
 
 def test_one_cpu_starts_no_thread():
