@@ -48,33 +48,32 @@ only while some label that pointed into the block still changes, at most
 f + 1 gathers.  The result is the int32 label array itself, so f <= 31.
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
-work is cut in two parts on the top state bit (axis 0), each run by its own
-thread, since numpy releases the interpreter lock inside its loops.  Part p
-owns the states whose top bit is p.  A pair of views that leaves axis 0 free
-is cut into its two halves, and one that fixes axis 0 goes whole to its
-part; each part sweeps its pairs in Gauss-Seidel order with no barrier
-between them.  Only a pair that flips the top bit (of one Reeder move, or of
-the sigma moves at the top vertex's neighbors) joins both halves.  It goes
-whole into the joined steps, which open every sweep while no part sweeps:
-before the first in the caller, before any thread starts, and before each
-later one in the barrier that ends the sweep before.  Run last in a sweep
-instead, they cost most Reeder families a sweep more.  That barrier, the
-only one, folds whether a pair of each part, or a joined one, differed, so
-the parts stop together.  Whichever part reaches it last runs the round of
-pointer jumps over all the states, as one part does, and then the joined
-steps, while the other part waits.  The gathers run through an intp block,
-so no intp copy of the whole label array is made.  Hooks write labels of
-roots, not of the step's ends.  Labels never exceed their states, so part
-0's roots lie in its own half; the joined steps run alone; both hook any
-root.  Part 1 hooks only a pair whose larger root lies in its own half,
-since a root below it is part 0's, and every other pair of its own that
-differs takes the minimum into both ends as the first sweep does.  While
-both parts sweep, no part then writes a label that the other reads, and the
-roots, the sweeps and the jumps repeat from run to run; the sweeps may
-differ from one part's, since part 1 hooks fewer pairs and the joined steps
-run at other points of each sweep.
-Below the threshold one part runs the same loop with no thread started and
-no barrier.  The roots are the same either way.  Memory is about 6 bytes
+work is cut in two parts on the top state bit (axis 0), since numpy releases
+the interpreter lock inside its loops.  Part p owns the states whose top bit
+is p.  A pair of views that leaves axis 0 free is cut into its two halves,
+and one that fixes axis 0 goes whole to its part; each part sweeps its pairs
+in Gauss-Seidel order, with no wait between them.  Only a pair that flips
+the top bit (of one Reeder move, or of the sigma moves at the top vertex's
+neighbors) joins both halves.  It goes whole into the joined steps, which
+open every sweep while no part sweeps.  Run last in a sweep instead, they
+cost most Reeder families a sweep more.  Each sweep forks and joins: part 0
+sweeps in the caller while a one-thread pool sweeps part 1, and the caller
+then waits for part 1's result, so the caller alone learns whether a pair of
+either part, or a joined one, differed, and the parts stop together.  Then,
+while no part sweeps, the caller runs the round of pointer jumps over all
+the states, as one part does, and the joined steps of the next sweep.  The
+gathers run through an intp block, so no intp copy of the whole label array
+is made.  Hooks write labels of roots, not of the step's ends.  Labels never
+exceed their states, so part 0's roots lie in its own half; the joined steps
+run alone; both hook any root.  Part 1 hooks only a pair whose larger root
+lies in its own half, since a root below it is part 0's, and every other
+pair of its own that differs takes the minimum into both ends as the first
+sweep does.  While both parts sweep, no part then writes a label that the
+other reads, and the roots, the sweeps and the jumps repeat from run to run;
+the sweeps may differ from one part's, since part 1 hooks fewer pairs and
+the joined steps run at other points of each sweep.
+Below the threshold the caller runs the same loop alone, with no pool and
+no thread.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
 gather into) plus one bool edge mask over half the states per masked move.
 Each part's steps take its own slice of the minimum buffer, and the joined
@@ -86,9 +85,9 @@ and lower ends, and scatters only them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -104,10 +103,10 @@ HAVE_NUMBA = False
 _MASK_BITS = 7
 
 # from this many states on, two parts split the work on the top state bit when
-# the process may run on two CPUs.  Below it their barrier and interpreter-lock
-# hand-offs cost about what the second CPU saves on a quiet host (20% less
-# time at f = 18, 25% more at f = 17), and up to twice the one-part time when
-# the host delays thread wake-ups
+# the process may run on two CPUs.  Below it a sweep's fork-join and the
+# interpreter lock's hand-offs cost about what the second CPU saves on a quiet
+# host (20% less time at f = 18, 25% more at f = 17), and up to twice the
+# one-part time when the host delays thread wake-ups
 _SPLIT_STATES = 1 << 19
 
 # indices per block of a gather.  The pointer jumps, and the hooks, take
@@ -231,11 +230,11 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     """Lower every label to its class minimum, in place.  parts holds each
     part's steps, then the joined steps: part p owns the p-th of
     len(parts) - 1 equal slices of label, part 0 runs in the caller's thread
-    and each other part in a thread of its own.  The joined steps open every
-    sweep while no part sweeps: in the caller before the first, and in the
-    barrier that ends each sweep before the next.  Returns the number of
-    sweeps and of pointer jumps run, the jumps of a round counting the
-    gathers of the block that took the most."""
+    and each other part in a pool's thread, forked and joined once per sweep.
+    The joined steps open every sweep in the caller while no part sweeps:
+    before the first, and after the join and the pointer jumps that end the
+    sweep before.  Returns the number of sweeps and of pointer jumps run, the
+    jumps of a round counting the gathers of the block that took the most."""
     *parts, joined = parts
     n_parts = len(parts)
     size = len(label) // n_parts
@@ -258,11 +257,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # arena once freed
     index = np.empty(block, dtype=np.intp)
     got = least[:block]
-    # whether a pair of each part's, and of the joined steps, differed in
-    # the last sweep
-    differed = [False] * (n_parts + 1)
     sweeps = jumps = 0
-    changes = True
 
     def resolve(x: slice) -> int:
         """Point every label of block x at its root, given that each label
@@ -287,23 +282,6 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         # each gather halves a chain inside the block, so ceil(log2 block)
         # + 1 <= f + 1 gathers settle it
         raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
-
-    def end_sweep() -> None:
-        """Count the sweep and, if a pair differed, run one round of pointer
-        jumps and the joined steps of the next sweep, while every part
-        waits.  label[s] <= s stays in s's class, so one increasing pass
-        points every label at its root: the labels below a block already
-        do."""
-        nonlocal sweeps, jumps, changes
-        sweeps += 1
-        changes = any(differed)
-        if changes:
-            jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
-            differed[-1] = sweep_joined()
-
-    # the last part at the barrier runs end_sweep; a part alone calls it
-    barrier = threading.Barrier(n_parts, action=end_sweep) if n_parts > 1 else None
-    end = barrier.wait if barrier else end_sweep
 
     def sweeper(steps: list, buf, start: int):
         """A sweep of steps through minimum buffer buf, hooking only roots
@@ -364,38 +342,30 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                  for p, steps in enumerate(parts)]
     sweep_joined = sweeper(joined, least, 0)
 
-    def run(p: int) -> None:
-        while changes:
-            differed[p] = sweeps_of[p]()
-            end()
+    # part 0 sweeps in the caller, each other part in a pool's thread.  The
+    # pool's import costs about 5 ms and 0.4 MB, so one part skips both
+    pool = contextlib.nullcontext()
+    if n_parts > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    differed[-1] = sweep_joined()
-    if n_parts == 1:
-        run(0)
-        return sweeps, jumps
-    errors = []
-
-    def part(p: int) -> None:
-        try:
-            run(p)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=part, args=(p,)) for p in range(1, n_parts)]
-    for thread in threads:
-        thread.start()
-    try:
-        part(0)  # the parts run in step
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        # a part stopped by an aborted barrier raised BrokenBarrierError;
-        # raise the error that aborted it
-        errors.sort(key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
-        raise errors[0]
-    return sweeps, jumps
+        pool = ThreadPoolExecutor(n_parts - 1)
+    with pool:
+        # the caller opens the first sweep alone with the joined steps
+        differed = sweep_joined()
+        while True:
+            others = [pool.submit(sweep) for sweep in sweeps_of[1:]]
+            differed |= sweeps_of[0]()
+            # the list joins every part, not only up to one whose pair differed
+            differed |= any([other.result() for other in others])
+            sweeps += 1
+            if not differed:
+                return sweeps, jumps
+            # while no part sweeps: a round of pointer jumps, then the next
+            # sweep's joined steps.  label[s] <= s stays in s's class, so one
+            # increasing pass points every label at its root: those below a
+            # block already do
+            jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
+            differed = sweep_joined()
 
 
 # int32 labels hold the indices of at most 2^31 states

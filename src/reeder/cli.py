@@ -95,10 +95,10 @@ def count(ctx, target, formula):
 
 
 def _echo_blocks(blocks) -> None:
-    """Echo rendered blocks of lines, one click.echo per block; echo writes
-    back each block's last newline."""
+    """Echo rendered blocks of lines as they come, one click.echo per block,
+    so the whole table is never one string."""
     for block in blocks:
-        click.echo(block[:-1])
+        click.echo(block, nl=False)
 
 
 @main.command()
@@ -125,9 +125,7 @@ def classes(ctx, target, reps, full, fmt):
             raise DiagramError(f"{spec}: no published representative list")
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt != "text":
-        # echoed a block at a time, so the whole table is never one string
-        for block in part.json_blocks() if fmt == "json" else part.csv_blocks():
-            click.echo(block, nl=False)
+        _echo_blocks(part.json_blocks() if fmt == "json" else part.csv_blocks())
         if fmt == "json":
             click.echo()
     else:

@@ -305,7 +305,7 @@ def parse_dsl(text: str) -> Diagram:
     One declaration per line; '#' starts a comment:
         vertices N
         edge U V [mult=M] [dir=U>V]    (dir names the longer vertex first;
-                                        required iff M is even)
+                                        required if M is even, else refused)
         pin P
     """
     n_vertices = None
@@ -357,6 +357,8 @@ def parse_dsl(text: str) -> Diagram:
             if direction is not None:
                 if set(direction) != {u, v}:
                     err(lineno, f"dir= must name vertices {u} and {v}")
+                if mult % 2:
+                    err(lineno, f"edge {u} {v}: dir= needs an even multiplicity")
                 u, v = direction
             try:
                 edge = Edge(u, v, mult, directed=mult % 2 == 0)

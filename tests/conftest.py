@@ -8,9 +8,7 @@ rank by dense numpy elimination.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -87,23 +85,14 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))
 
 
-# seconds a part of the split kernel may wait at one barrier in the tests
-BARRIER_TIMEOUT = 30
-
-
 @contextmanager
 def split_kernel(threshold: int = 4):
     """Run the orbit kernel's two-part split from threshold states on (from
-    f = 2 on by default), as on a process allowed two CPUs.  Its barriers
-    wait at most BARRIER_TIMEOUT seconds, so a part that skips a wait()
-    breaks the barrier and the call raises BrokenBarrierError, rather than
-    leaving the other part waiting forever."""
+    f = 2 on by default), as on a process allowed two CPUs."""
     from reeder import _kernel
 
-    barrier = partial(threading.Barrier, timeout=BARRIER_TIMEOUT)
     with mock.patch.object(_kernel, "_SPLIT_STATES", threshold), \
-            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0, 1}), \
-            mock.patch.object(_kernel.threading, "Barrier", barrier):
+            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0, 1}):
         yield
 
 

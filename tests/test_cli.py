@@ -6,12 +6,16 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import reeder
 from reeder import families, moves
 from reeder.cli import main
 from reeder.f2 import F2Matrix
@@ -106,6 +110,21 @@ def test_count_far_over_the_cap_exit_4(runner):
     res = runner.invoke(main, ["count", "A:20000"], env={"REEDER_MAX_VERTICES": None})
     assert res.exit_code == 4, res.output
     assert "20000 free vertices exceed the cap of 26: would require 2^20000 states" in res.stderr
+
+
+def test_one_part_count_never_imports_the_pool():
+    """The kernel imports its thread pool only for a two-part call, so a
+    fresh interpreter that runs `count A:4` never loads concurrent.futures,
+    whose import costs about 5 ms and 0.4 MB."""
+    code = ("import sys\nfrom reeder.cli import main\n"
+            "try:\n    main(['count', 'A:4'])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    src = str(Path(reeder.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["3", "False"]
 
 
 @pytest.mark.parametrize("args", [["count", "A:100000000"],
@@ -366,7 +385,8 @@ def test_class_table_matches_oracle(runner, tmp_path, monkeypatch, target):
         ]
         # after the header, one echo per block of lines, which may end mid-class
         body = full.splitlines()[2:]
-        assert echoed[2:] == ["\n".join(body[i : i + block]) for i in range(0, len(body), block)]
+        assert echoed[2:] == ["".join(f"{line}\n" for line in body[i : i + block])
+                              for i in range(0, len(body), block)]
 
         if spec is not None:
             res = runner.invoke(main, ["classes", target, "--reps"])

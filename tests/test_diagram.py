@@ -310,6 +310,10 @@ def test_parse_dsl_direction_orientation():
         ("vertices 2\nvertices 3\n", "line 2"),
         ("vertices 2\nedge 0 1 mult=2\n", "dir="),
         ("vertices 2\nedge 0 1 dir=0>2\n", "dir= must name"),
+        # an arrow on an odd edge would be dropped
+        ("vertices 2\nedge 0 1 dir=1>0\n", "line 2: edge 0 1: dir= needs an even multiplicity"),
+        ("vertices 2\nedge 0 1 mult=3 dir=1>0\n",
+         "line 2: edge 0 1: dir= needs an even multiplicity"),
         ("vertices 2\nedge 0 5\n", "out of range"),
         ("vertices 2\nedge 0 1\nedge 1 0\n", "duplicate"),
         ("vertices 3\nedge 1 5\n", "line 2: edge 1-5: endpoint out of range"),

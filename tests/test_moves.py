@@ -2,6 +2,7 @@
 Python BFS oracle."""
 
 import collections
+import concurrent.futures
 import contextlib
 import json
 import sys
@@ -1082,7 +1083,7 @@ def test_hooks_match_oracle_on_random_graphs(d):
 
 
 def test_hooks_repeat_in_two_parts():
-    """Two parts write disjoint labels between barriers, so three runs give
+    """Two parts write disjoint labels between joins, so three runs give
     the same roots, sweeps and jumps: on the sigma tables of D:12, and on
     the Reeder tables of a pinned 12-vertex graph with chords and a double
     edge."""
@@ -1105,47 +1106,54 @@ def test_hooks_repeat_in_two_parts():
 
 
 class Watched:
-    """Barriers that count how many are built and each thread's waits, and
-    hold `acting` true while a barrier's action runs, patched in by
-    watch()."""
+    """Thread pools that count how many are built, the sweeps submitted to
+    them and the caller's joins, patched in by watch().  `alone` holds in
+    the thread that built the pool while every sweep submitted to it is
+    joined: there the kernel may run its pointer jumps and joined steps."""
 
     def __init__(self):
-        self.built = 0
-        self.waits = collections.Counter()
-        self.acting = False
+        self.built = self.submitted = self.joins = 0
+        self.caller = None
+
+    @property
+    def alone(self) -> bool:
+        return threading.get_ident() == self.caller and self.joins == self.submitted
 
     @contextlib.contextmanager
     def watch(self):
         watched = self
 
-        class Barrier(threading.Barrier):
-            def __init__(self, parties, action=None, timeout=None):
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
                 watched.built += 1
+                watched.caller = threading.get_ident()
+                super().__init__(*args, **kwargs)
 
-                def act():
-                    watched.acting = True
+            def submit(self, fn, /, *args, **kwargs):
+                watched.submitted += 1
+                future = super().submit(fn, *args, **kwargs)
+                result = future.result
+
+                def joined(timeout=None):
                     try:
-                        action()
+                        return result(timeout)
                     finally:
-                        watched.acting = False
+                        watched.joins += 1
 
-                super().__init__(parties, action and act, timeout)
+                future.result = joined
+                return future
 
-            def wait(self, timeout=None):
-                watched.waits[threading.get_ident()] += 1
-                return super().wait(timeout)
-
-        with mock.patch.object(_kernel.threading, "Barrier", Barrier):
+        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Pool):
             yield self
 
 
 def test_split_kernel_hooks_only_its_own_roots():
-    """Outside the barrier's action each part's scatter-min writes only
-    labels of its own half, so the parts never write one label while both
-    sweep; inside it the joined steps hook any root.  On the sigma tables
-    of D:12 and of affD:9, whose moves at the top vertex's neighbors flip
-    the top bit, and on the Reeder tables of affD:12, where part 1 hooks
-    roots of its own half."""
+    """While a part sweeps, each part's scatter-min writes only labels of
+    its own half, so the parts never write one label while both sweep; the
+    joined steps, which run in the caller once every part is joined, hook
+    any root.  On the sigma tables of D:12 and of affD:9, whose moves at the
+    top vertex's neighbors flip the top bit, and on the Reeder tables of
+    affD:12, where part 1 hooks roots of its own half."""
     minimum = np.minimum
     caller = threading.current_thread()
     watched = Watched()
@@ -1157,7 +1165,7 @@ def test_split_kernel_hooks_only_its_own_roots():
             return minimum(*args, **kwargs)
 
         def at(self, a, indices, values):
-            key = "action" if watched.acting else threading.current_thread() is caller
+            key = "joined" if watched.alone else threading.current_thread() is caller
             targets[key].append(indices.copy())
             return minimum.at(a, indices, values)
 
@@ -1168,21 +1176,26 @@ def test_split_kernel_hooks_only_its_own_roots():
         targets.clear()
         with watched.watch(), split_kernel(), mock.patch.object(np, "minimum", Recorded()):
             _kernel.orbit_roots(1 << len(a), a, b, c)
-        mine, theirs, acted = (np.concatenate([np.empty(0, np.intp), *targets[key]])
-                               for key in (True, False, "action"))
+        mine, theirs, joined = (np.concatenate([np.empty(0, np.intp), *targets[key]])
+                                for key in (True, False, "joined"))
         assert np.all(mine < half), target
         assert np.all(theirs >= half), target
-        hooked.update({"part 0": mine.size, "part 1": theirs.size, "action": acted.size})
-    assert all(hooked[key] for key in ("part 0", "part 1", "action")), hooked
+        hooked.update({"part 0": mine.size, "part 1": theirs.size, "joined": joined.size})
+    assert all(hooked[key] for key in ("part 0", "part 1", "joined")), hooked
 
 
 def test_one_cpu_starts_no_thread():
+    """A process allowed one CPU runs the kernel in one part, with the same
+    roots, and builds no pool and starts no thread."""
     d = fam("B:10")
     a, b, c = moves._move_tables(d)
     want = _kernel.orbit_roots(1 << 10, a, b, c)
-    with split_kernel(), mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0}), \
-            mock.patch.object(_kernel.threading, "Thread", side_effect=AssertionError("a thread")):
+    watched = Watched()
+    with watched.watch(), split_kernel(), \
+            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0}), \
+            mock.patch.object(threading, "Thread", side_effect=AssertionError("a thread")):
         assert np.array_equal(_kernel.orbit_roots(1 << 10, a, b, c), want)
+    assert watched.built == 0
 
 
 def raised_in_caller(a, b, c, name: str, failing) -> list:
@@ -1221,8 +1234,8 @@ def raised_in_caller(a, b, c, name: str, failing) -> list:
 
 @pytest.mark.parametrize("failing_part", [0, 1])
 def test_split_kernel_error_reaches_caller(failing_part):
-    """An error in either part's sweep aborts the other at its next barrier
-    and is raised in the caller, with no thread left behind."""
+    """An error in either part's sweep is raised in the caller once the
+    other part's sweep ends, with no thread left behind."""
     a, b, c = moves._move_tables(fam("B:10"))
 
     def failing(caller):
@@ -1232,39 +1245,42 @@ def test_split_kernel_error_reaches_caller(failing_part):
 
 
 def test_split_kernel_jump_error_reaches_caller():
-    """An error in the round of pointer jumps, which runs in whichever part
-    reaches the end of the sweep last, is raised in the caller, with no
-    thread left behind."""
+    """An error in the round of pointer jumps, which runs in the caller once
+    part 1's sweep is joined, is raised in the caller, with no thread left
+    behind."""
     a, b, c = moves._move_tables(fam("B:10"))
     assert raised_in_caller(a, b, c, "take", lambda caller: True) == ["injected"]
 
 
 def test_split_kernel_joined_step_error_reaches_caller():
-    """An error in a joined step, which from the second sweep on runs inside
-    the barrier's action, is raised in the caller, with no thread left
-    behind: on the sigma tables of D:12, whose joined steps hook."""
+    """An error in a joined step, which from the second sweep on runs in the
+    caller once part 1's sweep is joined, is raised in the caller, with no
+    thread left behind: on the sigma tables of D:12, whose joined steps
+    hook."""
     a, b, c = _sigma_tables(fam("D:12"))
     watched = Watched()
+
+    def failing(caller):
+        return watched.alone and watched.submitted > 0
+
     with watched.watch():
-        assert raised_in_caller(a, b, c, "minimum", lambda caller: watched.acting) == ["injected"]
+        assert raised_in_caller(a, b, c, "minimum", failing) == ["injected"]
 
 
-def test_split_kernel_one_barrier_per_sweep():
-    """A two-part call builds one barrier and passes it once per sweep in
-    each part.  The pointer jumps run only in its action, while the other
-    part waits, and so do the joined steps, but for those that open the
-    first sweep in the caller, before any part waits."""
+def test_split_kernel_one_join_per_sweep():
+    """A two-part call builds one pool, submits part 1's sweep to it once
+    per sweep and joins each.  The pointer jumps run only while every sweep
+    is joined, and so do the joined steps: those that open the first sweep
+    before any sweep is submitted, and later ones after a join."""
     a, b, c = moves._move_tables(fam("B:10"))
     watched = Watched()
-    caller = threading.get_ident()
-    calls = []  # (ufunc, first argument, in the action, in the caller before any wait)
+    calls = []  # (ufunc, first argument, alone, before any submit)
 
     def recorded(name):
         ufunc = getattr(np, name)
 
         def call(*args, **kwargs):
-            before = threading.get_ident() == caller and not watched.waits
-            calls.append((name, args[0], watched.acting, before))
+            calls.append((name, args[0], watched.alone, not watched.submitted))
             return ufunc(*args, **kwargs)
 
         return call
@@ -1284,18 +1300,18 @@ def test_split_kernel_one_barrier_per_sweep():
     joined = parts[-1]
     assert sweeps == 2 and jumps > 0 and joined
     assert watched.built == 1
-    assert sorted(watched.waits.values()) == [sweeps, sweeps]
-    assert all(acting for name, _, acting, _ in calls if name == "take")
-    on_joined = [(acting, before) for name, x, acting, before in calls
+    assert watched.submitted == watched.joins == sweeps
+    assert all(alone for name, _, alone, _ in calls if name == "take")
+    on_joined = [(alone, before) for name, x, alone, before in calls
                  if name != "take" and any(x is step[0] for step in joined)]
     # the joined steps' writes open the first sweep, and their comparisons
     # the second
-    assert set(on_joined) == {(False, True), (True, False)}
+    assert set(on_joined) == {(True, True), (True, False)}
 
 
 def test_split_kernel_under_thread_contention():
     """Four callers at once, eight parts on this machine's cores, switching
-    threads every microsecond: a barrier or flag race shows as a wrong root.
+    threads every microsecond: a race between the parts shows as a wrong root.
     The sigma moves of flower:9 give nine moves that flip the top bit."""
     tables = [moves._move_tables(fam(t)) for t in ("B:10", "flower:9", "affD:9")]
     tables.append(_sigma_tables(fam("flower:9")))
