@@ -133,12 +133,16 @@ def kernel_bytes(n_states: int, a, b) -> int:
     hooks hold at once per differing pair of a block.  Part 0 and the joined
     steps hold its int32 ends, of which the lower end reuses one, and its
     root (12).  Part 1 holds those, two bools of whether it owns the root,
-    and its owned roots and their lower ends (22).  Building a mask holds
-    less: an int32 state array and half-size temporaries, before the labels
-    exist.  The int32 result is the label array.
+    and its owned roots and their lower ends (22).  Each part's hook also
+    holds, during its np.minimum.at, a buffer in which numpy casts the int32
+    roots to intp: 8192 of them and the iterator, 70736 bytes traced (at
+    most 70 KB per part).  Building a mask holds less: an int32 state array
+    and half-size temporaries, before the labels exist.  The int32 result is
+    the label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    return 8 * n_states + n_masked * (n_states // 2) + (8 + 12 + 22) * _GATHER_BLOCK
+    hooks = (8 + 12 + 22) * _GATHER_BLOCK + 2 * (70 << 10)
+    return 8 * n_states + n_masked * (n_states // 2) + hooks
 
 
 def _move_pairs(f: int, a, b, c) -> list:

@@ -8,7 +8,6 @@ Pinned bits are stripped on encode and re-inserted (as 1) on decode.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +77,10 @@ def require_cap(f: int, cap: int | None = None, dimension: str = "") -> None:
     """
     cap = state_cap(cap)
     if f > cap:
-        what = f"{dimension} {f} exceeds" if dimension else f"{f} free vertices exceed"
+        if dimension:
+            what = f"{dimension} {f} exceeds"
+        else:
+            what = "1 free vertex exceeds" if f == 1 else f"{f} free vertices exceed"
         raise ResourceError(f"{what} the cap of {cap}: would require {_states_text(f)}")
 
 
@@ -310,8 +312,8 @@ def _relabeled(order, a, b, c):
 _COMPONENT_BLOCK_BYTES = 1 << 20
 # component_counts counts the cycle-space elements of graphs with at most this
 # many independent cycles and propagates labels past it: on 18-vertex random
-# graphs the two cost about the same at 9 cycles (see CHANGES.md), and the
-# 2^8 - 1 nonzero elements at 8 still fit in a uint8 tally
+# graphs with 8 cycles propagation takes about 3 times as long (see
+# CHANGES.md), and the 2^8 - 1 nonzero elements at 8 still fit in a uint8 tally
 _CYCLE_RANK_BOUND = 8
 
 
@@ -326,10 +328,10 @@ def component_counts(diagram: Diagram) -> np.ndarray:
 
     |S| - |E(S)| is a constant for the pinned vertices and the edges among
     them, plus 1 - p for each lit free bit with p pinned neighbours, minus
-    the free-free edges with both ends lit.  Those edges are counted in
-    groups, by bit distance d, popcount(s & s >> d & M_d), or by an endpoint
-    u of each, [bit u of s] * popcount(s & N_u), whichever grouping has
-    fewer groups: a path has one distance, the flower one centre.
+    the free-free edges with both ends lit.  It doubles one free bit j at a
+    time, from counts[0] = the constant: for every state s < 2^j,
+    counts[s + 2^j] = counts[s] + w_j - popcount(s & L_j), with w_j = 1 - p
+    for bit j and L_j the mask of its free neighbours below j.
     2^beta1(S) is the number of cycle-space elements whose free support lies
     inside s (_cycle_supports), so the nonzero ones inside s number
     2^beta1(S) - 1, whose popcount is beta1(S).
@@ -396,28 +398,6 @@ def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
     return supports
 
 
-def _edge_groups(pairs) -> tuple[bool, list[tuple[int, int]]]:
-    """The free-free edges (i, j), i < j, in the grouping with fewer groups:
-    (True, [(d, M_d)]), bit i of M_d set for each edge (i, i + d), or
-    (False, [(u, N_u)]), N_u the other ends of the edges given to u, each u
-    the least bit among those with the most edges not yet given."""
-    by_distance: dict[int, int] = {}
-    for i, j in pairs:
-        by_distance[j - i] = by_distance.get(j - i, 0) | 1 << i
-    stars, left = [], set(pairs)
-    while left and len(stars) < len(by_distance):
-        degree = Counter(x for pair in left for x in pair)
-        u = max(sorted(degree), key=degree.get)
-        mask = 0
-        for pair in [pair for pair in left if u in pair]:
-            mask |= 1 << (pair[0] + pair[1] - u)
-            left.remove(pair)
-        stars.append((u, mask))
-    if left or len(by_distance) <= len(stars):
-        return True, list(by_distance.items())
-    return False, stars
-
-
 def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray) -> None:
     """component_counts from the identity into counts, given the cycle
     supports of _cycle_supports.  The sums wrap in the unsigned int of the
@@ -425,61 +405,44 @@ def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray
     bit = {v: j for j, v in enumerate(diagram.free_vertices)}
     f = len(bit)
     const = len(diagram.pinned)
-    weight = [1] * f
-    pairs = []
+    weight, below = [1] * f, [0] * f
     for e in diagram.edges:
         ends = sorted(bit[x] for x in (e.u, e.v) if x in bit)
         if len(ends) == 2:
-            pairs.append(tuple(ends))
+            below[ends[1]] |= 1 << ends[0]
         elif ends:
             weight[ends[0]] -= 1
         else:
             const -= 1
-    by_weight: dict[int, int] = {}
-    for j, w in enumerate(weight):
-        if w:
-            by_weight[w] = by_weight.get(w, 0) | 1 << j
-    by_distance, groups = _edge_groups(pairs)
 
     uint = np.dtype(f"u{counts.itemsize}")
     wrap = 1 << 8 * uint.itemsize
-    word = np.dtype(np.uint32 if f <= 32 else np.uint64)
-    # the states and a scratch word, a popcount, and the cycle tally and hits
-    fit = _COMPONENT_BLOCK_BYTES // (2 * word.itemsize + uint.itemsize + 2)
+    # the low bits of the states and a scratch word, a popcount, and the
+    # cycle tally and hits
+    fit = _COMPONENT_BLOCK_BYTES // (2 * 4 + uint.itemsize + 2)
     k = min(f, max(fit.bit_length() - 1, 0))
     block = 1 << k
-    s, t = np.arange(block, dtype=word), np.empty(block, word)
+    s, t = np.arange(block, dtype=np.uint32), np.empty(block, np.uint32)
     pc = np.empty(block, uint)
     tally, hit = np.empty(block, np.uint8), np.empty(block, np.uint8)
     out = counts.view(uint)
+    # the recurrence of component_counts, a block at a time: of bit j's edges
+    # to lit lower bits, those to the block's high bits are one count per
+    # block, and those to its low bits the same popcounts in every block
+    out[0] = const % wrap
+    for j in range(f):
+        n = min(block, 1 << j)
+        near = below[j] & block - 1
+        if near:
+            np.bitwise_and(s[:n], near, out=t[:n])
+            np.bitwise_count(t[:n], out=pc[:n])
+        for low in range(0, 1 << j, n):
+            acc = out[(1 << j) + low :][:n]
+            np.add(out[low : low + n], (weight[j] - (low & below[j]).bit_count()) % wrap, out=acc)
+            if near:
+                acc -= pc[:n]
     for start in range(0, 1 << f, block):
-        if start:
-            s += block
         acc = out[start : start + block]
-        acc.fill(const % wrap)
-        for w, mask in by_weight.items():
-            np.bitwise_and(s, mask, out=t)
-            np.bitwise_count(t, out=pc)
-            if w != 1:
-                pc *= w % wrap
-            acc += pc
-        for u, mask in groups:
-            if by_distance:
-                np.right_shift(s, u, out=t)
-                t &= s
-                t &= mask
-                np.bitwise_count(t, out=pc)
-                acc -= pc
-                continue
-            if u >= k:  # bit u is the same across the block
-                if not start >> u & 1:
-                    continue
-                sv, tv, pv, av = s, t, pc, acc
-            else:  # the half of the block with bit u set
-                sv, tv, pv, av = (x.reshape(-1, 2, 1 << u)[:, 1] for x in (s, t, pc, acc))
-            np.bitwise_and(sv, mask, out=tv)
-            np.bitwise_count(tv, out=pv)
-            av -= pv
         # supports with a high bit the block lacks are never inside its
         # states, and those with none below bit k always are
         live, inside = [], 0

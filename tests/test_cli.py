@@ -93,6 +93,10 @@ def test_count_cap_exit_4(runner):
         main, ["count", "A:10"], env={"REEDER_MAX_VERTICES": "3"}
     )
     assert res.exit_code == 4
+    assert "10 free vertices exceed the cap of 3" in res.stderr
+    res = runner.invoke(main, ["--max-vertices", "0", "count", "A:1"])
+    assert res.exit_code == 4
+    assert "1 free vertex exceeds the cap of 0: would require 2 states" in res.stderr
 
 
 def test_count_memory_short_exit_4(runner, monkeypatch):

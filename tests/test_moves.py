@@ -287,16 +287,20 @@ def test_component_counts_either_side_of_the_bound(d, path, monkeypatch):
 
 
 def test_component_counts_peak():
-    """int8 counts and one block's buffers."""
-    d = fam("B:18")
-    tracemalloc.start()
-    try:
-        counts = moves.component_counts(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.dtype == np.int8
-    assert peak <= len(counts) + moves._COMPONENT_BLOCK_BYTES
+    """int8 counts and one block's buffers: on a path, on the flower's
+    high-degree centre, and with the cycle tally at 3 and at
+    _CYCLE_RANK_BOUND independent cycles."""
+    graphs = [fam("B:18"), fam("flower:17"), chorded_tree(18, 3, seed=0),
+              chorded_tree(18, BOUND, seed=1)]
+    for d in graphs:
+        tracemalloc.start()
+        try:
+            counts = moves.component_counts(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.dtype == np.int8
+        assert peak <= len(counts) + moves._COMPONENT_BLOCK_BYTES
 
 
 def test_component_histograms_peak():
