@@ -98,7 +98,9 @@ def _echo_blocks(blocks) -> None:
     """Echo rendered blocks of lines as they come, one click.echo per block,
     so the whole table is never one string."""
     for block in blocks:
-        click.echo(block, nl=False)
+        # color=True skips click's ANSI strip, a pass over every character:
+        # a block holds only digits, 0/1 labels and punctuation
+        click.echo(block, nl=False, color=True)
 
 
 @main.command()

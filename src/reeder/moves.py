@@ -172,11 +172,13 @@ def _label_chars(diagram: Diagram, states, order=None, leads: bool = False) -> n
     columns = list(range(n) if order is None else order)
     if leads:
         columns.insert(1, n)
-    chars = np.full((len(states), n + 1), ord("1"), dtype=np.uint8)
-    chars[:, n] = ord(";")
+    # built transposed, a row per vertex, so that every write is contiguous
+    chars = np.full((n + 1, len(states)), ord("1"), dtype=np.uint8)
+    chars[n] = ord(";")
     for j, v in enumerate(diagram.free_vertices):
-        chars[:, v] = ord("0") + (states >> j & 1)
-    return chars[:, columns]
+        np.bitwise_and(states >> j, 1, out=chars[v], casting="unsafe")
+        chars[v] |= ord("0")
+    return chars[columns].T
 
 
 def labeling_strings(diagram: Diagram, states, order=None):
@@ -516,17 +518,28 @@ def _propagated_counts(diagram: Diagram, counts: np.ndarray) -> None:
 
 
 def _digits(values) -> np.ndarray:
-    """Non-negative ints as right-aligned decimal digit rows, padded on the left."""
-    values = np.asarray(values, dtype=np.int64)[:, None]
-    powers = 10 ** np.arange(len(str(int(values.max(initial=0)))) - 1, -1, -1, dtype=np.int64)
-    digits = (values // powers % 10 + ord("0")).astype(np.uint8)
-    digits[:, :-1][values < powers[:-1]] = 0  # leading zeros; 0 keeps its digit
-    return digits
+    """Non-negative ints as right-aligned decimal digit rows, padded on the
+    left: one floor division by the scalar 10 per column, right to left."""
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max(initial=0))))
+    columns = np.empty((width, len(values)), dtype=np.uint8)
+    rest = values
+    for col in range(width - 1, -1, -1):
+        quotient = rest // 10
+        digit = columns[col]
+        np.subtract(rest, quotient * 10, out=digit, casting="unsafe")
+        digit |= ord("0")
+        if col < width - 1:
+            digit *= rest != 0  # leading zeros; 0 keeps its digit
+        rest = quotient
+    return columns.T
 
 
 def _when(mask, text: bytes) -> np.ndarray:
     """text on the rows where mask holds, pad on the others."""
-    return np.where(mask[:, None], np.frombuffer(text, dtype=np.uint8), np.uint8(0))
+    out = np.zeros((len(mask), len(text)), dtype=np.uint8)
+    out[mask] = np.frombuffer(text, dtype=np.uint8)
+    return out
 
 
 def _compose(n_rows: int, groups) -> str:
@@ -535,7 +548,9 @@ def _compose(n_rows: int, groups) -> str:
     Each group (rows, fields) fills the next columns of the rows it names (an
     index array or a slice) with its fields side by side: uint8 matrices with
     one row per named row, or bytes that every named row holds.  Rows a group
-    does not name are padded in its columns.
+    does not name are padded in its columns.  A group's fields are laid side
+    by side in a matrix of their own, which goes into its rows in one
+    row-indexed write.
     """
     groups = [(rows, [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f
                       for f in fields]) for rows, fields in groups]
@@ -543,9 +558,10 @@ def _compose(n_rows: int, groups) -> str:
     out = np.zeros((n_rows, width), dtype=np.uint8)
     col = 0
     for rows, fields in groups:
-        for f in fields:
-            out[rows, col : col + f.shape[-1]] = f
-            col += f.shape[-1]
+        n = len(range(n_rows)[rows]) if isinstance(rows, slice) else len(rows)
+        matrix = np.concatenate([np.broadcast_to(f, (n, f.shape[-1])) for f in fields], axis=1)
+        out[rows, col : col + matrix.shape[1]] = matrix
+        col += matrix.shape[1]
     return out[out != 0].tobytes().decode("ascii")
 
 
@@ -730,23 +746,28 @@ class ClassPartition:
         order and leads lay out the labels, as in _label_chars."""
         sizes = self.sizes
         hist = self.component_histograms
+        width = hist.shape[1]
+        # the flat indices of the histograms' nonzero (k, count) pairs, found
+        # once for the table: class c's pairs are those in [c, c + 1) * width
+        flat = np.flatnonzero(hist != 0)  # faster than over the int64 counts
         lines = sizes + 1 if full else np.ones_like(sizes)
         head_line = np.cumsum(lines) - lines  # the line of each class
         total = int(head_line[-1] + lines[-1])
         for a in range(0, total, _RENDER_BLOCK):
             b = min(a + _RENDER_BLOCK, total)
             c0, c1 = np.searchsorted(head_line, [a, b]).tolist()
+            i0, i1 = np.searchsorted(flat, [c0 * width, c1 * width]).tolist()
+            pc, k = np.divmod(flat[i0:i1], width)
+            pc -= c0
             # each (k, count) pair of a class takes a row, the first also
             # holding the class's head and the last its tail
-            pc, k = np.nonzero(hist[c0:c1])
-            per_class = np.bincount(pc, minlength=c1 - c0)
-            ends = np.cumsum(per_class)
-            starts = ends - per_class
-            pairs = np.arange(len(pc))
+            bounds = np.searchsorted(pc, np.arange(c1 - c0 + 1))
+            starts, ends = bounds[:-1], bounds[1:]
+            pairs = np.arange(i1 - i0)
             row = head_line[c0 + pc] - a - pc + pairs
             reps = _label_chars(self.diagram, self.rep_states[c0:c1], order, leads)
             head, pair, tail = fields(np.arange(c0, c1), sizes[c0:c1], reps,
-                                      k, hist[c0 + pc, k], pairs != starts[pc])
+                                      k, hist.reshape(-1)[flat[i0:i1]], pairs != starts[pc])
             groups = [(row[starts], head), (row, pair), (row[ends - 1], tail)]
             if full:
                 # a member's row is its line past the extra pair rows of its

@@ -495,6 +495,40 @@ def test_classes_json_csv_streamed(runner, monkeypatch, target, block):
         assert res.stdout_bytes == text.encode(), (target, fmt)
 
 
+@pytest.mark.parametrize("flags", [[], ["--full"], ["--reps"], ["--format", "json"],
+                                   ["--format", "csv"]])
+def test_classes_table_skips_the_ansi_strip(runner, monkeypatch, flags):
+    """click's ANSI strip sees only the header and trailer lines, never the
+    table's blocks, and the output is the rendered table."""
+    spec = families.parse_family("flower:12")
+    d = families.construct(spec)
+    part = moves.enumerate_classes(d)
+    order, leads = families.display_layout(spec, d)
+    if "--format" in flags:
+        want = part.to_json() + "\n" if "json" in flags else part.to_csv()
+    else:
+        want = (f"target=flower:12 vertices=13 free=13 classes={part.class_count}\n"
+                "class size min_rep components\n"
+                + "".join(part.text_blocks(order, leads, full="--full" in flags)))
+        if "--reps" in flags:
+            rep_set = families.canonical_representatives(spec)
+            states = moves.encode_states(d, rep_set.bits)
+            want += "".join(part.rep_blocks(rep_set.provenance, states, order, leads))
+            want += "representatives verified\n"
+    stripped = []
+    strip_ansi = click.utils.strip_ansi
+
+    def counted(value):
+        stripped.append(len(value))
+        return strip_ansi(value)
+
+    monkeypatch.setattr(click.utils, "strip_ansi", counted)
+    res = runner.invoke(main, ["classes", "flower:12", *flags])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == want
+    assert sum(stripped) < 200
+
+
 # -- census ----------------------------------------------------------------
 
 

@@ -678,6 +678,43 @@ def test_digit_boundary_partition():
     assert {9, 10, 99, 100, 999, 1000} <= set(part.component_histograms[:, 7].tolist())
 
 
+# every power-of-ten boundary up to 10^9, the largest class size at the
+# default cap and the largest int32
+DIGIT_VALUES = [0, *(10**e + d for e in range(1, 10) for d in (-1, 0)),
+                1 << moves.DEFAULT_CAP, (1 << 31) - 1]
+
+
+def test_digits_match_str():
+    """Right-aligned digits, pad bytes (0) on the left, in a matrix as wide
+    as the largest value: the values together, each alone, and none."""
+    for values in [DIGIT_VALUES, *([v] for v in DIGIT_VALUES)]:
+        width = len(str(max(values)))
+        digits = moves._digits(np.array(values))
+        assert digits.shape == (len(values), width)
+        assert [row.tobytes() for row in digits] == [
+            str(v).rjust(width, "\0").encode() for v in values
+        ]
+    assert moves._digits(np.array([], dtype=np.int64)).shape == (0, 1)
+
+
+def test_rendering_memory_stays_per_block():
+    """With the arrays of the class table cached, each rendering of
+    flower:17 holds a block or two at a time: its joined JSON is 10.4 MB."""
+    part = moves.enumerate_classes(fam("flower:17"))
+    part.sizes, part.component_histograms, part.member_states, part._member_ends
+    renders = [part.json_blocks, part.csv_blocks, part.text_blocks,
+               lambda: part.text_blocks(full=True)]
+    for render in renders:
+        tracemalloc.start()
+        try:
+            for block in render():
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+
 SMALL_RENDER_TARGETS = {
     "all-pinned": "vertices 3\nedge 0 1\nedge 1 2 mult=3\npin 0\npin 1\npin 2\n",
     "no-vertices": "vertices 0\n",  # one class, its representative empty
