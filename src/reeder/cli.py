@@ -167,6 +167,12 @@ def census(ctx, family_name, range_str, fmt, out):
         raise DiagramError(f"bad range {range_str!r}; expected a..b")
     if lo > hi:
         raise DiagramError(f"bad range {range_str!r}; expected a..b with a <= b")
+    # a bad family or parameter exits 2 before the cap is checked; the free
+    # vertices grow with the parameter, so the range's top is refused before
+    # any lower one is enumerated
+    families.parse_family(f"{family_name}:{lo}")
+    moves.require_cap(families.free_count(families.parse_family(f"{family_name}:{hi}")),
+                      ctx.obj["cap"])
     # no field holds a comma, a quote or a newline
     text = "family,param,vertices,formula,bruteforce,match,runtime_ms\n"
     any_mismatch = False

@@ -299,6 +299,12 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 # -- text DSL -------------------------------------------------------------
 
 
+def _is_number(text: str) -> bool:
+    """True iff text is a run of ASCII digits.  str.isdigit alone also takes
+    '²', which int() refuses, and '٣', which int() reads as 3."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_dsl(text: str) -> Diagram:
     """Parse the diagram DSL.
 
@@ -324,13 +330,13 @@ def parse_dsl(text: str) -> Diagram:
         if kw == "vertices":
             if n_vertices is not None:
                 err(lineno, "duplicate 'vertices' declaration")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 err(lineno, "expected 'vertices N'")
             n_vertices = int(parts[1])
         elif kw == "edge":
             if n_vertices is None:
                 err(lineno, "'vertices' must come first")
-            if len(parts) < 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) < 3 or not (_is_number(parts[1]) and _is_number(parts[2])):
                 err(lineno, "expected 'edge U V [mult=M] [dir=U>V]'")
             u, v = int(parts[1]), int(parts[2])
             if max(u, v) >= n_vertices:
@@ -339,13 +345,12 @@ def parse_dsl(text: str) -> Diagram:
             direction = None
             for opt in parts[3:]:
                 if opt.startswith("mult="):
-                    try:
-                        mult = int(opt[5:])
-                    except ValueError:
+                    if not _is_number(opt[5:].removeprefix("-")):
                         err(lineno, f"bad multiplicity {opt[5:]!r}")
+                    mult = int(opt[5:])
                 elif opt.startswith("dir="):
                     sides = opt[4:].split(">")
-                    if len(sides) != 2 or not all(s.isdigit() for s in sides):
+                    if len(sides) != 2 or not all(map(_is_number, sides)):
                         err(lineno, "expected dir=LONGER>SHORTER")
                     direction = (int(sides[0]), int(sides[1]))
                 else:
@@ -370,7 +375,7 @@ def parse_dsl(text: str) -> Diagram:
         elif kw == "pin":
             if n_vertices is None:
                 err(lineno, "'vertices' must come first")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 err(lineno, "expected 'pin P'")
             p = int(parts[1])
             if p >= n_vertices:

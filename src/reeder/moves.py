@@ -244,13 +244,16 @@ def _layout(a, b, c) -> list[int] | None:
     """The bit layout the kernel runs a diagram's moves (a, b, c) in: bit i
     of a state holds free bit order[i], or None for index order.
 
-    Index order stays when it is a connected-prefix order already: every free
-    bit but the least of its component has a neighbour at a lower bit, as on
-    the paper's families.  Otherwise the candidate is the DFS preorder of the
-    free effective graph, each component from one end of a longest path (the
-    farthest bit from its least bit), children in increasing bit order; it is
-    taken only if it lowers _strided_runs, which keeps the flower, whose
-    masked centre would fix a low bit, in index order.
+    The candidate is the DFS preorder of the free effective graph, each
+    component from one end of a longest path (the farthest bit from its
+    least bit), children in increasing bit order.  Index order stays when it
+    is a connected-prefix order already, as on the paper's families: every
+    free bit but the least of its component has a neighbour at a lower bit.
+    The least bit of a component never has one, so that holds exactly when
+    the bits with no lower neighbour number the components the DFS walks.
+    Otherwise the candidate is taken only if it lowers _strided_runs, which
+    keeps the flower, whose masked centre would fix a low bit, in index
+    order.
     """
     f = len(a)
     near = [set() for _ in range(f)]
@@ -261,23 +264,11 @@ def _layout(a, b, c) -> list[int] | None:
             am &= am - 1
             near[j].add(k)
             near[k].add(j)
-    # the least bit of each bit's component
-    least_of = [-1] * f
-    for least in range(f):
-        if least_of[least] < 0:
-            least_of[least] = least
-            stack = [least]
-            while stack:
-                for k in near[stack.pop()]:
-                    if least_of[k] < 0:
-                        least_of[k] = least
-                        stack.append(k)
-    if all(j == least_of[j] or min(near[j]) < j for j in range(f)):
-        return None
-    order, seen = [], [False] * f
+    order, seen, components = [], [False] * f, 0
     for least in range(f):
         if seen[least]:
             continue
+        components += 1
         # the farthest bit from the component's least bit, by breadth first
         dist = {least: 0}
         queue = [least]
@@ -296,6 +287,8 @@ def _layout(a, b, c) -> list[int] | None:
             order.append(j)
             # pushed so that the least child pops first
             stack += sorted((k for k in near[j] if not seen[k]), reverse=True)
+    if sum(not near[j] or min(near[j]) > j for j in range(f)) == components:
+        return None
     tables = _relabeled(order, a, b, c)
     return order if _strided_runs(*tables) < _strided_runs(a, b, c) else None
 
@@ -335,7 +328,8 @@ def component_counts(diagram: Diagram) -> np.ndarray:
     counts[s + 2^j] = counts[s] + w_j - popcount(s & L_j), with w_j = 1 - p
     for bit j and L_j the mask of its free neighbours below j.
     2^beta1(S) is the number of cycle-space elements whose free support lies
-    inside s (_cycle_supports), so the nonzero ones inside s number
+    inside s, the cycle space being the GF(2) nullspace of the vertex-edge
+    incidence matrix (_cycle_supports), so the nonzero ones inside s number
     2^beta1(S) - 1, whose popcount is beta1(S).
 
     Past _CYCLE_RANK_BOUND independent cycles the 2^k - 1 nonzero elements
@@ -359,34 +353,19 @@ def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
     number of elements that have it, or None past _CYCLE_RANK_BOUND
     independent cycles.
 
-    The elements are the sums of the fundamental cycles of a breadth-first
-    spanning forest, one per edge outside it, taken as edge sets; an
-    element's free support is the free bits of its edges' ends.
+    The cycle space is the GF(2) nullspace of the vertex-edge incidence
+    matrix (bit i of row v set when edge i touches v), its elements the sums
+    of a nullspace basis, taken as edge sets; an element's free support is
+    the free bits of its edges' ends.
     """
-    n = diagram.n_vertices
-    parent, depth = [-1] * n, [-1] * n
-    for root in range(n):
-        if depth[root] < 0:
-            depth[root] = 0
-            queue = [root]
-            for u in queue:
-                for v in diagram.neighbors(u):
-                    if depth[v] < 0:
-                        depth[v], parent[v] = depth[u] + 1, u
-                        queue.append(v)
-    chords = [e for e in diagram.edges if e.u != parent[e.v] and e.v != parent[e.u]]
-    if len(chords) > _CYCLE_RANK_BOUND:
+    if diagram.n_independent_cycles > _CYCLE_RANK_BOUND:
         return None
-    index = {e.pair: i for i, e in enumerate(diagram.edges)}
+    rows = [0] * diagram.n_vertices
+    for i, e in enumerate(diagram.edges):
+        rows[e.u] |= 1 << i
+        rows[e.v] |= 1 << i
     elements = [0]  # as masks of edge indices
-    for e in chords:
-        cycle = 1 << index[e.pair]
-        u, v = e.u, e.v
-        while u != v:  # up the forest to the ends' common ancestor
-            if depth[u] < depth[v]:
-                u, v = v, u
-            cycle |= 1 << index[frozenset((u, parent[u]))]
-            u = parent[u]
+    for cycle in F2Matrix(len(rows), len(diagram.edges), tuple(rows)).nullspace_basis():
         elements += [x ^ cycle for x in elements]
     bit = {v: 1 << j for j, v in enumerate(diagram.free_vertices)}
     ends = [bit.get(e.u, 0) | bit.get(e.v, 0) for e in diagram.edges]

@@ -86,6 +86,15 @@ def test_count_parse_errors_exit_2(runner, tmp_path):
     assert runner.invoke(main, ["count", str(bad)]).exit_code == 2
 
 
+def test_count_non_ascii_digit_exit_2(runner, tmp_path):
+    bad = tmp_path / "bad.dg"
+    bad.write_text("vertices ²\n")
+    res = runner.invoke(main, ["count", str(bad)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "line 1: expected 'vertices N'" in res.stderr
+
+
 def test_count_cap_exit_4(runner):
     res = runner.invoke(main, ["--max-vertices", "3", "count", "A:10"])
     assert res.exit_code == 4
@@ -550,6 +559,25 @@ def test_census_reversed_range_exit_2(runner):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "bad range '12..5'" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["--max-vertices", "20", "census", "--family", "A", "--range", "1..21"],
+                                  ["census", "--family", "A", "--range", "1..27"]])
+def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args):
+    calls, enumerate_classes = [], moves.enumerate_classes
+    monkeypatch.setattr(moves, "enumerate_classes",
+                        lambda *a, **k: calls.append(a) or enumerate_classes(*a, **k))
+    res = runner.invoke(main, args, env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert "free vertices exceed the cap" in res.stderr
+    assert calls == []
+
+
+def test_census_bad_bottom_exit_2_before_the_cap(runner):
+    res = runner.invoke(main, ["census", "--family", "D", "--range", "1..40"])
+    assert res.exit_code == 2
+    assert "family D requires an integer parameter >= 4" in res.stderr
 
 
 def test_census_deferred_family(runner):

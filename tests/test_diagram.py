@@ -2,7 +2,7 @@
 fixed labelings, and the text DSL."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reeder import families, moves
 from reeder.diagram import (
@@ -326,8 +326,48 @@ def test_parse_dsl_direction_orientation():
         ("vertices 2\nedge 0 1 mult=-2 dir=1>0\n", "line 2: edge 0 1: multiplicity must be >= 1"),
         ("vertices 2\nedge 0 1 mult=-2\n", "line 2: edge 0 1: multiplicity must be >= 1"),
         ("", "missing 'vertices'"),
+        # numbers are ASCII digits: str.isdigit takes '²' and '¹', which
+        # int() refuses, and int() reads '٣', '１' and '+2'
+        ("vertices ²\n", "^line 1: expected 'vertices N'"),
+        ("vertices 2\nedge 0 ¹\n", "^line 2: expected 'edge U V"),
+        ("vertices 2\nedge ¹ 0\n", "^line 2: expected 'edge U V"),
+        ("vertices 2\npin ²\n", "^line 2: expected 'pin P'"),
+        ("vertices 2\nedge 0 1 mult=2 dir=¹>0\n", "^line 2: expected dir=LONGER>SHORTER"),
+        ("vertices ٣\n", "^line 1: expected 'vertices N'"),
+        ("vertices 2\npin １\n", "^line 2: expected 'pin P'"),
+        ("vertices 2\nedge 0 1 mult=+2 dir=1>0\n", "^line 2: bad multiplicity '\\+2'"),
+        ("vertices 2\nedge 0 1 mult=٣\n", "^line 2: bad multiplicity"),
     ],
 )
 def test_parse_dsl_errors(text, needle):
     with pytest.raises(DiagramError, match=needle):
         parse_dsl(text)
+
+
+_DSL_TOKENS = st.one_of(
+    st.text("0123456789²¹٣１", min_size=1, max_size=3),
+    st.sampled_from(["mult=", "dir=", ">", "-", "#", "=", "x", "vertices", "edge", "pin"]),
+    st.text(max_size=4),
+)
+_DSL_LINES = st.builds(
+    lambda kw, words: " ".join([kw] + words),
+    st.sampled_from(["vertices", "edge", "pin"]),
+    st.lists(st.lists(_DSL_TOKENS, min_size=1, max_size=4).map("".join), max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([[], ["vertices 6"]]), st.lists(_DSL_LINES, max_size=6))
+@example([], ["vertices ²"])
+@example(["vertices 2"], ["edge 0 ¹"])
+@example(["vertices 2"], ["edge ¹ 0"])
+@example(["vertices 2"], ["pin ²"])
+@example(["vertices 2"], ["edge 0 1 mult=2 dir=¹>0"])
+def test_parse_dsl_returns_a_diagram_or_refuses(head, lines):
+    """Any text parses to a Diagram or raises DiagramError, never another
+    exception (a non-ASCII digit once reached int() and raised ValueError)."""
+    try:
+        d = parse_dsl("\n".join(head + lines))
+    except DiagramError:
+        return
+    assert isinstance(d, Diagram)
