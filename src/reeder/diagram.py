@@ -10,6 +10,7 @@ of vertex i.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -299,10 +300,15 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 # -- text DSL -------------------------------------------------------------
 
 
-def _is_number(text: str) -> bool:
-    """True iff text is a run of ASCII digits.  str.isdigit alone also takes
-    '²', which int() refuses, and '٣', which int() reads as 3."""
-    return text.isascii() and text.isdigit()
+def _number(text: str) -> int | None:
+    """text as an int if it is a run of ASCII digits that int() takes, else
+    None.  str.isdigit alone also takes '²', which int() refuses, and '٣',
+    which int() reads as 3; int() refuses a run of more digits than
+    sys.get_int_max_str_digits()."""
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    return None
 
 
 def parse_dsl(text: str) -> Diagram:
@@ -330,29 +336,30 @@ def parse_dsl(text: str) -> Diagram:
         if kw == "vertices":
             if n_vertices is not None:
                 err(lineno, "duplicate 'vertices' declaration")
-            if len(parts) != 2 or not _is_number(parts[1]):
+            n_vertices = _number(parts[1]) if len(parts) == 2 else None
+            if n_vertices is None:
                 err(lineno, "expected 'vertices N'")
-            n_vertices = int(parts[1])
         elif kw == "edge":
             if n_vertices is None:
                 err(lineno, "'vertices' must come first")
-            if len(parts) < 3 or not (_is_number(parts[1]) and _is_number(parts[2])):
+            u, v = map(_number, parts[1:3]) if len(parts) >= 3 else (None, None)
+            if u is None or v is None:
                 err(lineno, "expected 'edge U V [mult=M] [dir=U>V]'")
-            u, v = int(parts[1]), int(parts[2])
             if max(u, v) >= n_vertices:
                 err(lineno, f"edge {u}-{v}: endpoint out of range")
             mult = 1
             direction = None
             for opt in parts[3:]:
                 if opt.startswith("mult="):
-                    if not _is_number(opt[5:].removeprefix("-")):
+                    # a negative one is read, to be refused as below 1
+                    mult = _number(opt[5:].removeprefix("-"))
+                    if mult is None:
                         err(lineno, f"bad multiplicity {opt[5:]!r}")
-                    mult = int(opt[5:])
+                    mult *= -1 if opt.startswith("mult=-") else 1
                 elif opt.startswith("dir="):
-                    sides = opt[4:].split(">")
-                    if len(sides) != 2 or not all(map(_is_number, sides)):
+                    direction = tuple(map(_number, opt[4:].split(">")))
+                    if len(direction) != 2 or None in direction:
                         err(lineno, "expected dir=LONGER>SHORTER")
-                    direction = (int(sides[0]), int(sides[1]))
                 else:
                     err(lineno, f"unknown option {opt!r}")
             if mult < 1:
@@ -375,9 +382,9 @@ def parse_dsl(text: str) -> Diagram:
         elif kw == "pin":
             if n_vertices is None:
                 err(lineno, "'vertices' must come first")
-            if len(parts) != 2 or not _is_number(parts[1]):
+            p = _number(parts[1]) if len(parts) == 2 else None
+            if p is None:
                 err(lineno, "expected 'pin P'")
-            p = int(parts[1])
             if p >= n_vertices:
                 err(lineno, f"pinned vertex {p} out of range")
             pinned.add(p)

@@ -337,6 +337,8 @@ def test_parse_dsl_direction_orientation():
         ("vertices 2\npin １\n", "^line 2: expected 'pin P'"),
         ("vertices 2\nedge 0 1 mult=+2 dir=1>0\n", "^line 2: bad multiplicity '\\+2'"),
         ("vertices 2\nedge 0 1 mult=٣\n", "^line 2: bad multiplicity"),
+        # more digits than int() converts
+        ("vertices " + "1" * 5000 + "\n", "^line 1: expected 'vertices N'"),
     ],
 )
 def test_parse_dsl_errors(text, needle):
@@ -365,7 +367,7 @@ _DSL_LINES = st.builds(
 @example(["vertices 2"], ["edge 0 1 mult=2 dir=¹>0"])
 def test_parse_dsl_returns_a_diagram_or_refuses(head, lines):
     """Any text parses to a Diagram or raises DiagramError, never another
-    exception (a non-ASCII digit once reached int() and raised ValueError)."""
+    exception, such as int()'s ValueError on a non-ASCII digit."""
     try:
         d = parse_dsl("\n".join(head + lines))
     except DiagramError:
