@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import families, moves, sigma
-from .diagram import Diagram, DiagramError, ResourceError, parse_dsl
+from .diagram import Diagram, DiagramError, ResourceError, _number, parse_dsl
 from .f2 import F2Matrix
 
 EXIT_PARSE = 2
@@ -59,10 +59,19 @@ def _load_target(target: str, cap: int | None) -> tuple[Diagram, families.Family
     return parse_dsl(path.read_text()), None
 
 
+def _cap_option(ctx, param, value):
+    """--max-vertices, read as every integer is (see diagram._number)."""
+    cap = None if value is None else _number(value, signed=True)
+    if value is not None and cap is None:
+        raise click.BadParameter(f"{value!r} is not a number of ASCII digits")
+    return cap
+
+
 @click.group()
 @click.option(
     "--max-vertices",
-    type=int,
+    callback=_cap_option,
+    metavar="INTEGER",
     default=None,
     help="Free-vertex cap for enumeration (default: REEDER_MAX_VERTICES or 26).",
 )
@@ -160,19 +169,20 @@ def classes(ctx, target, reps, full, fmt):
 @_exit_codes
 def census(ctx, family_name, range_str, fmt, out):
     """Closed-form versus brute-force counts over a parameter range."""
-    try:
-        lo_s, hi_s = range_str.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
+    lo_s, dots, hi_s = range_str.partition("..")
+    lo, hi = _number(lo_s, signed=True), _number(hi_s, signed=True)
+    if not dots or lo is None or hi is None:
         raise DiagramError(f"bad range {range_str!r}; expected a..b")
     if lo > hi:
         raise DiagramError(f"bad range {range_str!r}; expected a..b with a <= b")
-    # a bad family or parameter exits 2 before the cap is checked; the free
-    # vertices grow with the parameter, so the range's top is refused before
-    # any lower one is enumerated
+    # a bad family or parameter exits 2 before the cap is checked, and the
+    # cap before the memory; the free vertices grow with the parameter, so
+    # the range's top is refused before any lower one is enumerated
     families.parse_family(f"{family_name}:{lo}")
-    moves.require_cap(families.free_count(families.parse_family(f"{family_name}:{hi}")),
-                      ctx.obj["cap"])
+    top = _construct(families.parse_family(f"{family_name}:{hi}"), ctx.obj["cap"])
+    f = len(top.free_vertices)
+    a, b, _ = moves._move_tables(top)
+    moves.require_states(f, moves.build_bytes(1 << f, a, b), ctx.obj["cap"])
     # no field holds a comma, a quote or a newline
     text = "family,param,vertices,formula,bruteforce,match,runtime_ms\n"
     any_mismatch = False

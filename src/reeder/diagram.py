@@ -300,12 +300,14 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 # -- text DSL -------------------------------------------------------------
 
 
-def _number(text: str) -> int | None:
-    """text as an int if it is a run of ASCII digits that int() takes, else
-    None.  str.isdigit alone also takes '²', which int() refuses, and '٣',
-    which int() reads as 3; int() refuses a run of more digits than
-    sys.get_int_max_str_digits()."""
-    if text.isascii() and text.isdigit():
+def _number(text: str, signed: bool = False) -> int | None:
+    """text as an int if it is a run of ASCII digits that int() takes, after
+    one leading '-' when signed, else None: every integer the DSL and the
+    CLI read.  int() alone also takes '_', '+', spaces and '٣' (as 3), and
+    str.isdigit also '²', which int() refuses; int() refuses a run of more
+    digits than sys.get_int_max_str_digits()."""
+    digits = text.removeprefix("-") if signed else text
+    if digits.isascii() and digits.isdigit():
         with contextlib.suppress(ValueError):
             return int(text)
     return None
@@ -352,10 +354,9 @@ def parse_dsl(text: str) -> Diagram:
             for opt in parts[3:]:
                 if opt.startswith("mult="):
                     # a negative one is read, to be refused as below 1
-                    mult = _number(opt[5:].removeprefix("-"))
+                    mult = _number(opt[5:], signed=True)
                     if mult is None:
                         err(lineno, f"bad multiplicity {opt[5:]!r}")
-                    mult *= -1 if opt.startswith("mult=-") else 1
                 elif opt.startswith("dir="):
                     direction = tuple(map(_number, opt[4:].split(">")))
                     if len(direction) != 2 or None in direction:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moves
-from .diagram import Diagram, DiagramError, Edge, Labeling
+from .diagram import Diagram, DiagramError, Edge, Labeling, _number
 
 
 def _ceil_half(x: int) -> int:
@@ -73,9 +73,8 @@ def parse_family(text: str) -> FamilySpec:
         raise DiagramError(f"bad family string {text!r}")
     param = None
     if len(parts) == 2:
-        try:
-            param = int(parts[1])
-        except ValueError:
+        param = _number(parts[1], signed=True)
+        if param is None:
             raise DiagramError(f"bad family parameter {parts[1]!r}")
     return FamilySpec(name, param)
 

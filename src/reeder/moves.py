@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernel
-from .diagram import Diagram, DiagramError, Labeling, ResourceError
+from .diagram import Diagram, DiagramError, Labeling, ResourceError, _number
 from .f2 import F2Matrix, parity
 
 DEFAULT_CAP = 26
@@ -27,9 +27,8 @@ def state_cap(override: int | None = None) -> int:
         env = os.environ.get(_ENV_CAP)
         if env is None:
             return DEFAULT_CAP
-        try:
-            cap = int(env)
-        except ValueError:
+        cap = _number(env, signed=True)
+        if cap is None:
             raise DiagramError(f"bad {_ENV_CAP} value {env!r}")
     if cap < 0:
         raise DiagramError(f"the free-vertex cap must be >= 0, not {cap}")
@@ -306,9 +305,9 @@ def _relabeled(order, a, b, c):
 # propagation, the labels and the floors take this many each)
 _COMPONENT_BLOCK_BYTES = 1 << 20
 # component_counts counts the cycle-space elements of graphs with at most this
-# many independent cycles and propagates labels past it: on 18-vertex random
-# graphs with 8 cycles propagation takes about 3 times as long (see
-# CHANGES.md), and the 2^8 - 1 nonzero elements at 8 still fit in a uint8 tally
+# many independent cycles and propagates labels past it.  The uint8 tally sets
+# it: the 2^8 - 1 nonzero elements at 8 still fit.  On 18-vertex random graphs
+# with 8 cycles propagation takes about 7 times as long (see CHANGES.md)
 _CYCLE_RANK_BOUND = 8
 
 
@@ -329,13 +328,13 @@ def component_counts(diagram: Diagram) -> np.ndarray:
     for bit j and L_j the mask of its free neighbours below j.
     2^beta1(S) is the number of cycle-space elements whose free support lies
     inside s, the cycle space being the GF(2) nullspace of the vertex-edge
-    incidence matrix (_cycle_supports), so the nonzero ones inside s number
-    2^beta1(S) - 1, whose popcount is beta1(S).
+    incidence matrix (_cycle_supports), so the nonzero ones inside s, which
+    are tallied on strided views, number 2^beta1(S) - 1: popcount beta1(S).
 
     Past _CYCLE_RANK_BOUND independent cycles the 2^k - 1 nonzero elements
-    cost more to test than labels cost to propagate, and the counts come
-    from _propagated_counts.  Either way the states are worked in blocks of
-    at most _COMPONENT_BLOCK_BYTES.
+    no longer fit the uint8 tally, and the counts come from
+    _propagated_counts.  Either way the states are worked in blocks of at
+    most _COMPONENT_BLOCK_BYTES.
     """
     n = diagram.n_vertices
     dtype = next(t for t in (np.int8, np.int16, np.int32) if n <= np.iinfo(t).max)
@@ -355,8 +354,8 @@ def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
 
     The cycle space is the GF(2) nullspace of the vertex-edge incidence
     matrix (bit i of row v set when edge i touches v), its elements the sums
-    of a nullspace basis, taken as edge sets; an element's free support is
-    the free bits of its edges' ends.
+    of a nullspace basis (span_states), taken as edge sets; an element's
+    free support is the free bits of its edges' ends.
     """
     if diagram.n_independent_cycles > _CYCLE_RANK_BOUND:
         return None
@@ -364,13 +363,11 @@ def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
     for i, e in enumerate(diagram.edges):
         rows[e.u] |= 1 << i
         rows[e.v] |= 1 << i
-    elements = [0]  # as masks of edge indices
-    for cycle in F2Matrix(len(rows), len(diagram.edges), tuple(rows)).nullspace_basis():
-        elements += [x ^ cycle for x in elements]
+    basis = F2Matrix(len(rows), len(diagram.edges), tuple(rows)).nullspace_basis()
     bit = {v: 1 << j for j, v in enumerate(diagram.free_vertices)}
     ends = [bit.get(e.u, 0) | bit.get(e.v, 0) for e in diagram.edges]
     supports: dict[int, int] = {}
-    for x in elements[1:]:
+    for x in span_states(0, basis).tolist()[1:]:  # as masks of edge indices
         support = 0
         while x:
             support |= ends[(x & -x).bit_length() - 1]
@@ -381,7 +378,11 @@ def _cycle_supports(diagram: Diagram) -> dict[int, int] | None:
 
 def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray) -> None:
     """component_counts from the identity into counts, given the cycle
-    supports of _cycle_supports.  The sums wrap in the unsigned int of the
+    supports of _cycle_supports, a block of 2^k states at a time.  A block
+    holds a support's elements when its start holds the support's bits at or
+    above k, on the view of a (2,)*k uint8 tally that fixes the axes of the
+    low bits to 1 (axis x for bit k - 1 - x, as in the kernel's view); beta1
+    is the popcount of the tally.  The sums wrap in the unsigned int of the
     counts' width, and only the final counts need to fit."""
     bit = {v: j for j, v in enumerate(diagram.free_vertices)}
     f = len(bit)
@@ -398,14 +399,13 @@ def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray
 
     uint = np.dtype(f"u{counts.itemsize}")
     wrap = 1 << 8 * uint.itemsize
-    # the low bits of the states and a scratch word, a popcount, and the
-    # cycle tally and hits
-    fit = _COMPONENT_BLOCK_BYTES // (2 * 4 + uint.itemsize + 2)
+    # the states' low bits and a scratch word, a popcount, and the cycle tally
+    fit = _COMPONENT_BLOCK_BYTES // (2 * 4 + uint.itemsize + 1)
     k = min(f, max(fit.bit_length() - 1, 0))
     block = 1 << k
     s, t = np.arange(block, dtype=np.uint32), np.empty(block, np.uint32)
     pc = np.empty(block, uint)
-    tally, hit = np.empty(block, np.uint8), np.empty(block, np.uint8)
+    tally = np.empty(block, np.uint8)
     out = counts.view(uint)
     # the recurrence of component_counts, a block at a time: of bit j's edges
     # to lit lower bits, those to the block's high bits are one count per
@@ -422,29 +422,21 @@ def _euler_counts(diagram: Diagram, supports: dict[int, int], counts: np.ndarray
             np.add(out[low : low + n], (weight[j] - (low & below[j]).bit_count()) % wrap, out=acc)
             if near:
                 acc -= pc[:n]
+    # the trailing Ellipsis keeps a 0-d view, not a scalar, when every axis is fixed
+    cube = tally.reshape((2,) * k)
+    views = []
+    for support, m in supports.items():
+        fixed = (1 if support >> k - 1 - x & 1 else slice(None) for x in range(k))
+        views.append((support >> k, cube[(*fixed, ...)], m))
     for start in range(0, 1 << f, block):
-        acc = out[start : start + block]
-        # supports with a high bit the block lacks are never inside its
-        # states, and those with none below bit k always are
-        live, inside = [], 0
-        for support, m in supports.items():
-            if support >> k & ~(start >> k) == 0:
-                if support & block - 1:
-                    live.append((support & block - 1, m))
-                else:
-                    inside += m
-        if not live:
-            acc += inside.bit_count()
+        here = [(view, m) for high, view, m in views if high & ~(start >> k) == 0]
+        if not here:
             continue
-        tally.fill(inside)
-        for support, m in live:
-            np.bitwise_and(s, support, out=t)
-            np.equal(t, support, out=hit.view(bool))
-            if m != 1:
-                hit *= m
-            tally += hit
+        tally.fill(0)
+        for view, m in here:
+            view += m
         np.bitwise_count(tally, out=tally)
-        acc += tally
+        out[start : start + block] += tally
 
 
 def _propagated_counts(diagram: Diagram, counts: np.ndarray) -> None:

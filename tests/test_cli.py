@@ -95,6 +95,27 @@ def test_count_non_ascii_digit_exit_2(runner, tmp_path):
     assert "line 1: expected 'vertices N'" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["count", "A:1_0"], {}),
+        (["count", "A:\uff11\uff10"], {}),  # full-width 10
+        (["count", "A:\u0663"], {}),  # Arabic-Indic 3
+        (["count", "A:+3"], {}),
+        (["census", "--family", "A", "--range", "1_0..11"], {}),
+        (["census", "--family", "A", "--range", "\u0663..4"], {}),
+        (["count", "A:3"], {"REEDER_MAX_VERTICES": "\u0663"}),
+        (["--max-vertices", "\u0663", "count", "A:3"], {}),
+    ],
+    ids=["param-underscore", "param-full-width", "param-arabic-indic", "param-plus",
+         "range-underscore", "range-arabic-indic", "env-cap", "option-cap"],
+)
+def test_integers_are_ascii_digits_exit_2(runner, args, env):
+    res = runner.invoke(main, args, env={"REEDER_MAX_VERTICES": None, **env})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
 def test_count_cap_exit_4(runner):
     res = runner.invoke(main, ["--max-vertices", "3", "count", "A:10"])
     assert res.exit_code == 4
@@ -572,6 +593,19 @@ def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args)
     assert res.exit_code == 4
     assert res.stdout == ""
     assert "free vertices exceed the cap" in res.stderr
+    assert calls == []
+
+
+def test_census_refused_on_its_top_for_memory(runner, monkeypatch):
+    # A:19 needs more than 8 MB: A:1..A:18 must not be enumerated first
+    calls = []
+    monkeypatch.setattr(moves, "enumerate_classes", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(moves, "available_memory", lambda: 8 << 20)
+    res = runner.invoke(main, ["census", "--family", "A", "--range", "1..20"],
+                        env={"REEDER_MAX_VERTICES": None})
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert "of memory is available" in res.stderr
     assert calls == []
 
 

@@ -202,6 +202,17 @@ def test_encode_decode_roundtrip_with_pins():
             id="theta",
         ),
         pytest.param(PINNED_140, id="140-vertices-pinned"),
+        pytest.param(Diagram(3, [Edge(0, 1), Edge(1, 2), Edge(2, 0)], {0, 1, 2}),
+                     id="pinned-triangle"),
+        # the cycle's free support is empty
+        pytest.param(Diagram(5, [Edge(0, 1), Edge(1, 2), Edge(2, 0), Edge(2, 3), Edge(3, 4)],
+                             {0, 1, 2}),
+                     id="cycle-through-pins"),
+        pytest.param(Diagram(4, [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 0)], {0, 1, 3}),
+                     id="cycle-one-free-vertex"),
+        # the triangle's support lies wholly above the bits of a default block
+        pytest.param(Diagram(20, [Edge(i, i + 1) for i in range(19)] + [Edge(17, 19)]),
+                     id="path-20-top-triangle"),
     ],
 )
 def test_component_counts_match_walker(target):
@@ -565,6 +576,13 @@ def test_cap_precedence(monkeypatch):
         moves.state_cap()
     with pytest.raises(DiagramError, match=">= 0"):
         moves.state_cap(-1)
+
+
+@pytest.mark.parametrize("env", ["\u0663", "1_0", "+3"])
+def test_cap_env_reads_ascii_digits_only(monkeypatch, env):
+    monkeypatch.setenv("REEDER_MAX_VERTICES", env)
+    with pytest.raises(DiagramError, match="bad REEDER_MAX_VERTICES value"):
+        moves.state_cap()
 
 
 def test_env_cap_limits_enumeration(monkeypatch):
