@@ -239,64 +239,106 @@ def _strided_runs(a, b, c) -> int:
     return runs
 
 
-def _layout(a, b, c) -> list[int] | None:
-    """The bit layout the kernel runs a diagram's moves (a, b, c) in: bit i
-    of a state holds free bit order[i], or None for index order.
+def _bits(x: int):
+    """The set bits of x, least first."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
-    The candidate is the DFS preorder of the free effective graph, each
-    component from one end of a longest path (the farthest bit from its
-    least bit), children in increasing bit order.  Index order stays when it
-    is a connected-prefix order already, as on the paper's families: every
-    free bit but the least of its component has a neighbour at a lower bit.
-    The least bit of a component never has one, so that holds exactly when
-    the bits with no lower neighbour number the components the DFS walks.
-    Otherwise the candidate is taken only if it lowers _strided_runs, which
-    keeps the flower, whose masked centre would fix a low bit, in index
-    order.
+
+def _layout(a, b, c) -> tuple[list[int], tuple[list, list, list]] | None:
+    """The bit layout the kernel runs a diagram's moves (a, b, c) in, as
+    (order, the tables relabeled by _relabeled), bit i of a state holding
+    free bit order[i]; or None for index order.
+
+    Index order stays when it is a connected-prefix order already, as on the
+    paper's families: every free bit but the least of its component has a
+    neighbour at a lower bit.  The least bit of a component never has one,
+    so that holds exactly when the bits with no lower neighbour number the
+    components, that is when no bit joins two components of the bits below
+    it, which one pass over the bits decides before any traversal.
+    Otherwise each component, in the order of its least bit, is walked from
+    one end of a longest path: start, the farthest bit from the least bit
+    (the least such).  A forest lays each tree out in postorder from start,
+    heaviest subtree first and the larger bit first among equal ones, so
+    start takes the tree's top bit; the kernel's hooks and pointer jumps
+    then do less work than in a preorder, at about the same sweep count (see
+    README).  That postorder is the reverse of the preorder that visits the
+    lightest child first.  A graph with a cycle takes the DFS preorder from
+    start, children in increasing bit order.  Either candidate is taken only
+    if it lowers _strided_runs, which keeps the flower, whose masked centre
+    would fix a low bit, in index order.
     """
     f = len(a)
-    near = [set() for _ in range(f)]
+    near = [0] * f  # the free effective graph, both ways, as bit masks
     for j, am in enumerate(a):
         am &= ~(1 << j)
-        while am:
-            k = (am & -am).bit_length() - 1
-            am &= am - 1
-            near[j].add(k)
-            near[k].add(j)
-    order, seen, components = [], [False] * f, 0
+        near[j] |= am
+        for k in _bits(am):
+            near[k] |= 1 << j
+    # each bit's component among the bits below it, while no bit joins two
+    comp = [0] * f
+    for j in range(f):
+        below = {comp[k] for k in _bits(near[j] & (1 << j) - 1)}
+        if len(below) > 1:
+            break
+        comp[j] = below.pop() if below else j
+    else:
+        return None
+    starts, seen = [], [False] * f
     for least in range(f):
         if seen[least]:
             continue
-        components += 1
         # the farthest bit from the component's least bit, by breadth first
         dist = {least: 0}
         queue = [least]
         for j in queue:
-            for k in sorted(near[j]):
+            seen[j] = True
+            for k in _bits(near[j]):
                 if k not in dist:
                     dist[k] = dist[j] + 1
                     queue.append(k)
-        start = min(dist, key=lambda k: (-dist[k], k))
-        stack = [start]
+        starts.append(min(dist, key=lambda k: (-dist[k], k)))
+    forest = sum(m.bit_count() for m in near) == 2 * (f - len(starts))
+    order, seen = [], [False] * f
+    for start in starts:
+        key = None  # children in increasing bit order
+        if forest:
+            # subtree sizes, with the tree hung from start
+            above = {start: start}
+            queue = [start]
+            for j in queue:
+                for k in _bits(near[j]):
+                    if k not in above:
+                        above[k] = j
+                        queue.append(k)
+            size = dict.fromkeys(queue, 1)
+            for j in reversed(queue[1:]):
+                size[above[j]] += size[j]
+            key = lambda k: (size[k], k)
+        walk, stack = [], [start]
         while stack:
             j = stack.pop()
             if seen[j]:
                 continue
             seen[j] = True
-            order.append(j)
-            # pushed so that the least child pops first
-            stack += sorted((k for k in near[j] if not seen[k]), reverse=True)
-    if sum(not near[j] or min(near[j]) > j for j in range(f)) == components:
-        return None
+            walk.append(j)
+            # pushed so that the least key pops first
+            stack += sorted((k for k in _bits(near[j]) if not seen[k]), key=key, reverse=True)
+        order += walk[::-1] if forest else walk
     tables = _relabeled(order, a, b, c)
-    return order if _strided_runs(*tables) < _strided_runs(a, b, c) else None
+    return (order, tables) if _strided_runs(*tables) < _strided_runs(a, b, c) else None
 
 
 def _relabeled(order, a, b, c):
     """The move tables (a, b, c) in layout order: move i and bit i are those
     of free bit order[i]."""
+    at = [0] * len(order)
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+
     def relabel(x: int) -> int:
-        return sum((x >> v & 1) << i for i, v in enumerate(order))
+        return sum(at[k] for k in _bits(x))
 
     return [relabel(a[v]) for v in order], [relabel(b[v]) for v in order], [c[v] for v in order]
 
@@ -801,20 +843,23 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     """Partition of the full state space into classes under all moves.
 
     The kernel runs in the bit layout that _layout picks from the move
-    tables: index order on the paper's families, a traversal order of the
-    diagram on a tree numbered in no such order, such as a Pruefer tree's.
-    The partition keeps that layout's axes and maps the class ids back to
-    index order when it ranks; the count does not depend on the layout.
+    tables, and on the tables _layout relabeled for it: index order on the
+    paper's families, a traversal order of the diagram on a graph numbered
+    in no such order, such as a Pruefer tree, which takes the postorder from
+    its far end.  The partition keeps that layout's axes and maps the class
+    ids back to index order when it ranks; the count does not depend on the
+    layout.
     """
     f = diagram.n_vertices - len(diagram.pinned)
     require_cap(f, cap)  # before the tables, which grow as f^2
     n_states = 1 << f
     a, b, c = _move_tables(diagram)
     require_states(f, build_bytes(n_states, a, b), cap)
-    order = _layout(a, b, c)
-    if order is None:
+    layout = _layout(a, b, c)
+    if layout is None:
         return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c), cap)
-    roots = _kernel.orbit_roots(n_states, *_relabeled(order, a, b, c))
+    order, tables = layout
+    roots = _kernel.orbit_roots(n_states, *tables)
     # axis x of the (2,)*f view holds bit f - 1 - x; index axis y, free bit
     # f - 1 - y, is the layout's axis of the bit laid out as that free bit
     at = {v: i for i, v in enumerate(order)}

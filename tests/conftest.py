@@ -77,6 +77,39 @@ def oracle_rank_gf2(lists) -> int:
     return rank
 
 
+def walker_component_counts(diagram: Diagram, states, block: int = 1 << 13) -> np.ndarray:
+    """Lit-component count of each free-encoded state (free vertex
+    free_vertices[j] on bit j, pinned vertices lit), from the diagram's edges
+    alone, a block of states at a time.  Each vertex starts labelled by its
+    own index; every round lowers both ends of each edge with two lit ends
+    to the smaller of their labels, then replaces every label by its label's
+    label, until a round changes nothing.  A label always names a vertex of
+    its own component, so then each component carries its least vertex, and
+    the lit vertices that keep their own index count the components."""
+    n = diagram.n_vertices
+    states = np.asarray(states, dtype=np.int64)
+    counts = np.empty(len(states), dtype=np.int64)
+    for start in range(0, len(states), block):
+        part = states[start : start + block]
+        lit = np.ones((n, len(part)), dtype=bool)
+        for j, v in enumerate(diagram.free_vertices):
+            lit[v] = part >> j & 1 == 1
+        joined = [(e.u, e.v, lit[e.u] & lit[e.v]) for e in diagram.edges]
+        own = np.broadcast_to(np.arange(n)[:, None], lit.shape)
+        label = own.copy()
+        while True:
+            before = label.copy()
+            for u, v, both in joined:
+                low = np.where(both, np.minimum(label[u], label[v]), n)
+                np.minimum(label[u], low, out=label[u])
+                np.minimum(label[v], low, out=label[v])
+            label = np.take_along_axis(label, label, axis=0)
+            if np.array_equal(label, before):
+                break
+        counts[start : start + block] = np.count_nonzero(lit & (label == own), axis=0)
+    return counts
+
+
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff two label arrays induce the same partition of indices."""
     if a.shape != b.shape:

@@ -24,7 +24,9 @@ from reeder.diagram import (
     parse_dsl,
 )
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, family_corpus, oracle_classes, split_kernel
+from conftest import (
+    check_kernels, family_corpus, oracle_classes, split_kernel, walker_component_counts,
+)
 
 
 def fam(text):
@@ -220,11 +222,22 @@ def test_component_counts_match_walker(target):
     check_component_counts(d)
 
 
+# past this many free vertices the walker checks Diagram.count_components on
+# a sample of states, not on every one
+WALK_EVERY_STATE = 14
+
+
 def check_component_counts(d):
-    want = [
-        d.count_components(moves.decode_state(d, s))
-        for s in range(1 << len(d.free_vertices))
-    ]
+    """component_counts against the numpy walker of conftest on every state,
+    the walker against Diagram.count_components on every state up to
+    WALK_EVERY_STATE free vertices and on a seeded sample of 4096 past it."""
+    f = len(d.free_vertices)
+    want = walker_component_counts(d, np.arange(1 << f)).tolist()
+    walked = range(1 << f)
+    if f > WALK_EVERY_STATE:
+        walked = np.random.default_rng(f).choice(1 << f, size=4096, replace=False).tolist()
+    assert [want[s] for s in walked] == [d.count_components(moves.decode_state(d, s))
+                                         for s in walked]
     assert moves.component_counts(d).tolist() == want
     # blocks of at most four states, so the high state bits vary by block
     with pytest.MonkeyPatch.context() as mp:
@@ -1049,11 +1062,11 @@ def test_kernel_sweep_totals():
     for seed in (101, 102, 103):
         for t in classifiers.random_e6_trees(24, max_vertices=16, min_vertices=16, seed=seed):
             a, b, c = moves._move_tables(t)
-            order = moves._layout(a, b, c)
-            trees.append((a, b, c) if order is None else moves._relabeled(order, a, b, c))
+            layout = moves._layout(a, b, c)
+            trees.append((a, b, c) if layout is None else layout[1])
     sigmas = [x for _, x in sigma_corpus(14)]
     assert len(sigmas) == 68
-    for threshold, want in ((_kernel._SPLIT_STATES, [433, 216, 237]), (4, [442, 288, 224])):
+    for threshold, want in ((_kernel._SPLIT_STATES, [433, 218, 237]), (4, [442, 258, 224])):
         with split_kernel(threshold):
             totals = [sum(kernel_sweeps(*x) for x in tables),
                       sum(kernel_sweeps(*x) for x in trees),
@@ -1505,17 +1518,21 @@ def test_families_keep_index_layout():
 
 
 def test_layout_rule_on_small_diagrams():
-    # the path 0-2-1-3: bit 1 has no lower neighbour, so DFS runs from the
-    # end farthest from bit 0, and its views fix higher bits
+    # the path 0-2-1-3: bit 1 has no lower neighbour, so the tree is laid
+    # out in postorder from the end farthest from bit 0, that end on the top
+    # bit, and its views fix higher bits
     d = parse_dsl("vertices 4\nedge 0 2\nedge 2 1\nedge 1 3\n")
     a, b, c = moves._move_tables(d)
-    assert moves._layout(a, b, c) == [3, 1, 2, 0]
+    order, tables = moves._layout(a, b, c)
+    assert order == [0, 2, 1, 3]
+    assert tables == moves._relabeled(order, a, b, c)
     assert moves._strided_runs(a, b, c) == 8 + 4 + 8 + 4
-    assert moves._strided_runs(*moves._relabeled([3, 1, 2, 0], a, b, c)) == 8 + 8 + 4 + 2
-    # the path 1-2-0 fails the prefix test too, but DFS lowers no run count
+    assert moves._strided_runs(*tables) == 8 + 8 + 4 + 2
+    # the path 1-2-0 fails the prefix test too, but its postorder lowers no
+    # run count
     d = parse_dsl("vertices 3\nedge 1 2\nedge 0 2\n")
     a, b, c = moves._move_tables(d)
-    assert moves._strided_runs(*moves._relabeled([1, 2, 0], a, b, c)) \
+    assert moves._strided_runs(*moves._relabeled([0, 2, 1], a, b, c)) \
         == moves._strided_runs(a, b, c) == 4 + 2 + 4
     assert moves._layout(a, b, c) is None
     # DFS would fix a low bit for the flower's masked centre: index order stays
@@ -1552,6 +1569,58 @@ def test_layout_invisible_on_relabeled_trees(n):
     d = relabeled_tree(n)
     assert moves.enumerate_classes(d)._axes is not None
     check_layout_invisible(d)
+
+
+def test_layout_postorder_on_spider():
+    """A spider numbered out of prefix order: centre 2, legs 2-5-0-7, 2-6-1,
+    2-3 and 2-4.  The end farthest from bit 0 is 1; hung from it, the tree is
+    laid out in postorder, heaviest subtree first, so the leg 5-0-7 takes
+    the bottom bits, the equal legs 4 and 3 go larger bit first, and 1 takes
+    the top bit."""
+    edges = ((2, 5), (0, 5), (0, 7), (2, 6), (1, 6), (2, 3), (2, 4))
+    d = Diagram(8, [Edge(u, v) for u, v in edges])
+    a, b, c = moves._move_tables(d)
+    order, tables = moves._layout(a, b, c)
+    assert order == [7, 0, 5, 4, 3, 2, 6, 1]
+    assert tables == moves._relabeled(order, a, b, c)
+    assert (moves._strided_runs(a, b, c), moves._strided_runs(*tables)) == (608, 382)
+    check_layout_invisible(d)
+
+
+# forests numbered out of prefix order; the pinned leaf 7 gives its
+# neighbour a pinned parity
+TWO_TREES = ("vertices 10\nedge 3 7\nedge 0 7\nedge 7 9\nedge 5 9\n"
+             "edge 1 4\nedge 1 8\nedge 2 8\nedge 6 8\n")
+THREE_TREES = ("vertices 13\nedge 0 9\nedge 9 4\nedge 4 12\nedge 9 6\n"
+               "edge 2 10\nedge 10 7\nedge 10 5\nedge 5 1\nedge 3 8\nedge 8 11\npin 7\n")
+
+
+@pytest.mark.parametrize("text", [pytest.param(TWO_TREES, id="two-trees"),
+                                  pytest.param(THREE_TREES, id="three-trees-pinned-leaf")])
+def test_layout_invisible_on_forests(text):
+    d = parse_dsl(text)
+    assert moves._layout(*moves._move_tables(d)) is not None
+    check_layout_invisible(d)
+
+
+def test_layout_keeps_preorder_on_chorded_tree():
+    """A graph with a cycle keeps the DFS preorder from the far end, children
+    in increasing bit order."""
+    d = chorded_tree(10, 2, seed=0)
+    a, b, c = moves._move_tables(d)
+    order, tables = moves._layout(a, b, c)
+    assert order == [4, 6, 5, 2, 3, 0, 7, 8, 1, 9]
+    assert tables == moves._relabeled(order, a, b, c)
+
+
+@pytest.mark.parametrize("target", ["E6-tree:12", "E6-tree:16", "three-trees-pinned-leaf"])
+def test_split_kernel_in_postorder_layout(target):
+    """The two-part kernel, from 4 states on, in a tree's postorder layout:
+    the far end's bit is the top bit, which the parts split on."""
+    d = parse_dsl(THREE_TREES) if target == "three-trees-pinned-leaf" \
+        else relabeled_tree(int(target.split(":")[1]))
+    with split_kernel(4):
+        check_layout_invisible(d)
 
 
 def test_layout_lowers_sweeps_on_criterion_5_trees():
