@@ -25,6 +25,7 @@ from .moves import (
     apply_move,
     apply_sequence,
     are_equivalent,
+    count_classes,
     enumerate_classes,
     move_matrix,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "canonical_representatives",
     "closed_form_count",
     "construct",
+    "count_classes",
     "disjoint_union",
     "enumerate_classes",
     "eta",

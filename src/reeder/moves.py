@@ -1,12 +1,20 @@
-"""Move application and brute-force enumeration of equivalence classes.
+"""Move application, brute-force enumeration of equivalence classes, and
+their count.
 
 The state space of a diagram is indexed by the free (non-pinned) vertices:
 free vertex ``free_vertices[j]`` contributes bit j of the state integer.
 Pinned bits are stripped on encode and re-inserted (as 1) on decode.
+
+enumerate_classes closes all 2^f states and keeps a class id for each, as
+the class table needs.  count_classes only counts: it deletes the free
+vertices whose translations commute with every move (the unread ones, and
+all but one of each group of clones), closes the smaller game, and lifts
+each of its classes by one firing pass.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 from functools import cached_property
 
@@ -330,16 +338,20 @@ def _layout(a, b, c) -> tuple[list[int], tuple[list, list, list]] | None:
     return (order, tables) if _strided_runs(*tables) < _strided_runs(a, b, c) else None
 
 
-def _relabeled(order, a, b, c):
-    """The move tables (a, b, c) in layout order: move i and bit i are those
-    of free bit order[i]."""
-    at = [0] * len(order)
+def _bit_map(order, f: int):
+    """The map of f-bit masks that takes bit order[i] to bit i and drops the
+    bits that order lacks."""
+    at = [0] * f
     for i, v in enumerate(order):
         at[v] = 1 << i
+    return lambda x: sum(at[k] for k in _bits(x))
 
-    def relabel(x: int) -> int:
-        return sum(at[k] for k in _bits(x))
 
+def _relabeled(order, a, b, c):
+    """The move tables (a, b, c) in layout order: move i and bit i are those
+    of free bit order[i].  An order that lacks some bits keeps only their
+    moves, and drops their bits from every mask."""
+    relabel = _bit_map(order, len(a))
     return [relabel(a[v]) for v in order], [relabel(b[v]) for v in order], [c[v] for v in order]
 
 
@@ -864,6 +876,111 @@ def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartitio
     # f - 1 - y, is the layout's axis of the bit laid out as that free bit
     at = {v: i for i, v in enumerate(order)}
     return ClassPartition(diagram, roots, cap, tuple(f - 1 - at[f - 1 - y] for y in range(f)))
+
+
+def _deletable(a, c) -> list[int]:
+    """The free bits that count_classes deletes from moves (a, ., c), least
+    first: every unread bit, which no move's a holds, and every clone but the
+    least of its group, a clone of bit q being a bit with q's a and c that
+    the same moves read."""
+    readers = [0] * len(a)
+    for j, am in enumerate(a):
+        for k in _bits(am):
+            readers[k] |= 1 << j
+    least: dict[tuple[int, int, int], int] = {}
+    return [r for r in range(len(a))
+            if not readers[r] or least.setdefault((a[r], c[r], readers[r]), r) != r]
+
+
+def closure_bytes(diagram: Diagram) -> int:
+    """kernel_bytes over all 2^f states of the diagram's moves.  It bounds
+    what count_classes holds for the diagram, whose reduced game has half
+    the states or fewer once a bit is deleted, and for any diagram with no
+    more free vertices and masked moves."""
+    a, b, _ = _move_tables(diagram)
+    return _kernel.kernel_bytes(1 << len(a), a, b)
+
+
+def count_classes(diagram: Diagram, cap: int | None = None) -> int:
+    """enumerate_classes(diagram, cap).class_count, from a closure over
+    2^(f - |R|) states, R being the free bits that _deletable names.
+
+    Translating a state by e_r, for r unread, or by e_r + e_q, for r a clone
+    of q, commutes with every move.  So the moves act on the states with
+    every bit of R at 0, where the kept moves drop R's bits from their
+    conditions, an unread r's move is a self-loop and a clone's move a copy
+    of its twin's, each carrying the voltage of its translation, and no other
+    move carries one.  The cycle voltages of a class C of that reduced game
+    then span the translations of the r in R whose move fires at some state
+    of C, m(C) of them and independent, and C lifts to 2^(|R| - m(C))
+    classes: the components of a derived graph (Gross and Tucker,
+    Topological Graph Theory, 1987, ch. 2).  A clone fires wherever its kept
+    twin does, and the condition of every r in R reads only kept bits.
+
+    The reduced game closes in the layout that _layout picks for it; with R
+    empty it is the closure of enumerate_classes, counted as that counts.
+    The cap reads f, and the memory gate charges the reduced closure and
+    the firing pass.
+    """
+    f = diagram.n_vertices - len(diagram.pinned)
+    require_cap(f, cap)  # before the tables, which grow as f^2
+    a, b, c = _move_tables(diagram)
+    deleted = _deletable(a, c)
+    kept = sorted(set(range(f)).difference(deleted))
+    tables = _relabeled(kept, a, b, c)
+    n_states = 1 << len(kept)
+    need = _kernel.kernel_bytes(n_states, *tables[:2])
+    if deleted:
+        # the firing pass: a uint8 per state for m(C) and one for where a
+        # condition fires; its blocks take less than the kernel's hooks,
+        # which are freed by then
+        need += 2 * n_states
+    require_states(f, need, cap)
+    layout = _layout(*tables)
+    if layout is not None:
+        order, tables = layout
+        kept = [kept[i] for i in order]
+    roots = _kernel.orbit_roots(n_states, *tables)
+    if not deleted:
+        return _kernel.orbit_count(roots)
+    relabel = _bit_map(kept, f)
+    return _lifted_count(roots, collections.Counter((relabel(a[r]), c[r]) for r in deleted))
+
+
+def _lifted_count(roots: np.ndarray, conditions: collections.Counter) -> int:
+    """The sum over the classes C that roots closes of 2^(|R| - m(C)), given
+    the conditions (am, cm) of R's moves, each with the number of bits of R
+    whose move has it.  Such a move fires at the states s where
+    parity(s & am) != cm.  It is one pass over the roots per condition, a
+    block of states at a time: the parities of the block's low bits are
+    found once, and the start of the block decides whether those that are
+    odd fire or those that are even."""
+    n = len(roots)
+    block = min(n, _kernel._GATHER_BLOCK)
+    low = np.arange(block, dtype=np.int64)
+    m = np.zeros(n, dtype=np.uint8)
+    hit = np.empty(n, dtype=np.uint8)
+    everywhere = 0
+    for (am, cm), count in conditions.items():
+        if not am:
+            everywhere += count * cm
+            continue
+        odd = (np.bitwise_count(low & am) & 1).view(bool)
+        fires = odd, ~odd
+        hit.fill(0)
+        for start in range(0, n, block):
+            hit[roots[start : start + block][fires[cm ^ (start & am).bit_count() & 1]]] = count
+        m += hit
+    # the roots, by m
+    total = sum(conditions.values()) - everywhere
+    by_m = np.zeros(total + 1, dtype=np.int64)
+    ids = np.arange(block, dtype=roots.dtype)
+    for start in range(0, n, block):
+        if start:
+            ids += block
+        own = roots[start : start + block] == ids
+        by_m += np.bincount(m[start : start + block][own], minlength=total + 1)
+    return sum(int(k) << total - i for i, k in enumerate(by_m.tolist()))
 
 
 def shortest_moves(diagram: Diagram, a: Labeling, b: Labeling) -> list[int] | None:

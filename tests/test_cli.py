@@ -588,7 +588,8 @@ def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args)
     # a spy that never enumerates, so a regression fails fast rather than
     # enumerating A:1..A:26 first
     calls = []
-    monkeypatch.setattr(moves, "enumerate_classes", lambda *a, **k: calls.append(a))
+    for counter in ("enumerate_classes", "count_classes"):
+        monkeypatch.setattr(moves, counter, lambda *a, **k: calls.append(a))
     res = runner.invoke(main, args, env={"REEDER_MAX_VERTICES": None})
     assert res.exit_code == 4
     assert res.stdout == ""
@@ -599,7 +600,8 @@ def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args)
 def test_census_refused_on_its_top_for_memory(runner, monkeypatch):
     # A:19 needs more than 8 MB: A:1..A:18 must not be enumerated first
     calls = []
-    monkeypatch.setattr(moves, "enumerate_classes", lambda *a, **k: calls.append(a))
+    for counter in ("enumerate_classes", "count_classes"):
+        monkeypatch.setattr(moves, counter, lambda *a, **k: calls.append(a))
     monkeypatch.setattr(moves, "available_memory", lambda: 8 << 20)
     res = runner.invoke(main, ["census", "--family", "A", "--range", "1..20"],
                         env={"REEDER_MAX_VERTICES": None})

@@ -1645,3 +1645,125 @@ def test_layout_lowers_sweeps_on_criterion_5_trees():
             sweeps.clear()
             assert counts == [(1 << t.adjacency_matrix().nullity()) + 2 for t in trees]
     assert totals[0] < totals[1], totals
+
+
+# -- class count on the reduced game -----------------------------------------
+
+
+def deletable(d):
+    a, _, c = moves._move_tables(d)
+    return moves._deletable(a, c)
+
+
+@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
+def test_count_classes_matches_enumeration_on_corpus(threshold):
+    for name, d in family_corpus(14):
+        want = moves.enumerate_classes(d).class_count
+        with split_kernel(threshold):
+            assert moves.count_classes(d) == want, name
+
+
+@settings(deadline=None, max_examples=80)
+@given(dsl_graphs())
+def test_count_classes_matches_enumeration_on_random_graphs(d):
+    count = moves.count_classes(d)
+    assert count == moves.enumerate_classes(d).class_count
+    if len(d.free_vertices) <= 7:
+        assert count == len(oracle_classes(d))
+
+
+def test_count_classes_matches_enumeration_on_random_trees():
+    import random
+
+    for t in classifiers._random_e6_trees(200, 6, 14, random.Random(20261020)):
+        assert moves.count_classes(t) == moves.enumerate_classes(t).class_count
+
+
+@pytest.mark.parametrize("targets, size", [
+    ([f"B:{n}" for n in range(2, 21)] + [f"X:{n}" for n in range(1, 21)], 1),
+    ([f"D:{n}" for n in range(5, 21)] + ["A:3"], 1),  # A:3's two ends are twins
+    (["D:4"] + [f"affD:{n}" for n in range(5, 21)], 2),
+    ([f"C:{n}" for n in range(3, 21)] + [f"A:{n}" for n in range(4, 21)], 0),
+])
+def test_deletable_on_families(targets, size):
+    for target in targets:
+        assert len(deletable(fam(target))) == size, target
+
+
+def test_flower_closes_four_states(monkeypatch):
+    for d in range(1, 21):
+        assert len(deletable(fam(f"flower:{d}"))) == d - 1
+    closed = []
+    orbit_roots = _kernel.orbit_roots
+    monkeypatch.setattr(_kernel, "orbit_roots", lambda n, *t: closed.append(n) or orbit_roots(n, *t))
+    assert moves.count_classes(fam("flower:19")) == (1 << 18) + 1
+    assert closed == [4]
+
+
+def test_equal_rows_read_by_different_moves_are_not_clones(monkeypatch):
+    """Bits 0 and 1 both read only bit 2, but the doubled edge 1 > 3 lets bit
+    3 read bit 1 and not bit 0: translating by e_0 + e_1 changes bit 3's
+    condition, so deleting bit 1 as a clone of 0 would miscount."""
+    d = parse_dsl("vertices 5\nedge 0 2\nedge 1 2\nedge 1 3 mult=2 dir=1>3\nedge 3 4\n")
+    a, _, c = moves._move_tables(d)
+    assert (a[0], c[0]) == (a[1], c[1])
+    assert deletable(d) == []
+    assert moves.count_classes(d) == moves.enumerate_classes(d).class_count == len(oracle_classes(d)) == 5
+    monkeypatch.setattr(moves, "_deletable", lambda a, c: [1])
+    assert moves.count_classes(d) != 5
+
+
+@pytest.mark.parametrize("target", ["B:16", "X:14", "affD:15", "flower:14", "A:14"])
+def test_count_classes_peak_within_its_charge(target, monkeypatch):
+    """The reduced closure and the firing pass stay within what the gate
+    charges, and that within the closure over all 2^f states that census
+    charges its top."""
+    d = fam(target)
+    needs = []
+    require = moves.require_states
+    monkeypatch.setattr(moves, "require_states",
+                        lambda f, need, *args: needs.append(need) or require(f, need, *args))
+    tracemalloc.start()
+    try:
+        moves.count_classes(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [need] = needs
+    assert peak <= need <= moves.closure_bytes(d)
+
+
+def test_count_classes_fails_before_allocating(monkeypatch):
+    d = fam("B:12")
+    a, b, c = moves._move_tables(d)
+    kept = [j for j in range(len(a)) if j not in moves._deletable(a, c)]
+    reduced = moves._relabeled(kept, a, b, c)
+    need = _kernel.kernel_bytes(1 << 11, *reduced[:2]) + 2 * (1 << 11)  # and the firing pass
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran although memory is short")
+
+    monkeypatch.setattr(_kernel, "orbit_roots", no_kernel)
+    monkeypatch.setattr(moves, "available_memory", lambda: need - 1)
+    with pytest.raises(ResourceError, match="enumerating 4096 states"):
+        moves.count_classes(d)
+    with pytest.raises(ResourceError, match="12 free vertices exceed the cap of 11"):
+        moves.count_classes(d, cap=11)  # the cap reads f, not the reduced bits
+    monkeypatch.undo()
+    monkeypatch.setattr(moves, "available_memory", lambda: need)
+    assert moves.count_classes(d) == families.closed_form_count(families.parse_family("B:12"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(dsl_graphs())
+def test_classes_translate_along_the_kernel_of_m(d):
+    """Every v in ker M commutes with every move, so translating by v maps
+    each class onto one class: class_id[s ^ v] is a function of
+    class_id[s]."""
+    ids = moves.enumerate_classes(d).class_id_array()
+    states = np.arange(len(ids))
+    for v in d.effective_system()[0].nullspace_basis():
+        moved = ids[states ^ v]
+        image = np.empty(ids.max() + 1, dtype=ids.dtype)
+        image[ids] = moved
+        assert np.array_equal(image[ids], moved), v
