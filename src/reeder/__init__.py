@@ -25,7 +25,6 @@ from .moves import (
     apply_move,
     apply_sequence,
     are_equivalent,
-    count_classes,
     enumerate_classes,
     move_matrix,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "canonical_representatives",
     "closed_form_count",
     "construct",
-    "count_classes",
     "disjoint_union",
     "enumerate_classes",
     "eta",

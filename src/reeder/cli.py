@@ -89,7 +89,7 @@ def main(ctx, max_vertices):
 def count(ctx, target, formula):
     """Brute-force class count of a family instance or DSL diagram."""
     diagram, spec = _load_target(target, ctx.obj["cap"])
-    n_classes = moves.count_classes(diagram, ctx.obj["cap"])
+    n_classes = moves.enumerate_classes(diagram, ctx.obj["cap"]).class_count
     if not formula:
         click.echo(str(n_classes))
         return
@@ -134,6 +134,7 @@ def classes(ctx, target, reps, full, fmt):
             raise DiagramError("--reps requires a family target")
         if spec.family in families.DEFERRED:
             raise DiagramError(f"{spec}: no published representative list")
+    moves.require_ranking(diagram, ctx.obj["cap"])
     part = moves.enumerate_classes(diagram, ctx.obj["cap"])
     if fmt != "text":
         _echo_blocks(part.json_blocks() if fmt == "json" else part.csv_blocks())
@@ -189,7 +190,7 @@ def census(ctx, family_name, range_str, fmt, out):
         spec = families.parse_family(f"{family_name}:{n}")
         diagram = _construct(spec, ctx.obj["cap"])
         t0 = time.perf_counter()
-        n_classes = moves.count_classes(diagram, ctx.obj["cap"])
+        n_classes = moves.enumerate_classes(diagram, ctx.obj["cap"]).class_count
         ms = int((time.perf_counter() - t0) * 1000)
         cf = families.closed_form_count(spec)
         if cf is None:
@@ -240,6 +241,7 @@ def verify(ctx, target):
         if not ok:
             failures.append(name)
 
+    moves.require_ranking(diagram, cap)
     part = moves.enumerate_classes(diagram, cap)
     f = len(diagram.free_vertices)
     check("class sizes sum to 2^free", int(part.sizes.sum()) == 1 << f)

@@ -5,18 +5,19 @@ The state space of a diagram is indexed by the free (non-pinned) vertices:
 free vertex ``free_vertices[j]`` contributes bit j of the state integer.
 Pinned bits are stripped on encode and re-inserted (as 1) on decode.
 
-enumerate_classes closes all 2^f states and keeps a class id for each, as
-the class table needs.  count_classes only counts: it deletes the free
-vertices whose translations commute with every move (the unread ones, and
-all but one of each group of clones), closes the smaller game, and lifts
-each of its classes by one firing pass.
+enumerate_classes deletes the free vertices whose translations commute
+with every move (the unread ones, and all but one of each group of clones),
+closes the smaller game, and counts the classes of the full game from one
+firing pass over its roots.  A ClassPartition lifts those roots to all 2^f
+states, by doubling over the deleted vertices, only when it ranks its
+classes for the class table.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +46,10 @@ def state_cap(override: int | None = None) -> int:
 
 _MEMINFO = "/proc/meminfo"
 # int64 class ids, states and sort keys (24 B/state) are live at once while a
-# ClassPartition ranks its classes; build_bytes charges one more byte per
+# ClassPartition ranks its classes; require_ranking charges one more byte per
 # state for the per-class arrays (keys, permutation, rank and its arange),
-# which ranking charges at their size once the class count is known
+# which ranking charges at their size once the class count is known.  The
+# lift to all 2^f states, which ranking runs first, holds less
 _RANK_BYTES_PER_STATE = 25
 _RANK_BYTES_PER_CLASS = 32
 
@@ -62,12 +64,6 @@ def available_memory() -> int:
     except (OSError, ValueError, IndexError):
         pass
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def build_bytes(n_states: int, a, b) -> int:
-    """Upper bound on the array bytes enumerate_classes holds at once for
-    moves with masks a and b (see _move_tables)."""
-    return max(_kernel.kernel_bytes(n_states, a, b), _RANK_BYTES_PER_STATE * n_states)
 
 
 def _states_text(f: int) -> str:
@@ -104,6 +100,15 @@ def require_states(f: int, need: int, cap: int | None = None, dimension: str = "
             f"enumerating {_states_text(f)} needs about {need >> 20} MB, "
             f"but only {avail >> 20} MB of memory is available"
         )
+
+
+def require_ranking(diagram: Diagram, cap: int | None = None) -> None:
+    """Refuse, before any closure, to partition a diagram whose ranking will
+    not fit: a caller that reads the class table calls it before
+    enumerate_classes, since the closure holds far less than the ranking's
+    bytes per state over all 2^f states (see ClassPartition)."""
+    f = len(diagram.free_vertices)
+    require_states(f, _RANK_BYTES_PER_STATE << f, cap)
 
 
 # -- single moves ---------------------------------------------------------
@@ -220,6 +225,23 @@ def span_states(x0: int, vectors) -> np.ndarray:
     for j, v in enumerate(vectors):
         np.bitwise_xor(states[: 1 << j], v, out=states[1 << j : 2 << j])
     return states
+
+
+def span_take(src, vectors, out) -> None:
+    """out[s] = src[the XOR of vectors[i] over the set bits i of s], for
+    every s below 2^len(vectors), a block of _GATHER_BLOCK states at a time:
+    the span of the low vectors (span_states) XOR each span of the high
+    ones, so each next block's indices are the last one's XOR the change in
+    the high span.  out has src's dtype."""
+    k = min(len(vectors), _kernel._GATHER_BLOCK.bit_length() - 1)
+    targets = span_states(0, vectors[:k])
+    highs = [0]
+    for v in vectors[k:]:
+        highs += [h ^ v for h in highs]
+    for start, last, high in zip(range(0, len(out), 1 << k), [0, *highs], highs):
+        targets ^= last ^ high
+        # mode="clip" (every index is a state) spares take a copy of `out`
+        np.take(src, targets, out=out[start : start + len(targets)], mode="clip")
 
 
 def _move_tables(diagram: Diagram):
@@ -622,6 +644,32 @@ def _json_fields(cls, sizes, reps, k, count, later):
     return head, pair, tail
 
 
+# the lift works on blocks of this many positions of a row of the 2^k reduced
+# states, or of rows of them tiled to this width when the game is smaller
+_LIFT_BLOCK = 1 << 14
+
+
+class _Lift(NamedTuple):
+    """How a partition's roots, closed on the reduced game of
+    enumerate_classes, lift to all 2^f states.
+
+    A position is a state written in the bits of the lift: bit i of a
+    position stands for the free-encoded state basis[i], the first k bits
+    for the kept bits in the kernel's layout and bit k + j for the
+    translation of the j-th deleted bit.  index[v], the inverse, is the
+    position of free bit v, or index is None when that is bit v itself.
+    fired holds, at each reduced root, bit i set when the i-th condition
+    fires at some state of its class, and conditions[j] is the condition of
+    the j-th deleted bit.
+    """
+
+    class_count: int
+    basis: tuple[int, ...]
+    index: tuple[int, ...] | None
+    fired: np.ndarray | None
+    conditions: tuple[int, ...]
+
+
 class ClassPartition:
     """Partition of all 2^f states into equivalence classes.
 
@@ -632,50 +680,92 @@ class ClassPartition:
     and ``component_histograms``; ``member_states`` lists every state grouped
     by class.
 
-    ``class_count`` is counted from the roots when the partition is built.
-    Ranking, which gives the class ids and the minimal representatives, runs
-    once, on the first read of either (``rep_states``, ``sizes``,
-    ``class_id_array()``, ``class_of``, the table and the exports), and then
-    releases the roots; a caller that reads only the count never ranks.
-    Before it allocates, ranking is gated through require_states, with the
-    cap the partition was built under and the class count known.
+    ``class_count`` is known when the partition is built.  Ranking, which
+    gives the class ids and the minimal representatives, runs once, on the
+    first read of either (``rep_states``, ``sizes``, ``class_id_array()``,
+    ``class_of``, the table and the exports), and then releases the roots; a
+    caller that reads only the count never ranks.  Before it allocates,
+    ranking is gated through require_states, with the cap the partition was
+    built under and the class count known.
 
-    The roots may come from a kernel run in another bit layout (see
-    enumerate_classes): axes then transposes the (2,)*f view of layout-ordered
-    states into index order, and None means index order already.
+    The roots are the kernel's over all 2^f states in index order, or, with
+    a lift, over the reduced game of enumerate_classes in its layout:
+    ranking then lifts them to every position first (see _Lift).
     """
 
     def __init__(self, diagram: Diagram, roots: np.ndarray, cap: int | None = None,
-                 axes: tuple[int, ...] | None = None):
+                 lift: _Lift | None = None):
         self.diagram = diagram
         self._roots = roots
         self._cap = cap  # the free-vertex cap that ranking is gated by
-        self._axes = axes
-        self.class_count = _kernel.orbit_count(roots)
+        self._lift = lift
+        self.class_count = _kernel.orbit_count(roots) if lift is None else lift.class_count
+
+    def _lifted(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(members, basis): for every position (see _Lift), as int32, the
+        position of a member of its class that depends only on the class, and
+        the free-encoded state of each bit of a position.  It releases the
+        roots, so it runs once.
+
+        Position (v, x), for v the high bits and x the low k, is the state
+        E(x) + T(v): the kept bits x, with the deleted bits at 0, translated
+        by the deleted bits' translations that v selects.  Its class is that
+        of (root(x), v & ~F), F being the deleted bits whose move fires in
+        x's class (see enumerate_classes).  The members double one deleted
+        bit j at a time: the half with bit k + j set is the half below it,
+        with that bit set where the bit's move fires nowhere in the class of
+        x, a term over the reduced states broadcast along the rows of 2^k.
+        Beside the int32 members it holds blocks of _LIFT_BLOCK entries."""
+        roots = self._roots
+        del self._roots
+        lift = self._lift
+        if lift is None:
+            return roots, tuple(1 << v for v in range(len(self.diagram.free_vertices)))
+        if not lift.conditions:
+            return roots, lift.basis
+        k = len(roots).bit_length() - 1
+        members = np.empty(1 << len(lift.basis), dtype=np.int32)
+        members[: 1 << k] = roots
+        del roots
+        roots = members[: 1 << k]  # which the doubling never writes
+        for j, i in enumerate(lift.conditions):
+            n = 1 << k + j
+            # rows of the 2^k reduced states, tiled up to a block when the
+            # reduced game is smaller, and worked a block of columns at a time
+            width = max(1 << k, min(n, _LIFT_BLOCK))
+            lo, hi = (members[x : x + n].reshape(-1, width) for x in (0, n))
+            for x in range(0, width, _LIFT_BLOCK):
+                cols = slice(x, x + _LIFT_BLOCK)
+                term = np.where(lift.fired[roots[cols]] & 1 << i, np.int32(0), np.int32(n))
+                np.bitwise_or(lo[:, cols], np.tile(term, width >> k), out=hi[:, cols])
+        return members, lift.basis
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """(class id of every state, minimal representative state of every
         class), with the classes reindexed by minimal representative."""
-        n_states = len(self._roots)
-        f = n_states.bit_length() - 1
+        f = len(self.diagram.free_vertices)
+        n_states = 1 << f
         need = _RANK_BYTES_PER_STATE * n_states + _RANK_BYTES_PER_CLASS * self.class_count
         require_states(f, need, self._cap)
-        ids = self._roots
-        del self._roots
-        # every root is its class's minimum state in the kernel's layout, so
-        # ranking roots by value is a counting pass rather than a sort; cumsum
-        # over the bool mask itself would make a copy of it
+        ids, _ = self._lifted()
+        # a position maps to itself for exactly one member of each class, so
+        # ranking those members by position is a counting pass rather than a
+        # sort; cumsum over the bool mask itself would make a copy of it
         root_rank = (ids == np.arange(n_states, dtype=ids.dtype)).astype(ids.dtype)
         np.cumsum(root_rank, out=root_rank)
         root_rank -= 1
-        # into the roots buffer
+        # into the members buffer
         for start, ranks in _kernel.gathered_blocks(root_rank, ids):
             ids[start : start + len(ranks)] = ranks
         del root_rank, ranks
-        if self._axes is not None:
-            # back to index layout while the ids are still int32
-            ids = np.ascontiguousarray(ids.reshape((2,) * f).transpose(self._axes)).reshape(-1)
+        if self._lift is not None and self._lift.index is not None:
+            # back to index order, each state's id at its position, while the
+            # ids are still int32
+            ordered = np.empty_like(ids)
+            span_take(ids, self._lift.index, ordered)
+            ids = ordered
+            del ordered
         class_id = ids.astype(np.int64)
         del ids
         states = np.arange(n_states, dtype=np.int64)
@@ -851,135 +941,178 @@ class ClassPartition:
         return "".join(self.csv_blocks())
 
 
-def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:
-    """Partition of the full state space into classes under all moves.
-
-    The kernel runs in the bit layout that _layout picks from the move
-    tables, and on the tables _layout relabeled for it: index order on the
-    paper's families, a traversal order of the diagram on a graph numbered
-    in no such order, such as a Pruefer tree, which takes the postorder from
-    its far end.  The partition keeps that layout's axes and maps the class
-    ids back to index order when it ranks; the count does not depend on the
-    layout.
-    """
-    f = diagram.n_vertices - len(diagram.pinned)
-    require_cap(f, cap)  # before the tables, which grow as f^2
-    n_states = 1 << f
-    a, b, c = _move_tables(diagram)
-    require_states(f, build_bytes(n_states, a, b), cap)
-    layout = _layout(a, b, c)
-    if layout is None:
-        return ClassPartition(diagram, _kernel.orbit_roots(n_states, a, b, c), cap)
-    order, tables = layout
-    roots = _kernel.orbit_roots(n_states, *tables)
-    # axis x of the (2,)*f view holds bit f - 1 - x; index axis y, free bit
-    # f - 1 - y, is the layout's axis of the bit laid out as that free bit
-    at = {v: i for i, v in enumerate(order)}
-    return ClassPartition(diagram, roots, cap, tuple(f - 1 - at[f - 1 - y] for y in range(f)))
-
-
-def _deletable(a, c) -> list[int]:
-    """The free bits that count_classes deletes from moves (a, ., c), least
-    first: every unread bit, which no move's a holds, and every clone but the
-    least of its group, a clone of bit q being a bit with q's a and c that
-    the same moves read."""
+def _twins(a, c) -> list[int | None]:
+    """Of each free bit of moves (a, ., c): None when it is unread, that is
+    when no move's a holds it, else the least bit of its group of clones, a
+    clone of bit q being a bit with q's a and c that the same moves read."""
     readers = [0] * len(a)
     for j, am in enumerate(a):
         for k in _bits(am):
             readers[k] |= 1 << j
     least: dict[tuple[int, int, int], int] = {}
-    return [r for r in range(len(a))
-            if not readers[r] or least.setdefault((a[r], c[r], readers[r]), r) != r]
+    return [least.setdefault((a[r], c[r], readers[r]), r) if readers[r] else None
+            for r in range(len(a))]
 
 
-def closure_bytes(diagram: Diagram) -> int:
-    """kernel_bytes over all 2^f states of the diagram's moves.  It bounds
-    what count_classes holds for the diagram, whose reduced game has half
-    the states or fewer once a bit is deleted, and for any diagram with no
-    more free vertices and masked moves."""
-    a, b, _ = _move_tables(diagram)
-    return _kernel.kernel_bytes(1 << len(a), a, b)
+def _deletable(a, c) -> list[int]:
+    """The free bits that enumerate_classes deletes from moves (a, ., c),
+    least first: every unread bit, and every clone but the least of its
+    group (see _twins)."""
+    return [r for r, q in enumerate(_twins(a, c)) if q != r]
 
 
-def count_classes(diagram: Diagram, cap: int | None = None) -> int:
-    """enumerate_classes(diagram, cap).class_count, from a closure over
-    2^(f - |R|) states, R being the free bits that _deletable names.
+class _Game(NamedTuple):
+    """The game that enumerate_classes closes for a diagram: its move
+    tables, the free bits it deletes and those it keeps, the kept bits'
+    tables, and the bytes that the closure and its firing pass hold."""
+
+    tables: tuple[list, list, list]
+    deleted: list[int]
+    kept: list[int]
+    reduced: tuple[list, list, list]
+    need: int
+
+
+def _reduced_game(diagram: Diagram) -> _Game:
+    """The diagram's game with the bits of _deletable deleted.  The memory
+    charge is the kernel's over the reduced states, plus, once a bit is
+    deleted, 2 bytes per reduced state for the firing pass: its word per
+    state of where each condition fires (uint8 up to 8 conditions, uint16
+    up to 16, and uint32 only where 17 or more deleted bits leave at most
+    2^(f - 17) states, which the kernel's hook blocks outweigh); its blocks
+    take less than the hooks, which are freed by then."""
+    a, b, c = tables = _move_tables(diagram)
+    deleted = _deletable(a, c)
+    kept = sorted(set(range(len(a))).difference(deleted))
+    reduced = _relabeled(kept, a, b, c)
+    n_states = 1 << len(kept)
+    need = _kernel.kernel_bytes(n_states, *reduced[:2]) + (2 * n_states if deleted else 0)
+    return _Game(tables, deleted, kept, reduced, need)
+
+
+def enumerate_classes(diagram: Diagram, cap: int | None = None) -> ClassPartition:
+    """Partition of the full state space into classes under all moves.
 
     Translating a state by e_r, for r unread, or by e_r + e_q, for r a clone
-    of q, commutes with every move.  So the moves act on the states with
-    every bit of R at 0, where the kept moves drop R's bits from their
-    conditions, an unread r's move is a self-loop and a clone's move a copy
-    of its twin's, each carrying the voltage of its translation, and no other
-    move carries one.  The cycle voltages of a class C of that reduced game
-    then span the translations of the r in R whose move fires at some state
-    of C, m(C) of them and independent, and C lifts to 2^(|R| - m(C))
-    classes: the components of a derived graph (Gross and Tucker,
-    Topological Graph Theory, 1987, ch. 2).  A clone fires wherever its kept
-    twin does, and the condition of every r in R reads only kept bits.
+    of q (see _twins), commutes with every move.  So the kernel closes only
+    the states with every deleted bit (_deletable) at 0, where the kept
+    moves drop the deleted bits from their conditions, an unread r's move is
+    a self-loop and a clone's move a copy of its twin's, each carrying the
+    voltage of its translation, and no other move carries one.  The cycle
+    voltages of a class C of that reduced game then span the translations
+    of the deleted bits whose move fires at some state of C, m(C) of them
+    and independent, and C lifts to 2^(|R| - m(C)) classes of the full
+    game, R being the deleted bits: the components of a derived graph (Gross
+    and Tucker, Topological Graph Theory, 1987, ch. 2).  A clone fires
+    wherever its kept twin does, and the condition of every deleted bit
+    reads only kept bits.  One firing pass over the reduced roots counts
+    the classes and keeps, at each root, which conditions fire in its
+    class; ranking lifts the roots to all 2^f states from that (see
+    ClassPartition._lifted).
 
-    The reduced game closes in the layout that _layout picks for it; with R
-    empty it is the closure of enumerate_classes, counted as that counts.
-    The cap reads f, and the memory gate charges the reduced closure and
-    the firing pass.
+    The kernel runs in the bit layout that _layout picks from the reduced
+    tables, and on the tables _layout relabeled for it: index order on the
+    paper's families, a traversal order of the diagram on a graph numbered
+    in no such order, such as a Pruefer tree, which takes the postorder from
+    its far end.  With no bit deleted this is the closure of all 2^f states.
+    The cap reads f, and the memory gate charges the reduced closure and the
+    firing pass; a caller that ranks gates that first (require_ranking).
     """
     f = diagram.n_vertices - len(diagram.pinned)
     require_cap(f, cap)  # before the tables, which grow as f^2
-    a, b, c = _move_tables(diagram)
-    deleted = _deletable(a, c)
-    kept = sorted(set(range(f)).difference(deleted))
-    tables = _relabeled(kept, a, b, c)
-    n_states = 1 << len(kept)
-    need = _kernel.kernel_bytes(n_states, *tables[:2])
-    if deleted:
-        # the firing pass: a uint8 per state for m(C) and one for where a
-        # condition fires; its blocks take less than the kernel's hooks,
-        # which are freed by then
-        need += 2 * n_states
-    require_states(f, need, cap)
+    game = _reduced_game(diagram)
+    require_states(f, game.need, cap)
+    return _closed(diagram, game, cap)
+
+
+def _closed(diagram: Diagram, game: _Game, cap: int | None) -> ClassPartition:
+    """enumerate_classes' partition of a game that has passed its gate."""
+    a, b, c = game.tables
+    kept, tables = game.kept, game.reduced
     layout = _layout(*tables)
     if layout is not None:
         order, tables = layout
         kept = [kept[i] for i in order]
-    roots = _kernel.orbit_roots(n_states, *tables)
-    if not deleted:
-        return _kernel.orbit_count(roots)
-    relabel = _bit_map(kept, f)
-    return _lifted_count(roots, collections.Counter((relabel(a[r]), c[r]) for r in deleted))
+    roots = _kernel.orbit_roots(1 << len(kept), *tables)
+    if layout is None and not game.deleted:
+        return ClassPartition(diagram, roots, cap)
+    # the positions of _Lift: the kept bits in layout order, then the
+    # deleted bits' translations
+    twins = _twins(a, c)
+    basis, index = [1 << v for v in kept], [0] * len(a)
+    for i, v in enumerate(kept):
+        index[v] = 1 << i
+    for i, r in enumerate(game.deleted, start=len(kept)):
+        q = twins[r]
+        if q is None or q == r:
+            basis.append(1 << r)
+            index[r] = 1 << i
+        else:  # e_r is the translation XOR e_q
+            basis.append(1 << r | 1 << q)
+            index[r] = 1 << i | index[q]
+    index = None if all(x == 1 << v for v, x in enumerate(index)) else tuple(index)
+    if not game.deleted:
+        return ClassPartition(diagram, roots, cap,
+                              _Lift(_kernel.orbit_count(roots), tuple(basis), index, None, ()))
+    relabel = _bit_map(kept, len(a))
+    conditions: dict[tuple[int, int], int] = {}  # numbered as first met
+    of = tuple(conditions.setdefault((relabel(a[r]), c[r]), len(conditions)) for r in game.deleted)
+    fired = _fired(roots, list(conditions))
+    count = _lifted_count(roots, fired, [of.count(i) for i in range(len(conditions))])
+    return ClassPartition(diagram, roots, cap, _Lift(count, tuple(basis), index, fired, of))
 
 
-def _lifted_count(roots: np.ndarray, conditions: collections.Counter) -> int:
-    """The sum over the classes C that roots closes of 2^(|R| - m(C)), given
-    the conditions (am, cm) of R's moves, each with the number of bits of R
-    whose move has it.  Such a move fires at the states s where
-    parity(s & am) != cm.  It is one pass over the roots per condition, a
-    block of states at a time: the parities of the block's low bits are
-    found once, and the start of the block decides whether those that are
-    odd fire or those that are even."""
+def closure_bytes(diagram: Diagram) -> int:
+    """kernel_bytes over all 2^f states of the diagram's moves.  It bounds
+    what enumerate_classes holds while it closes the diagram's reduced game,
+    which has half the states or fewer once a bit is deleted, with its
+    firing pass, and so for any diagram with no more free vertices and
+    masked moves.  Ranking, which lifts the roots to all 2^f states, is
+    gated on its own (require_ranking)."""
+    a, b, _ = _move_tables(diagram)
+    return _kernel.kernel_bytes(1 << len(a), a, b)
+
+
+def _fired(roots: np.ndarray, conditions: list[tuple[int, int]]) -> np.ndarray:
+    """At each root of roots, bit i set when the i-th condition (am, cm)
+    fires at some state of the root's class, that is where parity(s & am)
+    != cm.  It is one pass over the roots per condition, a block of states
+    at a time: the parities of the block's low bits are found once, and the
+    start of the block decides whether those that are odd fire or those
+    that are even."""
     n = len(roots)
+    fired = np.zeros(n, dtype=np.min_scalar_type((1 << len(conditions)) - 1))
     block = min(n, _kernel._GATHER_BLOCK)
     low = np.arange(block, dtype=np.int64)
-    m = np.zeros(n, dtype=np.uint8)
-    hit = np.empty(n, dtype=np.uint8)
-    everywhere = 0
-    for (am, cm), count in conditions.items():
-        if not am:
-            everywhere += count * cm
+    for i, (am, cm) in enumerate(conditions):
+        if not am:  # fires everywhere or nowhere
+            if cm:
+                fired |= 1 << i
             continue
         odd = (np.bitwise_count(low & am) & 1).view(bool)
         fires = odd, ~odd
-        hit.fill(0)
         for start in range(0, n, block):
-            hit[roots[start : start + block][fires[cm ^ (start & am).bit_count() & 1]]] = count
-        m += hit
-    # the roots, by m
-    total = sum(conditions.values()) - everywhere
+            fired[roots[start : start + block][fires[cm ^ (start & am).bit_count() & 1]]] |= 1 << i
+    return fired
+
+
+def _lifted_count(roots: np.ndarray, fired: np.ndarray, counts: list[int]) -> int:
+    """The sum over the classes C that roots closes of 2^(|R| - m(C)), m(C)
+    being the deleted bits whose condition fires in C: counts[i] of them
+    have the i-th condition, whose bit fired holds at C's root."""
+    n = len(roots)
+    total = sum(counts)
     by_m = np.zeros(total + 1, dtype=np.int64)
+    block = min(n, _kernel._GATHER_BLOCK)
     ids = np.arange(block, dtype=roots.dtype)
     for start in range(0, n, block):
         if start:
             ids += block
-        own = roots[start : start + block] == ids
-        by_m += np.bincount(m[start : start + block][own], minlength=total + 1)
+        words = fired[start : start + block][roots[start : start + block] == ids]
+        m = np.zeros(len(words), dtype=np.int64)
+        for i, count in enumerate(counts):
+            m += (words >> i & 1) * count
+        by_m += np.bincount(m, minlength=total + 1)
     return sum(int(k) << total - i for i, k in enumerate(by_m.tolist()))
 
 

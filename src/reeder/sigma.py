@@ -5,9 +5,10 @@ simply-laced diagram the sigma move matrices are the transposes of the
 Reeder move matrices, and when the adjacency matrix A is invertible over
 GF(2) the map a -> A a carries equivalence classes onto sigma orbits.
 
-The duality report comes from two orbit-root arrays: the kernel run on the
-Reeder move tables, and on the same tables with a and b swapped.  It builds
-no class partition and never ranks.
+The duality report comes from the Reeder class partition, closed on its
+reduced game and lifted to a member of each state's class without ranking,
+and from the orbit roots of the kernel run on the Reeder move tables with a
+and b swapped.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class DualityReport:
 def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityReport:
     """Verify that a -> A a maps equivalence classes onto sigma orbits.
 
-    One gate covers both kernels and the map.  When det A = 1, A s must have
-    the sigma root of A r, for r the class root of s (well-defined), and hit
-    every sigma orbit (onto).  When det A = 0 the report carries both counts
+    One gate covers both closures and the map.  When det A = 1, A s must
+    have the sigma root of A r, for r the member of s's class that the
+    partition's lift gives s (well-defined), and hit every sigma orbit
+    (onto).  When det A = 0 the report carries both counts
     but asserts nothing (applicable=False, bijection_verified=None).
     """
     _require_sigma(diagram)
@@ -107,36 +109,32 @@ def orbit_bijection_check(diagram: Diagram, cap: int | None = None) -> DualityRe
     moves.require_cap(n, cap)  # before det A and the tables, which grow as n^2
     adj = diagram.adjacency_matrix()
     det = adj.det()
-    a, b, c = moves._move_tables(diagram)
-    # the Reeder kernel, or the sigma kernel beside the Reeder roots (4
-    # B/state); that also covers both roots and the int32 image (12 B/state)
-    # with one int64 block of the map, then the image and the hit mask
-    need = max(_kernel.kernel_bytes(1 << n, a, b), _kernel.kernel_bytes(1 << n, b, a) + (4 << n))
+    game = moves._reduced_game(diagram)
+    a, b, c = game.tables
+    # the Reeder closure, then the sigma kernel beside the partition's roots
+    # (at most 4 B/state); that also covers the lift of the Reeder members
+    # (int32, and blocks) beside the sigma roots, and the members, the sigma
+    # roots and the int32 image (12 B/state) with one int64 block of the
+    # map, then the image and the hit mask
+    need = max(game.need, _kernel.kernel_bytes(1 << n, b, a) + (4 << n))
     moves.require_states(n, need, cap)
-    reeder_roots = _kernel.orbit_roots(1 << n, a, b, c)
+    part = moves._closed(diagram, game, cap)
     sigma_roots = _kernel.orbit_roots(1 << n, b, a, c)
-    classes, orbits = _kernel.orbit_count(reeder_roots), _kernel.orbit_count(sigma_roots)
+    classes, orbits = part.class_count, _kernel.orbit_count(sigma_roots)
     if det == 0:
         return DualityReport(classes, orbits, 0, False, None)
-    # the sigma root of A s for every state s, a block of states at a time:
-    # A s is the span of A's low columns at s's low bits, by doubling, XOR
-    # the span of its high columns at s's high bits, so each next block's
-    # map is the last one XOR the change in the high span
-    columns = adj.transpose().rows
-    k = min(n, _kernel._GATHER_BLOCK.bit_length() - 1)
-    targets = moves.span_states(0, columns[:k])
-    highs = [0]
-    for v in columns[k:]:
-        highs += [h ^ v for h in highs]
+    # a member of each state's class, at the partition's positions, and the
+    # state at each bit of a position
+    members, basis = part._lifted()
+    # the sigma root of A s for the state s at every position: A s is the
+    # XOR of A's columns at s's bits, so the map at a position is the span
+    # of A applied to each basis state
     image = np.empty(1 << n, dtype=np.int32)
-    for start, last, high in zip(range(0, 1 << n, 1 << k), [0, *highs], highs):
-        targets ^= last ^ high
-        # mode="clip" (A s is a state) spares take a copy of `out`
-        np.take(sigma_roots, targets, out=image[start : start + len(targets)], mode="clip")
-    del sigma_roots, targets  # counted
-    # image == image[reeder_roots], a block at a time
+    moves.span_take(sigma_roots, [adj.mul_vec(x) for x in basis], image)
+    del sigma_roots  # counted
+    # image == image[members], a block at a time
     well_defined = all(np.array_equal(mapped, image[start : start + len(mapped)])
-                       for start, mapped in _kernel.gathered_blocks(image, reeder_roots))
+                       for start, mapped in _kernel.gathered_blocks(image, members))
     hit = np.zeros(1 << n, dtype=bool)
     hit[image] = True
     onto = int(np.count_nonzero(hit)) == orbits

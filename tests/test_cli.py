@@ -129,6 +129,29 @@ def test_count_cap_exit_4(runner):
     assert "1 free vertex exceeds the cap of 0: would require 2 states" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["classes", "verify"])
+def test_ranking_refused_before_any_closure(runner, monkeypatch, command):
+    """B:18's reduced closure fits where its ranking over all 2^18 states
+    does not: classes and verify exit 4 before the kernel runs, and count
+    closes the reduced game."""
+    from reeder import _kernel, moves
+
+    spec = families.parse_family("B:18")
+    closure = moves._reduced_game(families.construct(spec)).need
+    assert closure < moves._RANK_BYTES_PER_STATE << 18
+    monkeypatch.setattr(moves, "available_memory", lambda: closure)
+    assert runner.invoke(main, ["count", "B:18"]).stdout == f"{families.closed_form_count(spec)}\n"
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran although the ranking will not fit")
+
+    monkeypatch.setattr(_kernel, "orbit_roots", no_kernel)
+    res = runner.invoke(main, [command, "B:18"])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert "of memory is available" in res.stderr
+
+
 def test_count_memory_short_exit_4(runner, monkeypatch):
     from reeder import moves
 
@@ -588,8 +611,7 @@ def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args)
     # a spy that never enumerates, so a regression fails fast rather than
     # enumerating A:1..A:26 first
     calls = []
-    for counter in ("enumerate_classes", "count_classes"):
-        monkeypatch.setattr(moves, counter, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(moves, "enumerate_classes", lambda *a, **k: calls.append(a))
     res = runner.invoke(main, args, env={"REEDER_MAX_VERTICES": None})
     assert res.exit_code == 4
     assert res.stdout == ""
@@ -600,8 +622,7 @@ def test_census_refused_on_its_top_before_enumerating(runner, monkeypatch, args)
 def test_census_refused_on_its_top_for_memory(runner, monkeypatch):
     # A:19 needs more than 8 MB: A:1..A:18 must not be enumerated first
     calls = []
-    for counter in ("enumerate_classes", "count_classes"):
-        monkeypatch.setattr(moves, counter, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(moves, "enumerate_classes", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(moves, "available_memory", lambda: 8 << 20)
     res = runner.invoke(main, ["census", "--family", "A", "--range", "1..20"],
                         env={"REEDER_MAX_VERTICES": None})

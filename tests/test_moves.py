@@ -4,10 +4,13 @@ Python BFS oracle."""
 import collections
 import concurrent.futures
 import contextlib
+import hashlib
+import importlib.util
 import json
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -444,7 +447,7 @@ def test_resource_error_states_required_count():
 
 def test_build_fails_before_allocating(monkeypatch):
     d = fam("A:12")
-    need = moves.build_bytes(1 << 12, *moves._move_tables(d)[:2])
+    need = _kernel.kernel_bytes(1 << 12, *moves._move_tables(d)[:2])  # no bit is deleted
 
     def no_kernel(*args):
         raise AssertionError("the kernel ran although memory is short")
@@ -1507,14 +1510,18 @@ def index_layout():
 
 def test_families_keep_index_layout():
     """Every family is numbered in a connected-prefix order, or a traversal
-    order would add strided runs (the flower), so its roots are the index-order
-    kernel's, byte for byte."""
+    order would add strided runs (the flower), and so is its reduced game, so
+    its roots are the index-order kernel's on the reduced tables, byte for
+    byte."""
     for name, d in family_corpus(14):
         a, b, c = moves._move_tables(d)
         assert moves._layout(a, b, c) is None, name
+        game = moves._reduced_game(d)
+        assert moves._layout(*game.reduced) is None, name
         part = moves.enumerate_classes(d)
-        assert part._axes is None, name
-        assert part._roots.tobytes() == _kernel.orbit_roots(1 << len(a), a, b, c).tobytes(), name
+        assert (part._lift is None) == (not game.deleted), name
+        want = _kernel.orbit_roots(1 << len(game.kept), *game.reduced)
+        assert part._roots.tobytes() == want.tobytes(), name
 
 
 def test_layout_rule_on_small_diagrams():
@@ -1544,13 +1551,21 @@ def test_layout_rule_on_small_diagrams():
     assert moves._layout(a, b, c) is None
 
 
+def kernel_order(part):
+    """The free bits that a partition's kernel closed, in its layout."""
+    if part._lift is None:
+        return list(range(len(part.diagram.free_vertices)))
+    k = len(part._roots).bit_length() - 1
+    return [x.bit_length() - 1 for x in part._lift.basis[:k]]
+
+
 def check_layout_invisible(d):
     """The partition read through every public array and export is the same
     whether the kernel ran in the chosen layout or in index order."""
     got = moves.enumerate_classes(d)
     with index_layout():
         want = moves.enumerate_classes(d)
-    assert want._axes is None
+    assert kernel_order(want) == sorted(kernel_order(want))
     assert got.class_count == want.class_count
     for read in (lambda p: p.class_id_array(), lambda p: p.rep_states, lambda p: p.sizes,
                  lambda p: p.component_histograms, lambda p: p.member_states):
@@ -1567,7 +1582,7 @@ def test_layout_invisible_on_random_graphs(d):
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_layout_invisible_on_relabeled_trees(n):
     d = relabeled_tree(n)
-    assert moves.enumerate_classes(d)._axes is not None
+    assert moves._layout(*moves._reduced_game(d).reduced) is not None
     check_layout_invisible(d)
 
 
@@ -1655,19 +1670,27 @@ def deletable(d):
     return moves._deletable(a, c)
 
 
+def full_closure_count(d):
+    """The class count of the kernel over all 2^f states, in index order."""
+    a, b, c = moves._move_tables(d)
+    return _kernel.orbit_count(_kernel.orbit_roots(1 << len(a), a, b, c))
+
+
 @pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
 def test_count_classes_matches_enumeration_on_corpus(threshold):
     for name, d in family_corpus(14):
-        want = moves.enumerate_classes(d).class_count
+        want = full_closure_count(d)
         with split_kernel(threshold):
-            assert moves.count_classes(d) == want, name
+            assert moves.enumerate_classes(d).class_count == want, name
+        if len(d.free_vertices) <= 8:
+            assert want == len(oracle_classes(d)), name
 
 
 @settings(deadline=None, max_examples=80)
 @given(dsl_graphs())
 def test_count_classes_matches_enumeration_on_random_graphs(d):
-    count = moves.count_classes(d)
-    assert count == moves.enumerate_classes(d).class_count
+    count = moves.enumerate_classes(d).class_count
+    assert count == full_closure_count(d)
     if len(d.free_vertices) <= 7:
         assert count == len(oracle_classes(d))
 
@@ -1676,7 +1699,7 @@ def test_count_classes_matches_enumeration_on_random_trees():
     import random
 
     for t in classifiers._random_e6_trees(200, 6, 14, random.Random(20261020)):
-        assert moves.count_classes(t) == moves.enumerate_classes(t).class_count
+        assert moves.enumerate_classes(t).class_count == full_closure_count(t)
 
 
 @pytest.mark.parametrize("targets, size", [
@@ -1696,7 +1719,7 @@ def test_flower_closes_four_states(monkeypatch):
     closed = []
     orbit_roots = _kernel.orbit_roots
     monkeypatch.setattr(_kernel, "orbit_roots", lambda n, *t: closed.append(n) or orbit_roots(n, *t))
-    assert moves.count_classes(fam("flower:19")) == (1 << 18) + 1
+    assert moves.enumerate_classes(fam("flower:19")).class_count == (1 << 18) + 1
     assert closed == [4]
 
 
@@ -1708,9 +1731,9 @@ def test_equal_rows_read_by_different_moves_are_not_clones(monkeypatch):
     a, _, c = moves._move_tables(d)
     assert (a[0], c[0]) == (a[1], c[1])
     assert deletable(d) == []
-    assert moves.count_classes(d) == moves.enumerate_classes(d).class_count == len(oracle_classes(d)) == 5
+    assert moves.enumerate_classes(d).class_count == full_closure_count(d) == len(oracle_classes(d)) == 5
     monkeypatch.setattr(moves, "_deletable", lambda a, c: [1])
-    assert moves.count_classes(d) != 5
+    assert moves.enumerate_classes(d).class_count != 5
 
 
 @pytest.mark.parametrize("target", ["B:16", "X:14", "affD:15", "flower:14", "A:14"])
@@ -1725,7 +1748,7 @@ def test_count_classes_peak_within_its_charge(target, monkeypatch):
                         lambda f, need, *args: needs.append(need) or require(f, need, *args))
     tracemalloc.start()
     try:
-        moves.count_classes(d)
+        moves.enumerate_classes(d).class_count
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1746,12 +1769,121 @@ def test_count_classes_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(_kernel, "orbit_roots", no_kernel)
     monkeypatch.setattr(moves, "available_memory", lambda: need - 1)
     with pytest.raises(ResourceError, match="enumerating 4096 states"):
-        moves.count_classes(d)
+        moves.enumerate_classes(d)
     with pytest.raises(ResourceError, match="12 free vertices exceed the cap of 11"):
-        moves.count_classes(d, cap=11)  # the cap reads f, not the reduced bits
+        moves.enumerate_classes(d, cap=11)  # the cap reads f, not the reduced bits
     monkeypatch.undo()
     monkeypatch.setattr(moves, "available_memory", lambda: need)
-    assert moves.count_classes(d) == families.closed_form_count(families.parse_family("B:12"))
+    assert moves.enumerate_classes(d).class_count \
+        == families.closed_form_count(families.parse_family("B:12"))
+
+
+# -- class ids lifted from the reduced game ----------------------------------
+
+
+def partition_digests(part):
+    """sha256 of the count and of every array a partition's reader sees."""
+    reads = [np.int64(part.class_count), part.class_id_array(), part.rep_states, part.sizes,
+             part.component_histograms, part.member_states]
+    return [hashlib.sha256(str(x.dtype).encode() + np.ascontiguousarray(x).tobytes()).hexdigest()
+            for x in reads]
+
+
+def check_lift_matches_full_closure(d):
+    """The lifted partition against the partition of the kernel over all 2^f
+    states in index order, in one part and with the two-part split from 4
+    states on; and the member the lift gives each position, whose state is
+    the XOR of the basis states at its bits, in that position's class."""
+    a, b, c = moves._move_tables(d)
+    roots = _kernel.orbit_roots(1 << len(a), a, b, c)
+    want = partition_digests(moves.ClassPartition(d, roots.copy()))
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            assert partition_digests(moves.enumerate_classes(d)) == want, threshold
+    members, basis = moves.enumerate_classes(d)._lifted()
+    states = moves.span_states(0, basis)
+    assert np.array_equal(roots[states], roots[states[members]])
+
+
+def test_split_kernel_lift_matches_full_closure_on_corpus():
+    for name, d in family_corpus(14):
+        check_lift_matches_full_closure(d)
+
+
+@settings(deadline=None, max_examples=80)
+@given(dsl_graphs())
+def test_split_kernel_lift_matches_full_closure_on_random_graphs(d):
+    check_lift_matches_full_closure(d)
+
+
+def test_split_kernel_lift_matches_full_closure_on_criterion_5_trees():
+    trees = list(classifiers.random_e6_trees(200, max_vertices=20, seed=12345))
+    assert sum(bool(deletable(t)) for t in trees) >= 100
+    for t in trees:
+        check_lift_matches_full_closure(t)
+
+
+def test_split_kernel_lift_matches_full_closure_with_many_conditions():
+    """Ten unread bits, each reading its own set of the path 0-1-2-3 through
+    doubled edges: ten conditions, so the firing pass keeps a uint16 word."""
+    lines = ["vertices 14", "edge 0 1", "edge 1 2", "edge 2 3"]
+    for r, reads in enumerate(range(1, 11), start=4):
+        lines += [f"edge {x} {r} mult=2 dir={x}>{r}" for x in range(4) if reads >> x & 1]
+    d = parse_dsl("\n".join(lines))
+    part = moves.enumerate_classes(d)
+    assert deletable(d) == list(range(4, 14))
+    assert part._lift.fired.dtype == np.uint16
+    assert len(set(part._lift.conditions)) == 10
+    check_lift_matches_full_closure(d)
+
+
+def perfbench_dsl_graph(seed):
+    """The cyclic DSL graph of perfbench's export workload for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while it is built
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):
+        spec.loader.exec_module(workloads)
+    return parse_dsl(workloads.cyclic_graph_dsl(seed))
+
+
+def test_split_kernel_lift_matches_full_closure_on_perfbench_graphs():
+    graphs = [perfbench_dsl_graph(seed) for seed in range(1, 21)]
+    assert {len(deletable(d)) for d in graphs} >= {0, 1, 2}
+    for d in graphs:
+        check_lift_matches_full_closure(d)
+
+
+@pytest.mark.parametrize("target", ["flower:14", "affD:15", "B:16", "edgeless-14"])
+def test_lift_and_ranking_peak_within_their_charge(target, monkeypatch):
+    """The lift holds the int32 members and blocks of _LIFT_BLOCK entries,
+    and the ranking it opens stays within the charge of its gate."""
+    d = parse_dsl("vertices 14\n") if target == "edgeless-14" else fam(target)
+    n_states = 1 << len(d.free_vertices)
+    part = moves.enumerate_classes(d)
+    assert part._lift.conditions
+    tracemalloc.start()
+    try:
+        part._lifted()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n_states + 16 * moves._LIFT_BLOCK
+    needs = []
+    require = moves.require_states
+    monkeypatch.setattr(moves, "require_states",
+                        lambda f, need, *args: needs.append(need) or require(f, need, *args))
+    part = moves.enumerate_classes(d)
+    needs.clear()
+    tracemalloc.start()
+    try:
+        part.rep_states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [need] = needs
+    assert peak <= need
 
 
 @settings(deadline=None, max_examples=60)

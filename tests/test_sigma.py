@@ -12,7 +12,7 @@ from reeder import families, moves, sigma
 from reeder.cli import main
 from reeder.diagram import Diagram, DiagramError, Edge, Labeling, parse_dsl
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, check_split_schedule
+from conftest import check_kernels, check_split_schedule, oracle_classes
 
 
 def fam(text):
@@ -300,6 +300,31 @@ def simple_graphs(draw, max_vertices=9):
 @given(simple_graphs())
 def test_sigma_kernels_match_oracle_on_random_graphs(d):
     check_sigma_kernels(d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(simple_graphs())
+def test_orbit_bijection_at_the_partition_positions(d):
+    """The map a -> A a read at the Reeder partition's positions, in
+    whatever layout its kernel ran and whichever bits it deleted: both
+    counts are the oracles', and an invertible A verifies the bijection."""
+    report = sigma.orbit_bijection_check(d)
+    assert report.reeder_classes == len(oracle_classes(d))
+    assert report.sigma_orbits == len(oracle_sigma_orbits(d))
+    assert report.bijection_verified is (True if report.det_A else None)
+
+
+def test_orbit_bijection_on_a_relabeled_tree():
+    """A Pruefer-numbered tree with det A = 1, whose kernel runs in its
+    postorder layout: the map is read at the layout's positions."""
+    from reeder import classifiers
+
+    trees = classifiers.random_e6_trees(200, max_vertices=12, min_vertices=12, seed=7)
+    d = next(t for t in trees if t.adjacency_matrix().det()
+             and moves._layout(*moves._move_tables(t)) is not None)
+    report = sigma.orbit_bijection_check(d)
+    assert report.bijection_verified is True
+    assert report.reeder_classes == report.sigma_orbits == len(oracle_classes(d))
 
 
 def test_sigma_cap():
