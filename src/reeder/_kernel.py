@@ -34,18 +34,45 @@ minimum into both ends instead would tell only the larger end, so a minimum
 that must pass many states would reach them one pair per sweep: 12 to 21
 sweeps on the sigma moves of E8, odd D, affD and affA, against at most 5
 with hooks.  Labels never rise, and each stays in its state's class, since a
-hook joins the roots of a pair.  A sweep in which some pair differs lowers a
-label: the pair's larger root, or its larger end where the pair takes the
-minimum, unless the same sweep has lowered it already.  So the kernel stops,
-at the first sweep in which no pair differs.  Then the ends of every pair
-name one root and every root names itself, so each class carries one label,
-which is its minimum member since label[s] <= s.  After a sweep in which a
-pair differed, one round of pointer jumps points every label at the root of
-its chain, in place and in one increasing pass over blocks of states.  Since
-label[s] <= s, a label below the block names a state the pass has already
-resolved, so one gather label[label] settles it; the block is gathered again
-only while some label that pointed into the block still changes, at most
-f + 1 gathers.  The result is the int32 label array itself, so f <= 31.
+hook joins the roots of a pair.  After a sweep in which a pair differed, one
+round of pointer jumps points every label at the root of its chain, in place
+and in one increasing pass over blocks of states.  Since label[s] <= s, a
+label below the block names a state the pass has already resolved, so one
+gather label[label] settles it; the block is gathered again only while some
+label that pointed into the block still changes, at most f + 1 gathers.
+
+The first hook sweep keeps the (lower, larger) labels of every pair it
+hooks, and the kernel stops after that sweep's jump round, with no further
+sweep.  The round leaves every label at its root.  The kernel gathers the
+labels of both ends of each kept pair; while some kept pair's two roots
+differ, a scatter-min round hooks the larger under the smaller, and then one
+more round of pointer jumps runs.  This is exact.  Between two jump rounds a
+hook writes only the label of a state that was a root when the sweep began,
+and every label it writes is the lower end of a kept pair whose larger end
+is that state.  So once the kept pairs are joined, each state shares its
+root with every label it held during the sweep: a pair whose ends agreed
+when compared still agrees, and a pair that differed was kept.  Kept pairs
+can be apart only because a scatter-min keeps just the least label hooked
+under a root, and they are few: the sigma tables of D:17 hook 57350 pairs
+in that sweep, 23 of them distinct.  The pairs are kept raw, at most
+_KEEP_PAIRS over all parts, and compacted to the distinct ones when they
+fill.  A first hook sweep that could not keep every pair (compaction left
+less than half the room free), or that wrote a pair's ends (part 1, in two
+parts), falls back to the full loop: hook sweeps until the first in which
+no pair differs.  It stops, since a sweep in which some pair differs lowers
+a label: the pair's larger root, or its larger end where the pair takes the
+minimum, unless the same sweep has lowered it already.  Either way the ends
+of every pair then name one root and every root names itself, so each class
+carries one label, which is its minimum member since label[s] <= s.  The
+result is the int32 label array itself, so f <= 31.
+
+In one part every diagram of the paper's families with at most 14 vertices
+closes in two sweeps, on its Reeder tables and on its sigma tables, and so
+do random 16-vertex E6 trees; the full loop took three on affB, affD and
+flower and up to five on the sigma tables.  The totals over those Reeder
+tables, 72 such trees and those sigma tables are 394, 144 and 134 sweeps in
+one part (433, 218 and 237 with the full loop) and 412, 258 and 206 in two
+(442, 258 and 224).
 
 From _SPLIT_STATES states on, and when the process may run on two CPUs, the
 work is cut in two parts on the top state bit (axis 0), since numpy releases
@@ -68,14 +95,16 @@ exceed their states, so part 0's roots lie in its own half; the joined steps
 run alone; both hook any root.  Part 1 hooks only a pair whose larger root
 lies in its own half, since a root below it is part 0's, and every other
 pair of its own that differs takes the minimum into both ends as the first
-sweep does.  While both parts sweep, no part then writes a label that the
-other reads, and the roots, the sweeps and the jumps repeat from run to run;
-the sweeps may differ from one part's, since part 1 hooks fewer pairs and
-the joined steps run at other points of each sweep.
+sweep does, which sends a first hook sweep to the full loop.  While both
+parts sweep, no part then writes a label that the other reads, and the
+roots, the sweeps and the jumps repeat from run to run; the sweeps may
+differ from one part's, since part 1 hooks fewer pairs and the joined steps
+run at other points of each sweep.
 Below the threshold the caller runs the same loop alone, with no pool and
 no thread.  The roots are the same either way.  Memory is about 6 bytes
 per state (the label array and a half-size minimum buffer, which the jumps
-gather into) plus one bool edge mask over half the states per masked move.
+gather into) plus one bool edge mask over half the states per masked move,
+and 8 bytes per kept pair.
 Each part's steps take its own slice of the minimum buffer, and the joined
 steps, which run while the parts wait, take all of it.  A hook takes a block
 of pairs at a time and selects only those that differ, through the bools of
@@ -109,6 +138,11 @@ _MASK_BITS = 7
 # one-part time when the host delays thread wake-ups
 _SPLIT_STATES = 1 << 19
 
+# the first hook sweep keeps the (lower, larger) label of at most this many of
+# the pairs it hooks, over all parts, to re-check once its pointer jumps end
+# (see _Kept)
+_KEEP_PAIRS = 1 << 13
+
 # indices per block of a gather.  The pointer jumps, and the hooks, take
 # blocks of a sixteenth of a part's states, at least an eighth and at most
 # all of this: larger blocks gather again more often, smaller ones take more
@@ -136,13 +170,69 @@ def kernel_bytes(n_states: int, a, b) -> int:
     and its owned roots and their lower ends (22).  Each part's hook also
     holds, during its np.minimum.at, a buffer in which numpy casts the int32
     roots to intp: 8192 of them and the iterator, 70736 bytes traced (at
-    most 70 KB per part).  Building a mask holds less: an int32 state array
-    and half-size temporaries, before the labels exist.  The int32 result is
-    the label array.
+    most 70 KB per part).  The first hook sweep's kept pairs take 8 per pair
+    of _KEEP_PAIRS, and 9 more while one part compacts them (a bool mask and
+    the distinct pairs).  The scatter-min rounds that re-check them run once
+    the hooks' blocks are freed, and hold at most 64 per kept pair (copies,
+    their intp casts and masks) and one cast buffer, beside the jumps'
+    index block.  Building a mask holds less: an int32 state array and
+    half-size temporaries, before the labels exist.  The int32 result is the
+    label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    hooks = (8 + 12 + 22) * _GATHER_BLOCK + 2 * (70 << 10)
-    return 8 * n_states + n_masked * (n_states // 2) + hooks
+    sweeping = (8 + 12 + 22) * _GATHER_BLOCK + 2 * (70 << 10) + 9 * _KEEP_PAIRS
+    settling = 8 * _GATHER_BLOCK + 64 * _KEEP_PAIRS + (70 << 10)
+    return 8 * n_states + n_masked * (n_states // 2) + 8 * _KEEP_PAIRS + max(sweeping, settling)
+
+
+class _Kept:
+    """The number of pairs that one part's first hook sweep hooks, and their
+    (lower, larger) labels, in a buffer of at most capacity pairs allocated
+    at the first pair.  When it fills, it is compacted to its distinct
+    pairs; when that leaves less than half of it free, or the part writes a
+    pair's ends, the part keeps nothing more and whole turns False."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.pairs = None
+        self.n = self.hooked = 0
+        self.whole = True
+
+    def add(self, low, top) -> None:
+        self.hooked += len(low)
+        i = 0
+        while self.whole and i < len(low):
+            if self.n == self.capacity:
+                self.compact()
+                continue
+            if self.pairs is None:
+                self.pairs = np.empty((self.capacity, 2), dtype=np.int32)
+            m = min(self.capacity - self.n, len(low) - i)
+            self.pairs[self.n : self.n + m, 0] = low[i : i + m]
+            self.pairs[self.n : self.n + m, 1] = top[i : i + m]
+            self.n += m
+            i += m
+
+    def compact(self) -> None:
+        if not self.capacity:
+            return self.drop()
+        # each pair of int32 labels read as one int64, sorted in place: on
+        # 2^12 pairs that took a tenth to a third of the time of np.unique,
+        # which hashes integers in numpy 2.4
+        pairs = self.pairs.view(np.int64)[:, 0]
+        pairs.sort()
+        distinct = np.empty(len(pairs), dtype=bool)
+        distinct[0] = True
+        np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
+        n = int(np.count_nonzero(distinct))
+        if 2 * n > self.capacity:
+            return self.drop()
+        pairs[:n] = pairs[distinct]
+        self.n = n
+
+    def drop(self) -> None:
+        self.whole = False
+        self.pairs = None
 
 
 def _move_pairs(f: int, a, b, c) -> list:
@@ -230,7 +320,7 @@ def _chunks(view, block: int):
     return (view[(*i, ...)] for i in np.ndindex(view.shape[:k]))
 
 
-def _propagate(label, parts: list) -> tuple[int, int]:
+def _propagate(label, parts: list) -> tuple[int, int, int]:
     """Lower every label to its class minimum, in place.  parts holds each
     part's steps, then the joined steps: part p owns the p-th of
     len(parts) - 1 equal slices of label, part 0 runs in the caller's thread
@@ -238,7 +328,8 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     The joined steps open every sweep in the caller while no part sweeps:
     before the first, and after the join and the pointer jumps that end the
     sweep before.  Returns the number of sweeps and of pointer jumps run, the
-    jumps of a round counting the gathers of the block that took the most."""
+    jumps of a round counting the gathers of the block that took the most,
+    and the number of pairs that the first hook sweep hooked."""
     *parts, joined = parts
     n_parts = len(parts)
     size = len(label) // n_parts
@@ -246,7 +337,7 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # each part's largest step, then the largest joined step
     sizes = [max((step[0].size for step in steps), default=0) for steps in (*parts, joined)]
     if not any(sizes):  # no move joins two states
-        return 0, 0
+        return 0, 0, 0
     block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
     # minimum goes unmasked into a buffer and only the copies are masked.
@@ -262,6 +353,9 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     index = np.empty(block, dtype=np.intp)
     got = least[:block]
     sweeps = jumps = 0
+    # what each part's first hook sweep hooks; the joined steps run in the
+    # caller, as part 0 does, and share its pairs
+    kept = [_Kept(_KEEP_PAIRS // n_parts) for _ in parts]
 
     def resolve(x: slice) -> int:
         """Point every label of block x at its root, given that each label
@@ -287,10 +381,36 @@ def _propagate(label, parts: list) -> tuple[int, int]:
         # + 1 <= f + 1 gathers settle it
         raise RuntimeError(f"labels still change after {f + 1} pointer jumps")
 
-    def sweeper(steps: list, buf, start: int):
-        """A sweep of steps through minimum buffer buf, hooking only roots
-        from start on: a function that runs the sweep numbered `sweeps` and
-        returns whether a pair differed."""
+    def jump_round() -> int:
+        """A round of pointer jumps: label[s] <= s stays in s's class, so one
+        increasing pass points every label at its root, as those below a
+        block already do.  Returns the gathers of the block that took the
+        most."""
+        return max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
+
+    def settle(pairs) -> int:
+        """Join the roots of both ends of each pair, given that every label
+        names its root: scatter-min rounds hook the larger root of each pair
+        whose roots differ under the smaller, then follow each end to its
+        new root, until no pair differs.  Returns the rounds run."""
+        ends, rounds = label[pairs], 0
+        apart = ends[:, 0] != ends[:, 1]
+        while apart.any():
+            ends = ends[apart]
+            np.minimum.at(label, ends.max(axis=1), ends.min(axis=1))
+            # a root hooked in this round may name one hooked after it
+            up = label[ends]
+            while not np.array_equal(up, ends):
+                ends, up = up, label[up]
+            apart = ends[:, 0] != ends[:, 1]
+            rounds += 1
+        return rounds
+
+    def sweeper(steps: list, buf, start: int, p: int):
+        """A sweep of part p's steps through minimum buffer buf, hooking only
+        roots from start on: a function that runs the sweep numbered `sweeps`
+        and returns whether a pair differed.  In the first hook sweep, it
+        counts and keeps the pairs it hooks."""
         # a step's minimum and the comparison of its ends share the buffer
         steps = [(*step, buf[: step[0].size].reshape(step[0].shape),
                   buf.view(bool)[: step[0].size].reshape(step[0].shape)) for step in steps]
@@ -310,7 +430,10 @@ def _propagate(label, parts: list) -> tuple[int, int]:
                         pairs[pairs] = below
                         lo[pairs] = hi[pairs] = low[below]
                         top, low = top[own], low[own]
+                        kept[p].drop()
                 np.minimum.at(label, top, low)
+                if sweeps == 1:
+                    kept[p].add(low, top)
 
         def sweep() -> bool:
             if not sweeps:
@@ -342,9 +465,9 @@ def _propagate(label, parts: list) -> tuple[int, int]:
     # part p owns the states from p * size on; labels are never above their
     # states, so a root below that is another part's.  The joined steps run
     # alone and hook any root
-    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]], p * size)
+    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]], p * size, p)
                  for p, steps in enumerate(parts)]
-    sweep_joined = sweeper(joined, least, 0)
+    sweep_joined = sweeper(joined, least, 0, 0)
 
     # part 0 sweeps in the caller, each other part in a pool's thread.  The
     # pool's import costs about 5 ms and 0.4 MB, so one part skips both
@@ -363,12 +486,19 @@ def _propagate(label, parts: list) -> tuple[int, int]:
             differed |= any([other.result() for other in others])
             sweeps += 1
             if not differed:
-                return sweeps, jumps
+                return sweeps, jumps, sum(k.hooked for k in kept)
             # while no part sweeps: a round of pointer jumps, then the next
-            # sweep's joined steps.  label[s] <= s stays in s's class, so one
-            # increasing pass points every label at its root: those below a
-            # block already do
-            jumps += max(resolve(slice(x, x + block)) for x in range(0, len(label), block))
+            # sweep's joined steps
+            jumps += jump_round()
+            if sweeps == 2:
+                if all(k.whole for k in kept):
+                    # the first hook sweep wrote only labels of roots and
+                    # kept every pair it hooked: only those can be apart
+                    if settle(np.concatenate([k.pairs[: k.n] for k in kept if k.n])):
+                        jumps += jump_round()
+                    return sweeps, jumps, sum(k.hooked for k in kept)
+                for k in kept:
+                    k.drop()
             differed = sweep_joined()
 
 

@@ -889,8 +889,9 @@ def test_kernel_roots_do_not_depend_on_move_order(d, data):
         assert np.array_equal(got, want), threshold
 
 
-def kernel_sweeps(a, b, c) -> int:
-    """The sweeps of one orbit_roots call."""
+def kernel_counts(a, b, c) -> tuple[int, int, int]:
+    """The sweeps, the pointer jumps and the pairs that the first hook sweep
+    hooked, of one orbit_roots call."""
     propagate = _kernel._propagate
     counts = []
 
@@ -900,7 +901,12 @@ def kernel_sweeps(a, b, c) -> int:
 
     with mock.patch.object(_kernel, "_propagate", counted):
         _kernel.orbit_roots(1 << len(a), a, b, c)
-    return counts[0][0]
+    return counts[0]
+
+
+def kernel_sweeps(a, b, c) -> int:
+    """The sweeps of one orbit_roots call."""
+    return kernel_counts(a, b, c)[0]
 
 
 @settings(deadline=None, max_examples=40)
@@ -939,7 +945,7 @@ def test_pointer_jumps_reach_the_fixpoint(f, near, split, small, rng):
     while not np.array_equal(want[want], want):
         want = want[want]
     with split_kernel(), mock.patch.object(_kernel, "_GATHER_BLOCK", 8 if small else _kernel._GATHER_BLOCK):
-        assert _kernel._propagate(label, [[step], [], []] if split else [[step], []]) == (2, mock.ANY)
+        assert _kernel._propagate(label, [[step], [], []] if split else [[step], []]) == (2, mock.ANY, 0)
     assert np.array_equal(label, want)
 
 
@@ -970,7 +976,7 @@ def test_kernel_sweeps_per_family(threshold):
                 seen.add(family)
                 a, b, c = moves._move_tables(d)
                 _kernel.orbit_roots(1 << len(a), a, b, c)
-                sweeps, jumps = counts.pop()
+                sweeps, jumps, _ = counts.pop()
                 assert sweeps <= MAX_SWEEPS[family], (name, sweeps)
                 # every sweep but the last is followed by 1 to f + 1 jumps
                 assert sweeps - 1 <= jumps <= max(sweeps - 1, 0) * (len(a) + 1), (name, jumps)
@@ -1053,28 +1059,136 @@ def sigma_corpus(max_vertices: int) -> list:
             if d.is_simply_laced and not d.pinned]
 
 
+def laid_out(tables):
+    """Move tables in the layout that _layout picks for them."""
+    layout = moves._layout(*tables)
+    return tables if layout is None else layout[1]
+
+
+def random_e6_tree_tables() -> list:
+    """The move tables of 72 random 16-vertex E6 trees, each in its chosen
+    layout."""
+    return [laid_out(moves._move_tables(t)) for seed in (101, 102, 103)
+            for t in classifiers.random_e6_trees(24, max_vertices=16, min_vertices=16, seed=seed)]
+
+
 def test_kernel_sweep_totals():
     """Every round of pointer jumps reaches the same fixpoint however it gets
-    there, so the sweep totals stay fixed: over family_corpus(14), over 72
-    random 16-vertex E6 trees, each in its chosen layout, and over the sigma
-    tables of family_corpus(14).  Two parts hook only the pairs whose root
-    lies in their own half, and the pairs that flip the top bit open each
-    sweep, so their totals differ from one part's."""
+    there, so the totals of the sweeps and of the pairs that the first hook
+    sweep hooks stay fixed: over family_corpus(14), over 72 random 16-vertex
+    E6 trees, each in its chosen layout, and over the sigma tables of
+    family_corpus(14).  In one part every tree closes in two sweeps, since
+    the pairs that the first hook sweep kept, checked once its pointer jumps
+    end, all agree.  Two parts hook only the pairs whose root lies in their
+    own half, part 1 takes the minimum into both ends of the others, which
+    the kept pairs do not cover, and the pairs that flip the top bit open
+    each sweep, so their totals differ from one part's.  Keeping no pair
+    (_KEEP_PAIRS = 0) sweeps until no pair differs, as the kernel did
+    before it kept any: those totals are the full ones."""
     tables = [moves._move_tables(d) for _, d in family_corpus(14)]
-    trees = []
-    for seed in (101, 102, 103):
-        for t in classifiers.random_e6_trees(24, max_vertices=16, min_vertices=16, seed=seed):
-            a, b, c = moves._move_tables(t)
-            layout = moves._layout(a, b, c)
-            trees.append((a, b, c) if layout is None else layout[1])
+    trees = random_e6_tree_tables()
     sigmas = [x for _, x in sigma_corpus(14)]
-    assert len(sigmas) == 68
-    for threshold, want in ((_kernel._SPLIT_STATES, [433, 218, 237]), (4, [442, 258, 224])):
+    assert len(trees) == 72 and len(sigmas) == 68
+    for threshold, want, full, hooked in (
+        (_kernel._SPLIT_STATES, [394, 144, 134], [433, 218, 237], [9881, 1044434, 61652]),
+        (4, [412, 258, 206], [442, 258, 224], [9821, 609662, 36943]),
+    ):
         with split_kernel(threshold):
-            totals = [sum(kernel_sweeps(*x) for x in tables),
-                      sum(kernel_sweeps(*x) for x in trees),
-                      sum(kernel_sweeps(*x) for x in sigmas)]
-        assert totals == want, threshold
+            counts = [[kernel_counts(*x) for x in corpus] for corpus in (tables, trees, sigmas)]
+            with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
+                totals = [sum(kernel_sweeps(*x) for x in corpus) for corpus in (tables, trees, sigmas)]
+        assert [sum(x[0] for x in corpus) for corpus in counts] == want, threshold
+        assert [sum(x[2] for x in corpus) for corpus in counts] == hooked, threshold
+        assert totals == full, threshold
+        if threshold > 4:
+            assert {x[0] for x in counts[1]} == {2}
+
+
+def roots_digests(corpus) -> list[str]:
+    """The sha256 of orbit_roots' result on each move table triple."""
+    return [hashlib.sha256(_kernel.orbit_roots(1 << len(x[0]), *x).tobytes()).hexdigest()
+            for x in corpus]
+
+
+def criterion_5_tables() -> list:
+    """The reduced tables that enumerate_classes closes, in its layout, for
+    the 200 random E6 trees of acceptance criterion 5."""
+    return [laid_out(moves._reduced_game(t).reduced)
+            for t in classifiers.random_e6_trees(200, max_vertices=20, seed=12345)]
+
+
+KEPT_PAIRS_CORPORA = {
+    "family-corpus": lambda: [moves._move_tables(d) for _, d in family_corpus(14)],
+    "sigma-corpus": lambda: [x for _, x in sigma_corpus(14)],
+    "e6-trees-16": random_e6_tree_tables,
+    "criterion-5-trees": criterion_5_tables,
+    "perfbench-graphs": lambda: [laid_out(moves._reduced_game(perfbench_dsl_graph(seed)).reduced)
+                                 for seed in range(1, 21)],
+}
+
+
+@pytest.mark.parametrize("corpus", list(KEPT_PAIRS_CORPORA))
+def test_kept_pairs_stop_matches_full_sweeps(corpus):
+    """Stopping once the pairs that the first hook sweep kept agree gives
+    roots byte-identical to sweeping until no pair differs, which keeping
+    no pair (_KEEP_PAIRS = 0) forces: in one part, and in two parts from 4
+    states on."""
+    tables = KEPT_PAIRS_CORPORA[corpus]()
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            got = roots_digests(tables)
+            with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
+                assert roots_digests(tables) == got, threshold
+
+
+def test_kept_pairs_compact_or_give_up_sweeps():
+    """The first hook sweep of the sigma tables of D:8 hooks 77 pairs, 8 of
+    them distinct.  With room for 16, the kept pairs compact each time they
+    fill and the closure still stops after two sweeps; with room for 8,
+    compaction leaves less than half of it free, the sweep gives them up,
+    and the kernel sweeps on as when it keeps no pair.  The roots are the
+    same each time."""
+    a, b, c = _sigma_tables(fam("D:8"))
+    with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
+        full = kernel_counts(a, b, c)
+        want = roots_digests([(a, b, c)])
+    assert full[0] == 4 and full[2] == 77
+    with mock.patch.object(_kernel, "_KEEP_PAIRS", 16):
+        assert kernel_counts(a, b, c)[::2] == (2, 77)
+        assert roots_digests([(a, b, c)]) == want
+    with mock.patch.object(_kernel, "_KEEP_PAIRS", 8):
+        assert kernel_counts(a, b, c) == full
+        assert roots_digests([(a, b, c)]) == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs(), st.integers(1, 6))
+def test_few_kept_pairs_match_full_sweeps_on_random_graphs(d, capacity):
+    """Room for a few kept pairs: they compact when they fill, and the first
+    hook sweep gives them up mid-sweep once compaction leaves less than half
+    of the room free.  Either way the roots of the Reeder tables and of the
+    swapped ones with c = 0 are those of plain BFS, in one part and in two."""
+    a, b, c = moves._move_tables(d)
+    for tables in ((a, b, c), (b, a, [0] * len(a))):
+        classes = oracle_table_classes(*tables)
+        with mock.patch.object(_kernel, "_KEEP_PAIRS", capacity):
+            check_kernels(1 << len(a), *tables, classes)
+
+
+def test_split_kernel_sigma_orbits_match_reeder_classes():
+    """The sigma moves of an unpinned simply-laced diagram are the
+    transposes of its Reeder moves, and a group of GF(2) matrices has as
+    many orbits as its image under g -> (g^-1)^t (by Burnside's lemma, since
+    g - 1 and its transpose have one rank), invertible A or not.  So the
+    sigma roots number the Reeder classes on every diagram of
+    sigma_corpus(14), in one part and in two."""
+    diagrams = [(name, d) for name, d in family_corpus(14) if d.is_simply_laced and not d.pinned]
+    assert any(d.adjacency_matrix().det() == 0 for _, d in diagrams)
+    for threshold in (_kernel._SPLIT_STATES, 4):
+        with split_kernel(threshold):
+            for name, d in diagrams:
+                orbits = _kernel.orbit_count(sigma.enumerate_sigma_orbits(d))
+                assert orbits == moves.enumerate_classes(d).class_count, (name, threshold)
 
 
 # most sweeps the kernel may take per family on the sigma tables: a hook
@@ -1371,7 +1485,7 @@ def test_split_kernel_one_join_per_sweep():
             mock.patch.multiple(np, take=recorded("take"), minimum=recorded("minimum"),
                                 not_equal=recorded("not_equal")):
         _kernel.orbit_roots(1 << 10, a, b, c)
-    [((sweeps, jumps), parts)] = runs
+    [((sweeps, jumps, _), parts)] = runs
     joined = parts[-1]
     assert sweeps == 2 and jumps > 0 and joined
     assert watched.built == 1
@@ -1640,26 +1754,28 @@ def test_split_kernel_in_postorder_layout(target):
 
 def test_layout_lowers_sweeps_on_criterion_5_trees():
     """The 200 random E6 trees of acceptance criterion 5 take fewer kernel
-    sweeps in the chosen layout than in index order; sweep counts depend only
-    on the move tables, so the totals are deterministic."""
+    sweeps, and their first hook sweeps hook fewer pairs, in the chosen
+    layout than in index order; the counts depend only on the move tables,
+    so the totals are deterministic."""
     propagate = _kernel._propagate
-    sweeps = []
+    runs = []
 
     def counted(label, parts):
-        counts = propagate(label, parts)
-        sweeps.append(counts[0])
-        return counts
+        runs.append(propagate(label, parts))
+        return runs[-1]
 
     trees = list(classifiers.random_e6_trees(200, max_vertices=20, seed=12345))
-    totals = []
+    sweeps, hooked = [], []
     with mock.patch.object(_kernel, "_propagate", counted):
         for layout in (contextlib.nullcontext(), index_layout()):
             with layout:
                 counts = [moves.enumerate_classes(t).class_count for t in trees]
-            totals.append(sum(sweeps))
-            sweeps.clear()
+            sweeps.append(sum(run[0] for run in runs))
+            hooked.append(sum(run[2] for run in runs))
+            runs.clear()
             assert counts == [(1 << t.adjacency_matrix().nullity()) + 2 for t in trees]
-    assert totals[0] < totals[1], totals
+    assert sweeps[0] < sweeps[1], sweeps
+    assert hooked[0] < hooked[1], hooked
 
 
 # -- class count on the reduced game -----------------------------------------
