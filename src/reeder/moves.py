@@ -45,13 +45,17 @@ def state_cap(override: int | None = None) -> int:
 
 
 _MEMINFO = "/proc/meminfo"
-# int64 class ids, states and sort keys (24 B/state) are live at once while a
-# ClassPartition ranks its classes; require_ranking charges one more byte per
-# state for the per-class arrays (keys, permutation, rank and its arange),
-# which ranking charges at their size once the class count is known.  The
-# lift to all 2^f states, which ranking runs first, holds less
+# While ranking, the lift's int32 members and the int64 class ids are live at
+# once, 12 B/state (the ids' buffer first holds each class's least key), with
+# blocks of keys and of gather indices; the lift and its copy in index order
+# hold 8 B/state before.  Per class, the packed roots and ranks take 20 B
 _RANK_BYTES_PER_STATE = 25
 _RANK_BYTES_PER_CLASS = 32
+
+
+def _key_type(f: int) -> type:
+    """Ranking's key popcount(s) << f | s: int32 up to 31 bits (f <= 26)."""
+    return np.int32 if f + f.bit_length() <= 31 else np.int64
 
 
 def available_memory() -> int:
@@ -227,12 +231,12 @@ def span_states(x0: int, vectors) -> np.ndarray:
     return states
 
 
-def span_take(src, vectors, out) -> None:
+def span_take(src, vectors, out) -> np.ndarray:
     """out[s] = src[the XOR of vectors[i] over the set bits i of s], for
     every s below 2^len(vectors), a block of _GATHER_BLOCK states at a time:
     the span of the low vectors (span_states) XOR each span of the high
     ones, so each next block's indices are the last one's XOR the change in
-    the high span.  out has src's dtype."""
+    the high span.  out has src's dtype, and is returned."""
     k = min(len(vectors), _kernel._GATHER_BLOCK.bit_length() - 1)
     targets = span_states(0, vectors[:k])
     highs = [0]
@@ -242,6 +246,7 @@ def span_take(src, vectors, out) -> None:
         targets ^= last ^ high
         # mode="clip" (every index is a state) spares take a copy of `out`
         np.take(src, targets, out=out[start : start + len(targets)], mode="clip")
+    return out
 
 
 def _move_tables(diagram: Diagram):
@@ -561,16 +566,16 @@ def _propagated_counts(diagram: Diagram, counts: np.ndarray) -> None:
 # Rendered output is built a block at a time as a uint8 matrix.  Each row is a
 # piece of output (a line, or a part of one), each field fills its own columns,
 # and byte 0 pads a field to the width of its columns; one boolean compress
-# per block drops the pads.
+# per block drops the pads.  A group's constant text is broadcast from a
+# template row, and then only its digits, labels and conditional text written.
 
 
 def _digits(values) -> np.ndarray:
     """Non-negative ints as right-aligned decimal digit rows, padded on the
     left: one floor division by the scalar 10 per column, right to left."""
-    values = np.asarray(values, dtype=np.int64)
-    width = len(str(int(values.max(initial=0))))
-    columns = np.empty((width, len(values)), dtype=np.uint8)
-    rest = values
+    rest = np.asarray(values, dtype=np.int64)
+    width = len(str(int(rest.max(initial=0))))
+    columns = np.empty((width, len(rest)), dtype=np.uint8)
     for col in range(width - 1, -1, -1):
         quotient = rest // 10
         digit = columns[col]
@@ -582,33 +587,34 @@ def _digits(values) -> np.ndarray:
     return columns.T
 
 
-def _when(mask, text: bytes) -> np.ndarray:
-    """text on the rows where mask holds, pad on the others."""
-    out = np.zeros((len(mask), len(text)), dtype=np.uint8)
-    out[mask] = np.frombuffer(text, dtype=np.uint8)
-    return out
-
-
 def _compose(n_rows: int, groups) -> str:
-    """n_rows rows of fields with the pad bytes dropped, as one string.
-
-    Each group (rows, fields) fills the next columns of the rows it names (an
-    index array or a slice) with its fields side by side: uint8 matrices with
-    one row per named row, or bytes that every named row holds.  Rows a group
-    does not name are padded in its columns.  A group's fields are laid side
-    by side in a matrix of their own, which goes into its rows in one
-    row-indexed write.
-    """
-    groups = [(rows, [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f
-                      for f in fields]) for rows, fields in groups]
-    width = sum(f.shape[-1] for _, fields in groups for f in fields)
-    out = np.zeros((n_rows, width), dtype=np.uint8)
+    """n_rows rows of fields with the pad bytes dropped, as one string.  Each
+    group (rows, fields) fills the next columns of the rows it names, a slice
+    written in place or an index array in one row-indexed write, with its
+    fields side by side: bytes on every named row, uint8 matrices with a row
+    per named row, or (mask, bytes) pairs, the bytes on the named rows where
+    mask holds.  Rows a group does not name are padded in its columns."""
+    # columns c to c + w of a uint8 matrix, one item per row
+    cells = lambda m, c, w: m[:, c : c + w].view(np.dtype((np.void, w)))[:, 0]
+    groups = [(rows, fields, [len(f) if isinstance(f, bytes) else f.shape[1]
+                              if isinstance(f, np.ndarray) else len(f[1]) for f in fields])
+              for rows, fields in groups]
+    out = np.zeros((n_rows, sum(sum(widths) for _, _, widths in groups)), dtype=np.uint8)
     col = 0
-    for rows, fields in groups:
-        n = len(range(n_rows)[rows]) if isinstance(rows, slice) else len(rows)
-        matrix = np.concatenate([np.broadcast_to(f, (n, f.shape[-1])) for f in fields], axis=1)
-        out[rows, col : col + matrix.shape[1]] = matrix
-        col += matrix.shape[1]
+    for rows, fields, widths in groups:
+        width = sum(widths)
+        sliced = isinstance(rows, slice)
+        block = out[rows, col : col + width] if sliced else np.empty((len(rows), width), np.uint8)
+        cells(block, 0, width)[:] = b"".join(f if isinstance(f, bytes) else bytes(w)
+                                             for f, w in zip(fields, widths))
+        for f, c, w in zip(fields, np.cumsum(widths) - widths, widths):
+            if isinstance(f, tuple):
+                cells(block, c, w)[f[0]] = f[1]
+            elif not isinstance(f, bytes):
+                block[:, c : c + w] = f
+        if not sliced:
+            cells(out, col, width)[rows] = cells(block, 0, width)
+        col += width
     return out[out != 0].tobytes().decode("ascii")
 
 
@@ -620,14 +626,14 @@ def _compose(n_rows: int, groups) -> str:
 
 def _text_fields(cls, sizes, reps, k, count, later):
     head = [_digits(cls), b" ", _digits(sizes), b" ", reps, b" "]
-    pair = [_when(later, b";"), _digits(k), b":", _digits(count)]
-    return head, pair, [_when(sizes == 1, b" fixed"), b"\n"]
+    pair = [(later, b";"), _digits(k), b":", _digits(count)]
+    return head, pair, [(sizes == 1, b" fixed"), b"\n"]
 
 
 def _csv_fields(cls, sizes, reps, k, count, later):
     head = [_digits(cls), b",", _digits(sizes), b",", reps, b","]
-    pair = [_when(later, b";"), _digits(k), b":", _digits(count)]
-    return head, pair, [_when(sizes == 1, b",1"), _when(sizes != 1, b",0"), b"\n"]
+    pair = [(later, b";"), _digits(k), b":", _digits(count)]
+    return head, pair, [(sizes == 1, b",1"), (sizes != 1, b",0"), b"\n"]
 
 
 # the layout of json.dumps(..., indent=2)
@@ -636,16 +642,17 @@ _JSON_HEAD = ('{{\n  "n_vertices": {},\n  "free_vertices": {},\n'
 
 
 def _json_fields(cls, sizes, reps, k, count, later):
-    head = [_when(cls > 0, b",\n"), b'    {\n      "size": ', _digits(sizes),
+    head = [(cls > 0, b",\n"), b'    {\n      "size": ', _digits(sizes),
             b',\n      "min_representative": "', reps, b'",\n      "components": {\n']
-    pair = [_when(later, b",\n"), b'        "', _digits(k), b'": ', _digits(count)]
-    tail = [b'\n      },\n      "is_singleton_fixed": ', _when(sizes == 1, b"true"),
-            _when(sizes != 1, b"false"), b"\n    }"]
+    pair = [(later, b",\n"), b'        "', _digits(k), b'": ', _digits(count)]
+    tail = [b'\n      },\n      "is_singleton_fixed": ', (sizes == 1, b"true"),
+            (sizes != 1, b"false"), b"\n    }"]
     return head, pair, tail
 
 
 # the lift works on blocks of this many positions of a row of the 2^k reduced
-# states, or of rows of them tiled to this width when the game is smaller
+# states, or of rows of them tiled to this width when the game is smaller, and
+# ranking on blocks of this many states
 _LIFT_BLOCK = 1 << 14
 
 
@@ -690,7 +697,8 @@ class ClassPartition:
 
     The roots are the kernel's over all 2^f states in index order, or, with
     a lift, over the reduced game of enumerate_classes in its layout:
-    ranking then lifts them to every position first (see _Lift).
+    ranking then lifts them to every position first (see _Lift).  It ranks
+    the root positions in _key_type's dtype (see _ranked).
     """
 
     def __init__(self, diagram: Diagram, roots: np.ndarray, cap: int | None = None,
@@ -749,46 +757,42 @@ class ClassPartition:
         need = _RANK_BYTES_PER_STATE * n_states + _RANK_BYTES_PER_CLASS * self.class_count
         require_states(f, need, self._cap)
         ids, _ = self._lifted()
-        # a position maps to itself for exactly one member of each class, so
-        # ranking those members by position is a counting pass rather than a
-        # sort; cumsum over the bool mask itself would make a copy of it
-        root_rank = (ids == np.arange(n_states, dtype=ids.dtype)).astype(ids.dtype)
-        np.cumsum(root_rank, out=root_rank)
-        root_rank -= 1
-        # into the members buffer
-        for start, ranks in _kernel.gathered_blocks(root_rank, ids):
-            ids[start : start + len(ranks)] = ranks
-        del root_rank, ranks
         if self._lift is not None and self._lift.index is not None:
-            # back to index order, each state's id at its position, while the
-            # ids are still int32
-            ordered = np.empty_like(ids)
-            span_take(ids, self._lift.index, ordered)
-            ids = ordered
-            del ordered
-        class_id = ids.astype(np.int64)
-        del ids
-        states = np.arange(n_states, dtype=np.int64)
-        key = np.empty_like(states)
-        np.bitwise_count(states, out=key)
-        key <<= f
-        key |= states
-        del states
-        min_keys = np.full(self.class_count, np.iinfo(np.int64).max)
-        np.minimum.at(min_keys, class_id, key)
-        del key
-        min_keys &= n_states - 1  # each class's minimal representative
-        # reindex classes by their minimal representative's integer value
-        perm = np.argsort(min_keys, kind="stable")
-        reps = min_keys[perm]
-        del min_keys
+            ids = span_take(ids, self._lift.index, np.empty_like(ids))  # to index order
+        # ids[s] is the position of the root of s's class, where the least key
+        # of the class goes, in the front of the buffer the ids are widened
+        # into last; a block's keys are the first block's plus its start's
+        dtype, block = _key_type(f), min(n_states, _LIFT_BLOCK)
+        class_id = np.empty(n_states, dtype=np.int64)
+        least = class_id.view(dtype)[:n_states]
+        least.fill(np.iinfo(dtype).max)
+        low = np.zeros(block, dtype=dtype)
+        for j in range(block.bit_length() - 1):
+            np.add(low[: 1 << j], (1 << f) + (1 << j), out=low[1 << j : 2 << j])
+        for start in range(0, n_states, block):
+            key = low + ((start.bit_count() << f) + start)
+            np.minimum.at(least, ids[start : start + block], key)
+        del low, key
+        # each root under its class's minimal representative, for one sort
+        roots = np.flatnonzero(least != np.iinfo(dtype).max)
+        reps = least[roots].astype(np.int64)
+        reps &= n_states - 1
+        reps <<= f
+        reps |= roots
+        del roots
+        reps.sort()
+        roots = reps & n_states - 1
+        reps >>= f
         reps.flags.writeable = False
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(len(perm))
-        del perm
-        # the ids get a fresh array: keeping them in the roots buffer raised
-        # peak RSS by 10 MB on `classes flower:17`
-        return rank[class_id], reps
+        # the rank map, each root's class id at its position, gathered into the
+        # ids: take converts a block's int32 indices before it writes them
+        least[roots] = np.arange(len(roots), dtype=dtype)
+        del roots
+        for start in range(0, n_states, block):
+            chunk = ids[start : start + block]
+            np.take(least, chunk, out=chunk, mode="clip")  # clip: no copy of out
+        np.copyto(class_id, ids)
+        return class_id, reps
 
     @property
     def _class_id(self) -> np.ndarray:
@@ -859,8 +863,7 @@ class ClassPartition:
         class is one line, laid out by fields (see _text_fields), and with full
         each of its members is one line after it, so a block may end mid-class.
         order and leads lay out the labels, as in _label_chars."""
-        sizes = self.sizes
-        hist = self.component_histograms
+        sizes, hist = self.sizes, self.component_histograms
         width = hist.shape[1]
         # the flat indices of the histograms' nonzero (k, count) pairs, found
         # once for the table: class c's pairs are those in [c, c + 1) * width
@@ -875,7 +878,8 @@ class ClassPartition:
             pc, k = np.divmod(flat[i0:i1], width)
             pc -= c0
             # each (k, count) pair of a class takes a row, the first also
-            # holding the class's head and the last its tail
+            # holding the class's head and the last its tail; without members
+            # the pairs fill every row, in order
             bounds = np.searchsorted(pc, np.arange(c1 - c0 + 1))
             starts, ends = bounds[:-1], bounds[1:]
             pairs = np.arange(i1 - i0)
@@ -883,7 +887,7 @@ class ClassPartition:
             reps = _label_chars(self.diagram, self.rep_states[c0:c1], order, leads)
             head, pair, tail = fields(np.arange(c0, c1), sizes[c0:c1], reps,
                                       k, hist.reshape(-1)[flat[i0:i1]], pairs != starts[pc])
-            groups = [(row[starts], head), (row, pair), (row[ends - 1], tail)]
+            groups = [(row[starts], head), (row if full else slice(None), pair), (row[ends - 1], tail)]
             if full:
                 # a member's row is its line past the extra pair rows of its
                 # class and the block's classes before it: [0] for a class

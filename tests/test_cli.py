@@ -506,6 +506,12 @@ CLASSES_SHA256 = {
         "09b3f18080b1118c2102334e27d5fb482e020672e894b0ca0521ce3c4948da5f",
         "10de6783c61bae773615c44c101f9f1975182ebb04b7ad7c2d707d437ab5e617",
     ),
+    "flower:13": (  # 4097 classes over 2^14 states, 12 lifted bits: 2 to 5 blocks
+        "c6e2ffdfd0652ef33eeb822fb8936b9496624404770bd7d049232352ed737bfa",
+        "c9d3d16a9116b5379ac2f5b5e92373f1d07d83dfc984241500f60ed0833e29bd",
+        "2c9b40fc6ad72418eef45e5c661cec5e7aa5c22008e50fc224b89007e737db66",
+        "1f5b8eff812bf29dfc20288b28e0a133f604dcae60f2bd5c7aa5e74927f1df70",
+    ),
     "GRAPH": (
         "531475c56248598b04cccba360f2f12a4e2c0082b3c4b65a411cdc831b93b71a",
         "8818125fde2d131cfb1c48fc7b31086a3e86a3265b038612eb5656d2682d609b",

@@ -1590,6 +1590,41 @@ def test_ranking_keeps_the_callers_cap(monkeypatch):
     assert len(part.rep_states) == 7
 
 
+def test_ranking_key_width():
+    """int32 keys up to f = 26, where the largest key popcount << f | s and
+    the unset slot's value still differ within 31 bits; int64 past, up to
+    the 31 free vertices that a raised cap lets through."""
+    for f in range(32):
+        dtype = moves._key_type(f)
+        assert dtype is (np.int32 if f <= 26 else np.int64), f
+        assert (f << f | (1 << f) - 1) < np.iinfo(dtype).max, f
+
+
+def check_key_widths(d):
+    """Class ids and representatives ranked with int64 keys, as past f = 26,
+    equal those ranked with int32 keys."""
+    int32 = moves.enumerate_classes(d)
+    widths = []
+    with mock.patch.object(moves, "_key_type", lambda f: widths.append(f) or np.int64):
+        int64 = moves.enumerate_classes(d)
+        int64.rep_states
+    assert widths == [len(d.free_vertices)]
+    assert np.array_equal(int64.rep_states, int32.rep_states)
+    assert np.array_equal(int64.class_id_array(), int32.class_id_array())
+    assert int64.class_id_array().dtype == int32.class_id_array().dtype == np.int64
+
+
+def test_int64_keys_rank_as_int32_keys_on_families():
+    for _, d in family_corpus(12):
+        check_key_widths(d)
+
+
+@settings(deadline=None, max_examples=40)
+@given(dsl_graphs())
+def test_int64_keys_rank_as_int32_keys_on_random_graphs(d):
+    check_key_widths(d)
+
+
 def test_kernel_refuses_states_past_int32_labels():
     tracemalloc.start()
     try:
