@@ -55,68 +55,37 @@ when compared still agrees, and a pair that differed was kept.  Kept pairs
 can be apart only because a scatter-min keeps just the least label hooked
 under a root, and they are few: the sigma tables of D:17 hook 57350 pairs
 in that sweep, 23 of them distinct.  The pairs are kept raw, at most
-_KEEP_PAIRS over all parts, and compacted to the distinct ones when they
-fill.  A first hook sweep that could not keep every pair (compaction left
-less than half the room free), or that wrote a pair's ends (part 1, in two
-parts), falls back to the full loop: hook sweeps until the first in which
-no pair differs.  It stops, since a sweep in which some pair differs lowers
-a label: the pair's larger root, or its larger end where the pair takes the
-minimum, unless the same sweep has lowered it already.  Either way the ends
-of every pair then name one root and every root names itself, so each class
-carries one label, which is its minimum member since label[s] <= s.  The
-result is the int32 label array itself, so f <= 31.
+_KEEP_PAIRS, and compacted to the distinct ones when they fill.  A first
+hook sweep that could not keep every pair (compaction left less than half
+the room free) falls back to the full loop: hook sweeps until the first in
+which no pair differs.  It stops, since a sweep in which some pair differs
+lowers a label: the pair's larger root, unless the same sweep has lowered it
+already.  Either way the ends of every pair then name one root and every
+root names itself, so each class carries one label, which is its minimum
+member since label[s] <= s.  The result is the int32 label array itself, so
+f <= 31.
 
-In one part every diagram of the paper's families with at most 14 vertices
-closes in two sweeps, on its Reeder tables and on its sigma tables, and so
-do random 16-vertex E6 trees; the full loop took three on affB, affD and
-flower and up to five on the sigma tables.  The totals over those Reeder
-tables, 72 such trees and those sigma tables are 394, 144 and 134 sweeps in
-one part (433, 218 and 237 with the full loop) and 412, 258 and 206 in two
-(442, 258 and 224).
+Every diagram of the paper's families with at most 14 vertices closes in two
+sweeps, on its Reeder tables and on its sigma tables, and so do random
+16-vertex E6 trees; the full loop took three on affB, affD and flower and up
+to five on the sigma tables.  The totals over those Reeder tables, 72 such
+trees and those sigma tables are 394, 144 and 134 sweeps (433, 218 and 237
+with the full loop).
 
-From _SPLIT_STATES states on, and when the process may run on two CPUs, the
-work is cut in two parts on the top state bit (axis 0), since numpy releases
-the interpreter lock inside its loops.  Part p owns the states whose top bit
-is p.  A pair of views that leaves axis 0 free is cut into its two halves,
-and one that fixes axis 0 goes whole to its part; each part sweeps its pairs
-in Gauss-Seidel order, with no wait between them.  Only a pair that flips
-the top bit (of one Reeder move, or of the sigma moves at the top vertex's
-neighbors) joins both halves.  It goes whole into the joined steps, which
-open every sweep while no part sweeps.  Run last in a sweep instead, they
-cost most Reeder families a sweep more.  Each sweep forks and joins: part 0
-sweeps in the caller while a one-thread pool sweeps part 1, and the caller
-then waits for part 1's result, so the caller alone learns whether a pair of
-either part, or a joined one, differed, and the parts stop together.  Then,
-while no part sweeps, the caller runs the round of pointer jumps over all
-the states, as one part does, and the joined steps of the next sweep.  The
-gathers run through an intp block, so no intp copy of the whole label array
-is made.  Hooks write labels of roots, not of the step's ends.  Labels never
-exceed their states, so part 0's roots lie in its own half; the joined steps
-run alone; both hook any root.  Part 1 hooks only a pair whose larger root
-lies in its own half, since a root below it is part 0's, and every other
-pair of its own that differs takes the minimum into both ends as the first
-sweep does, which sends a first hook sweep to the full loop.  While both
-parts sweep, no part then writes a label that the other reads, and the
-roots, the sweeps and the jumps repeat from run to run; the sweeps may
-differ from one part's, since part 1 hooks fewer pairs and the joined steps
-run at other points of each sweep.
-Below the threshold the caller runs the same loop alone, with no pool and
-no thread.  The roots are the same either way.  Memory is about 6 bytes
-per state (the label array and a half-size minimum buffer, which the jumps
-gather into) plus one bool edge mask over half the states per masked move,
-and 8 bytes per kept pair.
-Each part's steps take its own slice of the minimum buffer, and the joined
-steps, which run while the parts wait, take all of it.  A hook takes a block
-of pairs at a time and selects only those that differ, through the bools of
-the step's comparison, so it allocates at most a block of their ends, roots
-and lower ends, and scatters only them.
+The caller's thread runs every sweep, with no pool and no thread.  Memory is
+about 6 bytes per state (the label array and a half-size minimum buffer,
+which the steps' comparisons and the jumps' gathers share) plus one bool
+edge mask over half the states per masked move, and 8 bytes per kept pair.
+The gathers run through an intp block, so no intp copy of the whole label
+array is made.  A hook takes a block of pairs at a time and selects only
+those that differ, through the bools of the step's comparison, so it
+allocates at most a block of their ends, roots and lower ends, and scatters
+only them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 
 import numpy as np
 
@@ -131,22 +100,13 @@ HAVE_NUMBA = False
 # not through its 2^(popcount(a) - 1) sub-views
 _MASK_BITS = 7
 
-# from this many states on, two parts split the work on the top state bit when
-# the process may run on two CPUs.  Below it a sweep's fork-join and the
-# interpreter lock's hand-offs cost about what the second CPU saves on a quiet
-# host (20% less time at f = 18, 25% more at f = 17), and up to twice the
-# one-part time when the host delays thread wake-ups
-_SPLIT_STATES = 1 << 19
-
 # the first hook sweep keeps the (lower, larger) label of at most this many of
-# the pairs it hooks, over all parts, to re-check once its pointer jumps end
-# (see _Kept)
+# the pairs it hooks, to re-check once its pointer jumps end (see _Kept)
 _KEEP_PAIRS = 1 << 13
 
 # indices per block of a gather.  The pointer jumps, and the hooks, take
-# blocks of a sixteenth of a part's states, at least an eighth and at most
-# all of this: larger blocks gather again more often, smaller ones take more
-# calls
+# blocks of a sixteenth of the states, at least an eighth and at most all of
+# this: larger blocks gather again more often, smaller ones take more calls
 _GATHER_BLOCK = 1 << 16
 
 
@@ -162,35 +122,32 @@ def kernel_bytes(n_states: int, a, b) -> int:
     One bool edge mask over half the states per masked move, plus 8 per
     state, rounded up from what the sweeps hold: the int32 label array and
     a half-size int32 minimum buffer, which the sweeps' comparisons and the
-    pointer jumps' gathers share; plus 42 per entry of a block of at most
-    _GATHER_BLOCK: the jumps' intp index block (8), and what both parts'
-    hooks hold at once per differing pair of a block.  Part 0 and the joined
-    steps hold its int32 ends, of which the lower end reuses one, and its
-    root (12).  Part 1 holds those, two bools of whether it owns the root,
-    and its owned roots and their lower ends (22).  Each part's hook also
-    holds, during its np.minimum.at, a buffer in which numpy casts the int32
-    roots to intp: 8192 of them and the iterator, 70736 bytes traced (at
-    most 70 KB per part).  The first hook sweep's kept pairs take 8 per pair
-    of _KEEP_PAIRS, and 9 more while one part compacts them (a bool mask and
-    the distinct pairs).  The scatter-min rounds that re-check them run once
-    the hooks' blocks are freed, and hold at most 64 per kept pair (copies,
-    their intp casts and masks) and one cast buffer, beside the jumps'
-    index block.  Building a mask holds less: an int32 state array and
-    half-size temporaries, before the labels exist.  The int32 result is the
-    label array.
+    pointer jumps' gathers share; plus 20 per entry of a block of at most
+    _GATHER_BLOCK: the jumps' intp index block (8), and what a hook holds
+    per differing pair of a block, its int32 ends, of which the lower end
+    reuses one, and its root (12).  The hook also holds, during its
+    np.minimum.at, a buffer in which numpy casts the int32 roots to intp:
+    8192 of them and the iterator, 70736 bytes traced (at most 70 KB).  The
+    first hook sweep's kept pairs take 8 per pair of _KEEP_PAIRS, and 9 more
+    while they are compacted (a bool mask and the distinct pairs).  The
+    scatter-min rounds that re-check them run once the hook's blocks are
+    freed, and hold at most 64 per kept pair (copies, their intp casts and
+    masks) and one cast buffer, beside the jumps' index block.  Building a
+    mask holds less: an int32 state array and half-size temporaries, before
+    the labels exist.  The int32 result is the label array.
     """
     n_masked = sum(_masked(am, bm) for am, bm in zip(a, b))
-    sweeping = (8 + 12 + 22) * _GATHER_BLOCK + 2 * (70 << 10) + 9 * _KEEP_PAIRS
+    sweeping = (8 + 12) * _GATHER_BLOCK + (70 << 10) + 9 * _KEEP_PAIRS
     settling = 8 * _GATHER_BLOCK + 64 * _KEEP_PAIRS + (70 << 10)
     return 8 * n_states + n_masked * (n_states // 2) + 8 * _KEEP_PAIRS + max(sweeping, settling)
 
 
 class _Kept:
-    """The number of pairs that one part's first hook sweep hooks, and their
+    """The number of pairs that the first hook sweep hooks, and their
     (lower, larger) labels, in a buffer of at most capacity pairs allocated
     at the first pair.  When it fills, it is compacted to its distinct
-    pairs; when that leaves less than half of it free, or the part writes a
-    pair's ends, the part keeps nothing more and whole turns False."""
+    pairs; when that leaves less than half of it free, the sweep keeps
+    nothing more and whole turns False."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -236,8 +193,8 @@ class _Kept:
 
 
 def _move_pairs(f: int, a, b, c) -> list:
-    """The pairs of views that each move joins: per move with b != 0, a list
-    of (bit-j-clear end, partner end, edge mask or None).
+    """The pairs of views that the moves join, in move order: (bit-j-clear
+    end, partner end, edge mask or None).
 
     Both ends are index tuples into the (2,)*f label view, axis x for bit
     f - 1 - x.  A masked move gives one pair, its mask holding where the
@@ -246,7 +203,7 @@ def _move_pairs(f: int, a, b, c) -> list:
     pairs of one move are disjoint.
     """
     states = None
-    moves = []
+    pairs = []
     for am, bm, cm in zip(a.tolist(), b.tolist(), c.tolist()):
         if bm == 0:  # an identity move
             continue
@@ -258,7 +215,6 @@ def _move_pairs(f: int, a, b, c) -> list:
         hi = [slice(None, None, -1) if bm >> (f - 1 - x) & 1 else slice(None) for x in range(f)]
         lo[f - 1 - j] = 0
         hi[f - 1 - j] = 1
-        pairs = []
         if not _masked(am, bm):
             bits = [k for k in range(f) if am >> k & 1]
             for p in range(1 << len(bits)):
@@ -274,38 +230,7 @@ def _move_pairs(f: int, a, b, c) -> list:
             mask = np.bitwise_count(states[(*lo, ...)] & am) & 1 != cm
             if mask.any():
                 pairs.append(((*lo, ...), (*hi, ...), mask))
-        if pairs:
-            moves.append(pairs)
-    return moves
-
-
-def _schedule(view, moves: list, n_parts: int) -> list:
-    """Each part's steps, then the joined steps: lists of (end, partner end,
-    mask or None) views to sweep, in move order.
-
-    With two parts, part p owns view[p], the states whose top bit is p.  A
-    pair that leaves axis 0 free is cut into its two halves, and a pair that
-    fixes axis 0 to p goes whole to part p.  A pair that flips the top bit
-    (of one Reeder move, or of a sigma move at a neighbor of the top vertex)
-    joins both halves: it goes whole into the joined steps, which run while
-    no part sweeps.  One part takes every pair, and no step is joined.
-    """
-    if n_parts == 1:
-        return [[(view[lo], view[hi], mask) for pairs in moves for lo, hi, mask in pairs], []]
-    parts = [[], [], []]
-    for pairs in moves:
-        for lo, hi, mask in pairs:
-            pair = view[lo], view[hi], mask
-            if lo[0] != hi[0]:
-                parts[2].append(pair)
-            elif isinstance(lo[0], int):
-                parts[lo[0]].append(pair)
-            else:
-                for p in range(2):
-                    half = tuple(x if x is None else x[p, ...] for x in pair)
-                    if half[2] is None or half[2].any():
-                        parts[p].append(half)
-    return parts
+    return pairs
 
 
 def _chunks(view, block: int):
@@ -320,42 +245,29 @@ def _chunks(view, block: int):
     return (view[(*i, ...)] for i in np.ndindex(view.shape[:k]))
 
 
-def _propagate(label, parts: list) -> tuple[int, int, int]:
-    """Lower every label to its class minimum, in place.  parts holds each
-    part's steps, then the joined steps: part p owns the p-th of
-    len(parts) - 1 equal slices of label, part 0 runs in the caller's thread
-    and each other part in a pool's thread, forked and joined once per sweep.
-    The joined steps open every sweep in the caller while no part sweeps:
-    before the first, and after the join and the pointer jumps that end the
-    sweep before.  Returns the number of sweeps and of pointer jumps run, the
-    jumps of a round counting the gathers of the block that took the most,
-    and the number of pairs that the first hook sweep hooked."""
-    *parts, joined = parts
-    n_parts = len(parts)
-    size = len(label) // n_parts
-    f = len(label).bit_length() - 1
-    # each part's largest step, then the largest joined step
-    sizes = [max((step[0].size for step in steps), default=0) for steps in (*parts, joined)]
-    if not any(sizes):  # no move joins two states
+def _propagate(label, steps: list) -> tuple[int, int, int]:
+    """Lower every label to its class minimum, in place, by sweeping steps,
+    (end, partner end, mask or None) views of label in move order.  Returns
+    the number of sweeps and of pointer jumps run, the jumps of a round
+    counting the gathers of the block that took the most, and the number of
+    pairs that the first hook sweep hooked."""
+    if not steps:  # no move joins two states
         return 0, 0, 0
-    block = min(size, _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, size >> 4))
+    f = len(label).bit_length() - 1
+    block = min(len(label), _GATHER_BLOCK, max(_GATHER_BLOCK >> 3, len(label) >> 4))
     # a ufunc's where= runs its loop once per run of true mask entries, so the
-    # minimum goes unmasked into a buffer and only the copies are masked.
-    # Each part's buffer holds its largest step.  The joined steps, and the
-    # jumps' gathers of a block, run while the parts wait, so they take the
-    # whole buffer
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    least = np.empty(max(offsets[-1], sizes[-1], block), dtype=np.int32)
+    # minimum goes unmasked into a buffer and only the copies are masked.  The
+    # buffer holds the largest step, and the jumps' gathers of a block
+    least = np.empty(max(block, *(lo.size for lo, _, _ in steps)), dtype=np.int32)
+    # a step's minimum and the comparison of its ends share the buffer
+    steps = [(lo, hi, mask, least[: lo.size].reshape(lo.shape),
+              least.view(bool)[: lo.size].reshape(lo.shape)) for lo, hi, mask in steps]
     # take() gathers through intp indices, a block at a time, not an intp
-    # copy of the whole label array.  A hooking part allocates temporaries of
-    # at most a block of pairs, which stay resident in its thread's malloc
-    # arena once freed
+    # copy of the whole label array
     index = np.empty(block, dtype=np.intp)
     got = least[:block]
     sweeps = jumps = 0
-    # what each part's first hook sweep hooks; the joined steps run in the
-    # caller, as part 0 does, and share its pairs
-    kept = [_Kept(_KEEP_PAIRS // n_parts) for _ in parts]
+    kept = _Kept(_KEEP_PAIRS)
 
     def resolve(x: slice) -> int:
         """Point every label of block x at its root, given that each label
@@ -406,100 +318,55 @@ def _propagate(label, parts: list) -> tuple[int, int, int]:
             rounds += 1
         return rounds
 
-    def sweeper(steps: list, buf, start: int, p: int):
-        """A sweep of part p's steps through minimum buffer buf, hooking only
-        roots from start on: a function that runs the sweep numbered `sweeps`
-        and returns whether a pair differed.  In the first hook sweep, it
-        counts and keeps the pairs it hooks."""
-        # a step's minimum and the comparison of its ends share the buffer
-        steps = [(*step, buf[: step[0].size].reshape(step[0].shape),
-                  buf.view(bool)[: step[0].size].reshape(step[0].shape)) for step in steps]
+    def hook(lo, hi, differs) -> None:
+        """Hook the larger root of each differing pair under the smaller, a
+        block of pairs at a time, by a scatter-min.  In the first hook
+        sweep, count and keep the pairs hooked."""
+        for lo, hi, pairs in zip(*(_chunks(x, block) for x in (lo, hi, differs))):
+            x, y = lo[pairs], hi[pairs]
+            top, low = np.maximum(x, y), np.minimum(x, y, out=x)
+            np.minimum.at(label, top, low)
+            if sweeps == 1:
+                kept.add(low, top)
 
-        def hook(lo, hi, differs) -> None:
-            """Hook the larger root of each differing pair under the smaller,
-            a block of pairs at a time, by a scatter-min; a pair whose root
-            lies below start takes the minimum into both ends instead."""
-            for lo, hi, pairs in zip(*(_chunks(x, block) for x in (lo, hi, differs))):
-                x, y = lo[pairs], hi[pairs]
-                top, low = np.maximum(x, y), np.minimum(x, y, out=x)
-                if start:
-                    own = top >= start
-                    if not own.all():
-                        # the differing pairs whose root is below start
-                        below = ~own
-                        pairs[pairs] = below
-                        lo[pairs] = hi[pairs] = low[below]
-                        top, low = top[own], low[own]
-                        kept[p].drop()
-                np.minimum.at(label, top, low)
-                if sweeps == 1:
-                    kept[p].add(low, top)
+    def sweep() -> bool:
+        """The sweep numbered `sweeps`: whether a pair differed."""
+        if not sweeps:
+            # labels start as the identity, so every pair differs: the first
+            # sweep writes the minimum into both ends, from the top state bit
+            # down
+            for lo, hi, mask, out, _ in reversed(steps):
+                np.minimum(lo, hi, out=out)
+                if mask is None:
+                    np.copyto(lo, out)
+                    np.copyto(hi, out)
+                else:
+                    np.copyto(lo, out, where=mask)
+                    np.copyto(hi, out, where=mask)
+            return True
+        seen = False
+        # later sweeps run forward and backward by turns
+        for lo, hi, mask, _, differs in reversed(steps) if sweeps % 2 == 0 else steps:
+            np.not_equal(lo, hi, out=differs)
+            if mask is not None:
+                np.logical_and(differs, mask, out=differs)
+            if differs.any():
+                hook(lo, hi, differs)
+                seen = True
+        return seen
 
-        def sweep() -> bool:
-            if not sweeps:
-                # labels start as the identity, so every pair differs: the
-                # first sweep writes the minimum into both ends, from the
-                # top state bit down
-                for lo, hi, mask, out, _ in reversed(steps):
-                    np.minimum(lo, hi, out=out)
-                    if mask is None:
-                        np.copyto(lo, out)
-                        np.copyto(hi, out)
-                    else:
-                        np.copyto(lo, out, where=mask)
-                        np.copyto(hi, out, where=mask)
-                return bool(steps)
-            seen = False
-            # later sweeps run forward and backward by turns
-            for lo, hi, mask, _, differs in reversed(steps) if sweeps % 2 == 0 else steps:
-                np.not_equal(lo, hi, out=differs)
-                if mask is not None:
-                    np.logical_and(differs, mask, out=differs)
-                if differs.any():
-                    hook(lo, hi, differs)
-                    seen = True
-            return seen
-
-        return sweep
-
-    # part p owns the states from p * size on; labels are never above their
-    # states, so a root below that is another part's.  The joined steps run
-    # alone and hook any root
-    sweeps_of = [sweeper(steps, least[offsets[p] : offsets[p + 1]], p * size, p)
-                 for p, steps in enumerate(parts)]
-    sweep_joined = sweeper(joined, least, 0, 0)
-
-    # part 0 sweeps in the caller, each other part in a pool's thread.  The
-    # pool's import costs about 5 ms and 0.4 MB, so one part skips both
-    pool = contextlib.nullcontext()
-    if n_parts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(n_parts - 1)
-    with pool:
-        # the caller opens the first sweep alone with the joined steps
-        differed = sweep_joined()
-        while True:
-            others = [pool.submit(sweep) for sweep in sweeps_of[1:]]
-            differed |= sweeps_of[0]()
-            # the list joins every part, not only up to one whose pair differed
-            differed |= any([other.result() for other in others])
-            sweeps += 1
-            if not differed:
-                return sweeps, jumps, sum(k.hooked for k in kept)
-            # while no part sweeps: a round of pointer jumps, then the next
-            # sweep's joined steps
-            jumps += jump_round()
-            if sweeps == 2:
-                if all(k.whole for k in kept):
-                    # the first hook sweep wrote only labels of roots and
-                    # kept every pair it hooked: only those can be apart
-                    if settle(np.concatenate([k.pairs[: k.n] for k in kept if k.n])):
-                        jumps += jump_round()
-                    return sweeps, jumps, sum(k.hooked for k in kept)
-                for k in kept:
-                    k.drop()
-            differed = sweep_joined()
+    while True:
+        differed = sweep()
+        sweeps += 1
+        if not differed:
+            return sweeps, jumps, kept.hooked
+        jumps += jump_round()
+        if sweeps == 2 and kept.whole:
+            # the first hook sweep wrote only labels of roots and kept every
+            # pair it hooked: only those can be apart
+            if settle(kept.pairs[: kept.n]):
+                jumps += jump_round()
+            return sweeps, jumps, kept.hooked
 
 
 # int32 labels hold the indices of at most 2^31 states
@@ -530,10 +397,10 @@ def orbit_roots(n_states: int, a, b, c):
         )
     f = n_states.bit_length() - 1
     # the masks are built before the labels exist
-    moves = _move_pairs(f, a, b, c)
+    pairs = _move_pairs(f, a, b, c)
     label = np.arange(n_states, dtype=np.int32)
-    split = n_states >= _SPLIT_STATES and len(os.sched_getaffinity(0)) > 1
-    _propagate(label, _schedule(label.reshape((2,) * f), moves, 2 if split else 1))
+    view = label.reshape((2,) * f)
+    _propagate(label, [(view[lo], view[hi], mask) for lo, hi, mask in pairs])
     return label
 
 

@@ -8,9 +8,6 @@ rank by dense numpy elimination.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -118,72 +115,16 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))
 
 
-@contextmanager
-def split_kernel(threshold: int = 4):
-    """Run the orbit kernel's two-part split from threshold states on (from
-    f = 2 on by default), as on a process allowed two CPUs."""
-    from reeder import _kernel
-
-    with mock.patch.object(_kernel, "_SPLIT_STATES", threshold), \
-            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0, 1}):
-        yield
-
-
-def check_split_schedule(n_states: int, a, b, c) -> list:
-    """The two-part schedule must keep each part inside the half of the
-    states it owns, so that the parts never touch one state while both
-    sweep, and must put every pair that flips the top state bit into the
-    joined steps, which run while no part sweeps.  Between them the steps
-    must join exactly the pairs of the one-part schedule.  Scheduling a view
-    of the state indices makes every step's views hold the states they
-    touch.  Returns the schedule: each part's steps, then the joined
-    steps."""
-    from reeder import _kernel
-
-    f = n_states.bit_length() - 1
-    moves = _kernel._move_pairs(f, *(np.asarray(x, dtype=np.int64) for x in (a, b, c)))
-    states = np.arange(n_states).reshape((2,) * f)
-    half = n_states // 2
-
-    def pairs(step) -> list:
-        lo, hi, mask = step
-        if mask is None:
-            return list(zip(np.ravel(lo).tolist(), np.ravel(hi).tolist()))
-        return list(zip(lo[mask].tolist(), hi[mask].tolist()))
-
-    schedule = _kernel._schedule(states, moves, 2)
-    assert len(schedule) == 3
-    for p, steps in enumerate(schedule[:2]):
-        for step in steps:
-            for lo, hi in pairs(step):
-                assert lo // half == hi // half == p, (p, lo, hi)
-    for step in schedule[2]:
-        for lo, hi in pairs(step):
-            assert lo ^ hi >= half, (lo, hi)
-    got = [x for steps in schedule for step in steps for x in pairs(step)]
-    [whole, none] = _kernel._schedule(states, moves, 1)
-    assert not none
-    assert sorted(got) == sorted(x for step in whole for x in pairs(step))
-    return schedule
-
-
 def check_kernels(n_states: int, a, b, c, classes) -> None:
-    """The orbit kernel against oracle classes of state indices: the
-    two-part schedule must keep each part in its own half and join the
-    pairs that flip the top bit, and the kernel must root every state at
-    its class's minimum member, under the default split threshold and with
-    the two-part split forced."""
+    """The orbit kernel against oracle classes of state indices: it must
+    root every state at its class's minimum member."""
     from reeder import _kernel
 
-    if n_states >= 4:
-        check_split_schedule(n_states, a, b, c)
     want = np.empty(n_states, dtype=np.int64)
     for cls in classes:
         idx = np.fromiter(cls, dtype=np.int64)
         want[idx] = idx.min()
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            assert np.array_equal(_kernel.orbit_roots(n_states, a, b, c), want), threshold
+    assert np.array_equal(_kernel.orbit_roots(n_states, a, b, c), want)
 
 
 def family_corpus(max_vertices: int) -> list[tuple[str, Diagram]]:

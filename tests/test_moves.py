@@ -1,7 +1,6 @@
 """Move application and class enumeration, cross-checked against a pure
 Python BFS oracle."""
 
-import collections
 import concurrent.futures
 import contextlib
 import hashlib
@@ -27,9 +26,7 @@ from reeder.diagram import (
     parse_dsl,
 )
 from reeder.f2 import F2Matrix
-from conftest import (
-    check_kernels, family_corpus, oracle_classes, split_kernel, walker_component_counts,
-)
+from conftest import check_kernels, family_corpus, oracle_classes, walker_component_counts
 
 
 def fam(text):
@@ -882,11 +879,8 @@ def test_kernel_roots_do_not_depend_on_move_order(d, data):
     a, b, c = moves._move_tables(d)
     order = data.draw(st.permutations(range(len(a))))
     shuffled = [[x[m] for m in order] for x in (a, b, c)]
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            want = _kernel.orbit_roots(1 << len(a), a, b, c)
-            got = _kernel.orbit_roots(1 << len(a), *shuffled)
-        assert np.array_equal(got, want), threshold
+    want = _kernel.orbit_roots(1 << len(a), a, b, c)
+    assert np.array_equal(_kernel.orbit_roots(1 << len(a), *shuffled), want)
 
 
 def kernel_counts(a, b, c) -> tuple[int, int, int]:
@@ -895,8 +889,8 @@ def kernel_counts(a, b, c) -> tuple[int, int, int]:
     propagate = _kernel._propagate
     counts = []
 
-    def counted(label, parts):
-        counts.append(propagate(label, parts))
+    def counted(label, steps):
+        counts.append(propagate(label, steps))
         return counts[-1]
 
     with mock.patch.object(_kernel, "_propagate", counted):
@@ -917,24 +911,20 @@ def test_kernels_match_oracle_in_small_jump_blocks(d):
     reaches the same fixpoint in any blocks, so the sweeps do not change
     either."""
     a, b, c = moves._move_tables(d)
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            want = kernel_sweeps(a, b, c)
-            with mock.patch.object(_kernel, "_GATHER_BLOCK", 8):
-                assert kernel_sweeps(a, b, c) == want, threshold
+    want = kernel_sweeps(a, b, c)
     with mock.patch.object(_kernel, "_GATHER_BLOCK", 8):
+        assert kernel_sweeps(a, b, c) == want
         check_reeder_kernels(d)
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(2, 11), st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
-def test_pointer_jumps_reach_the_fixpoint(f, near, split, small, rng):
+@given(st.integers(2, 11), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_pointer_jumps_reach_the_fixpoint(f, near, small, rng):
     """After a sweep that wrote, one round of pointer jumps leaves every
     label at the root of its chain, as label = label[label] repeated to a
     fixpoint does: on random forests with label[s] <= s whose chains step to
-    nearby states (inside a jump block) or anywhere below (across blocks,
-    and from the top half into the bottom half), in blocks of at most 8
-    states or of the default size."""
+    nearby states (inside a jump block) or anywhere below (across blocks),
+    in blocks of at most 8 states or of the default size."""
     n = 1 << f
     label = np.array([0, 1, *(rng.randint(max(0, s - 3) if near else 0, s) for s in range(2, n))],
                      dtype=np.int32)
@@ -944,8 +934,8 @@ def test_pointer_jumps_reach_the_fixpoint(f, near, split, small, rng):
     want[1] = 0
     while not np.array_equal(want[want], want):
         want = want[want]
-    with split_kernel(), mock.patch.object(_kernel, "_GATHER_BLOCK", 8 if small else _kernel._GATHER_BLOCK):
-        assert _kernel._propagate(label, [[step], [], []] if split else [[step], []]) == (2, mock.ANY, 0)
+    with mock.patch.object(_kernel, "_GATHER_BLOCK", 8 if small else _kernel._GATHER_BLOCK):
+        assert _kernel._propagate(label, [step]) == (2, mock.ANY, 0)
     assert np.array_equal(label, want)
 
 
@@ -959,17 +949,16 @@ MAX_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
-def test_kernel_sweeps_per_family(threshold):
+def test_kernel_sweeps_per_family():
     propagate = _kernel._propagate
     counts = []
 
-    def counted(label, parts):
-        counts.append(propagate(label, parts))
+    def counted(label, steps):
+        counts.append(propagate(label, steps))
         return counts[-1]
 
     seen = set()
-    with split_kernel(threshold), mock.patch.object(_kernel, "_propagate", counted):
+    with mock.patch.object(_kernel, "_propagate", counted):
         for name, d in family_corpus(14):
             family = name.split(":")[0]
             if family in MAX_SWEEPS:
@@ -1011,45 +1000,34 @@ def test_kernel_peak_within_estimate(target, tables):
     assert peak <= _kernel.kernel_bytes(n_states, a, b)
 
 
-@pytest.mark.parametrize("target, tables", KERNEL_PEAK_CASES)
-def test_split_kernel_peak_within_estimate(target, tables):
-    with split_kernel():
-        test_kernel_peak_within_estimate(target, tables)
-
-
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
 @pytest.mark.parametrize("target, tables", [("B:18", moves._move_tables), ("D:17", _sigma_tables)])
-def test_kernel_peak_under_nine_bytes_per_state(target, tables, threshold):
+def test_kernel_peak_under_nine_bytes_per_state(target, tables):
     """One int32 label array, a half-size minimum buffer that the pointer
     jumps gather into, and blocks."""
     a, b, c = tables(fam(target))
     n_states = 1 << len(a)
-    with split_kernel(threshold):
-        tracemalloc.start()
-        try:
-            _kernel.orbit_roots(n_states, a, b, c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        _kernel.orbit_roots(n_states, a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= _kernel.kernel_bytes(n_states, a, b)
     assert peak < 9 * n_states
 
 
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
-def test_pointer_jumps_capped(threshold):
-    """A gather that never settles raises past f + 1 gathers of one block,
-    with no thread left behind."""
+def test_pointer_jumps_capped():
+    """A gather that never settles raises past f + 1 gathers of one
+    block."""
     a, b, c = moves._move_tables(fam("B:10"))
 
     def unsettled(src, indices, out=None, mode="raise"):
         np.copyto(out, indices ^ 1)  # every label moves on, in range
         return out
 
-    threads = threading.active_count()
-    with split_kernel(threshold), mock.patch.object(np, "take", unsettled):
+    with mock.patch.object(np, "take", unsettled):
         with pytest.raises(RuntimeError, match="after 11 pointer jumps"):
             _kernel.orbit_roots(1 << 10, a, b, c)
-    assert threading.active_count() == threads
 
 
 def sigma_corpus(max_vertices: int) -> list:
@@ -1077,31 +1055,21 @@ def test_kernel_sweep_totals():
     there, so the totals of the sweeps and of the pairs that the first hook
     sweep hooks stay fixed: over family_corpus(14), over 72 random 16-vertex
     E6 trees, each in its chosen layout, and over the sigma tables of
-    family_corpus(14).  In one part every tree closes in two sweeps, since
-    the pairs that the first hook sweep kept, checked once its pointer jumps
-    end, all agree.  Two parts hook only the pairs whose root lies in their
-    own half, part 1 takes the minimum into both ends of the others, which
-    the kept pairs do not cover, and the pairs that flip the top bit open
-    each sweep, so their totals differ from one part's.  Keeping no pair
-    (_KEEP_PAIRS = 0) sweeps until no pair differs, as the kernel did
-    before it kept any: those totals are the full ones."""
+    family_corpus(14).  Every tree closes in two sweeps, since the pairs
+    that the first hook sweep kept, checked once its pointer jumps end, all
+    agree.  Keeping no pair (_KEEP_PAIRS = 0) sweeps until no pair differs,
+    as the kernel did before it kept any: those totals are the full ones."""
     tables = [moves._move_tables(d) for _, d in family_corpus(14)]
     trees = random_e6_tree_tables()
     sigmas = [x for _, x in sigma_corpus(14)]
     assert len(trees) == 72 and len(sigmas) == 68
-    for threshold, want, full, hooked in (
-        (_kernel._SPLIT_STATES, [394, 144, 134], [433, 218, 237], [9881, 1044434, 61652]),
-        (4, [412, 258, 206], [442, 258, 224], [9821, 609662, 36943]),
-    ):
-        with split_kernel(threshold):
-            counts = [[kernel_counts(*x) for x in corpus] for corpus in (tables, trees, sigmas)]
-            with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
-                totals = [sum(kernel_sweeps(*x) for x in corpus) for corpus in (tables, trees, sigmas)]
-        assert [sum(x[0] for x in corpus) for corpus in counts] == want, threshold
-        assert [sum(x[2] for x in corpus) for corpus in counts] == hooked, threshold
-        assert totals == full, threshold
-        if threshold > 4:
-            assert {x[0] for x in counts[1]} == {2}
+    counts = [[kernel_counts(*x) for x in corpus] for corpus in (tables, trees, sigmas)]
+    with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
+        totals = [sum(kernel_sweeps(*x) for x in corpus) for corpus in (tables, trees, sigmas)]
+    assert [sum(x[0] for x in corpus) for corpus in counts] == [394, 144, 134]
+    assert [sum(x[2] for x in corpus) for corpus in counts] == [9881, 1044434, 61652]
+    assert totals == [433, 218, 237]
+    assert {x[0] for x in counts[1]} == {2}
 
 
 def roots_digests(corpus) -> list[str]:
@@ -1131,14 +1099,11 @@ KEPT_PAIRS_CORPORA = {
 def test_kept_pairs_stop_matches_full_sweeps(corpus):
     """Stopping once the pairs that the first hook sweep kept agree gives
     roots byte-identical to sweeping until no pair differs, which keeping
-    no pair (_KEEP_PAIRS = 0) forces: in one part, and in two parts from 4
-    states on."""
+    no pair (_KEEP_PAIRS = 0) forces."""
     tables = KEPT_PAIRS_CORPORA[corpus]()
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            got = roots_digests(tables)
-            with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
-                assert roots_digests(tables) == got, threshold
+    got = roots_digests(tables)
+    with mock.patch.object(_kernel, "_KEEP_PAIRS", 0):
+        assert roots_digests(tables) == got
 
 
 def test_kept_pairs_compact_or_give_up_sweeps():
@@ -1167,7 +1132,7 @@ def test_few_kept_pairs_match_full_sweeps_on_random_graphs(d, capacity):
     """Room for a few kept pairs: they compact when they fill, and the first
     hook sweep gives them up mid-sweep once compaction leaves less than half
     of the room free.  Either way the roots of the Reeder tables and of the
-    swapped ones with c = 0 are those of plain BFS, in one part and in two."""
+    swapped ones with c = 0 are those of plain BFS."""
     a, b, c = moves._move_tables(d)
     for tables in ((a, b, c), (b, a, [0] * len(a))):
         classes = oracle_table_classes(*tables)
@@ -1175,20 +1140,18 @@ def test_few_kept_pairs_match_full_sweeps_on_random_graphs(d, capacity):
             check_kernels(1 << len(a), *tables, classes)
 
 
-def test_split_kernel_sigma_orbits_match_reeder_classes():
+def test_sigma_orbits_match_reeder_classes():
     """The sigma moves of an unpinned simply-laced diagram are the
     transposes of its Reeder moves, and a group of GF(2) matrices has as
     many orbits as its image under g -> (g^-1)^t (by Burnside's lemma, since
     g - 1 and its transpose have one rank), invertible A or not.  So the
     sigma roots number the Reeder classes on every diagram of
-    sigma_corpus(14), in one part and in two."""
+    sigma_corpus(14)."""
     diagrams = [(name, d) for name, d in family_corpus(14) if d.is_simply_laced and not d.pinned]
     assert any(d.adjacency_matrix().det() == 0 for _, d in diagrams)
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            for name, d in diagrams:
-                orbits = _kernel.orbit_count(sigma.enumerate_sigma_orbits(d))
-                assert orbits == moves.enumerate_classes(d).class_count, (name, threshold)
+    for name, d in diagrams:
+        orbits = _kernel.orbit_count(sigma.enumerate_sigma_orbits(d))
+        assert orbits == moves.enumerate_classes(d).class_count, name
 
 
 # most sweeps the kernel may take per family on the sigma tables: a hook
@@ -1200,14 +1163,12 @@ MAX_SIGMA_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
-def test_sigma_sweeps_per_family(threshold):
+def test_sigma_sweeps_per_family():
     seen = set()
-    with split_kernel(threshold):
-        for name, tables in sigma_corpus(14):
-            family = name.split(":")[0]
-            seen.add(family)
-            assert kernel_sweeps(*tables) <= MAX_SIGMA_SWEEPS[family], name
+    for name, tables in sigma_corpus(14):
+        family = name.split(":")[0]
+        seen.add(family)
+        assert kernel_sweeps(*tables) <= MAX_SIGMA_SWEEPS[family], name
     assert seen == set(MAX_SIGMA_SWEEPS)
 
 
@@ -1219,16 +1180,38 @@ def pinned_y18_swapped():
     return a, b, [0] * len(a)
 
 
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
 @pytest.mark.parametrize("target",
                          ["D:17", "D:19", "affD:15", "affA:16", "Y:18 pinned at 0, swapped"])
-def test_slow_sigma_tables_close_in_six_sweeps(target, threshold):
+def test_slow_sigma_tables_close_in_six_sweeps(target):
     """The tables on which a Gauss-Seidel write took 13 to 21 sweeps: the
     sigma moves of odd D, affD and affA, and the swapped tables of a pinned
-    Y.  Hooks close them in at most 5, in one part and in two."""
+    Y.  Hooks close them in at most 5."""
     tables = pinned_y18_swapped() if target.startswith("Y") else _sigma_tables(fam(target))
-    with split_kernel(threshold):
-        assert kernel_sweeps(*tables) <= 5
+    assert kernel_sweeps(*tables) <= 5
+
+
+@pytest.mark.parametrize("target, close", [
+    ("D:19", sigma.enumerate_sigma_orbits),
+    ("affD:19", sigma.enumerate_sigma_orbits),
+    ("A:20", moves.enumerate_classes),
+    ("C:20", moves.enumerate_classes),
+])
+def test_closures_from_two_to_the_19_states_stop_after_two_sweeps(target, close):
+    """Large closures take the early stop too: the sigma closures of D:19
+    and affD:19, and the Reeder closures of A:20 and C:20, which delete no
+    vertex, stop after their first hook sweep."""
+    propagate = _kernel._propagate
+    runs = []
+
+    def counted(label, steps):
+        runs.append((len(label), propagate(label, steps)))
+        return runs[-1][1]
+
+    with mock.patch.object(_kernel, "_propagate", counted):
+        close(fam(target))
+    [(n_states, (sweeps, _, _))] = runs
+    assert n_states >= 1 << 19
+    assert sweeps == 2
 
 
 def oracle_table_classes(a, b, c) -> list[set[int]]:
@@ -1257,8 +1240,8 @@ def oracle_table_classes(a, b, c) -> list[set[int]]:
 @given(dsl_graphs())
 def test_hooks_match_oracle_on_random_graphs(d):
     """The Reeder tables and the swapped ones, with their c and with c = 0,
-    against plain BFS: in one part, in two, in jump (and so hook) blocks of
-    at most 8 states, and with every move masked, so that hooks skip the
+    against plain BFS: in the default blocks, in jump (and so hook) blocks
+    of at most 8 states, and with every move masked, so that hooks skip the
     states a move does not pair."""
     a, b, c = moves._move_tables(d)
     zeros = [0] * len(a)
@@ -1271,237 +1254,21 @@ def test_hooks_match_oracle_on_random_graphs(d):
             check_kernels(1 << len(a), *tables, classes)
 
 
-def test_hooks_repeat_in_two_parts():
-    """Two parts write disjoint labels between joins, so three runs give
-    the same roots, sweeps and jumps: on the sigma tables of D:12, and on
-    the Reeder tables of a pinned 12-vertex graph with chords and a double
-    edge."""
-    graph = parse_dsl("vertices 12\n" + "".join(f"edge {i} {i + 1}\n" for i in range(11))
-                      + "edge 0 5\nedge 3 9\nedge 6 11 mult=2 dir=11>6\npin 4\n")
-    propagate = _kernel._propagate
-    for a, b, c in (_sigma_tables(fam("D:12")), moves._move_tables(graph)):
-        runs = []
-
-        def counted(label, parts):
-            counts = propagate(label, parts)
-            runs.append((label.tobytes(), counts))
-            return counts
-
-        with split_kernel(), mock.patch.object(_kernel, "_propagate", counted):
-            for _ in range(3):
-                _kernel.orbit_roots(1 << len(a), a, b, c)
-        assert len(runs) == 3 and runs[0][1][0] > 2
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-
-
-class Watched:
-    """Thread pools that count how many are built, the sweeps submitted to
-    them and the caller's joins, patched in by watch().  `alone` holds in
-    the thread that built the pool while every sweep submitted to it is
-    joined: there the kernel may run its pointer jumps and joined steps."""
-
-    def __init__(self):
-        self.built = self.submitted = self.joins = 0
-        self.caller = None
-
-    @property
-    def alone(self) -> bool:
-        return threading.get_ident() == self.caller and self.joins == self.submitted
-
-    @contextlib.contextmanager
-    def watch(self):
-        watched = self
-
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                watched.built += 1
-                watched.caller = threading.get_ident()
-                super().__init__(*args, **kwargs)
-
-            def submit(self, fn, /, *args, **kwargs):
-                watched.submitted += 1
-                future = super().submit(fn, *args, **kwargs)
-                result = future.result
-
-                def joined(timeout=None):
-                    try:
-                        return result(timeout)
-                    finally:
-                        watched.joins += 1
-
-                future.result = joined
-                return future
-
-        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Pool):
-            yield self
-
-
-def test_split_kernel_hooks_only_its_own_roots():
-    """While a part sweeps, each part's scatter-min writes only labels of
-    its own half, so the parts never write one label while both sweep; the
-    joined steps, which run in the caller once every part is joined, hook
-    any root.  On the sigma tables of D:12 and of affD:9, whose moves at the
-    top vertex's neighbors flip the top bit, and on the Reeder tables of
-    affD:12, where part 1 hooks roots of its own half."""
-    minimum = np.minimum
-    caller = threading.current_thread()
-    watched = Watched()
-    targets = collections.defaultdict(list)
-    hooked = collections.Counter()
-
-    class Recorded:
-        def __call__(self, *args, **kwargs):
-            return minimum(*args, **kwargs)
-
-        def at(self, a, indices, values):
-            key = "joined" if watched.alone else threading.current_thread() is caller
-            targets[key].append(indices.copy())
-            return minimum.at(a, indices, values)
-
-    for target, tables in (("D:12", _sigma_tables), ("affD:9", _sigma_tables),
-                           ("affD:12", moves._move_tables)):
+def test_kernel_starts_no_thread():
+    """The kernel sweeps in its caller's thread: it builds no pool and
+    starts no thread, on 2^10 states and on 2^19."""
+    no_thread = AssertionError("a thread")
+    for target, tables in (("B:10", moves._move_tables), ("D:19", _sigma_tables)):
         a, b, c = tables(fam(target))
-        half = 1 << (len(a) - 1)
-        targets.clear()
-        with watched.watch(), split_kernel(), mock.patch.object(np, "minimum", Recorded()):
+        with mock.patch.object(threading, "Thread", side_effect=no_thread), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", side_effect=no_thread):
             _kernel.orbit_roots(1 << len(a), a, b, c)
-        mine, theirs, joined = (np.concatenate([np.empty(0, np.intp), *targets[key]])
-                                for key in (True, False, "joined"))
-        assert np.all(mine < half), target
-        assert np.all(theirs >= half), target
-        hooked.update({"part 0": mine.size, "part 1": theirs.size, "joined": joined.size})
-    assert all(hooked[key] for key in ("part 0", "part 1", "joined")), hooked
 
 
-def test_one_cpu_starts_no_thread():
-    """A process allowed one CPU runs the kernel in one part, with the same
-    roots, and builds no pool and starts no thread."""
-    d = fam("B:10")
-    a, b, c = moves._move_tables(d)
-    want = _kernel.orbit_roots(1 << 10, a, b, c)
-    watched = Watched()
-    with watched.watch(), split_kernel(), \
-            mock.patch.object(_kernel.os, "sched_getaffinity", lambda pid: {0}), \
-            mock.patch.object(threading, "Thread", side_effect=AssertionError("a thread")):
-        assert np.array_equal(_kernel.orbit_roots(1 << 10, a, b, c), want)
-    assert watched.built == 0
-
-
-def raised_in_caller(a, b, c, name: str, failing) -> list:
-    """The MemoryErrors that orbit_roots raised in its caller, a thread of
-    its own, while np.<name> raised one in each thread where failing() holds
-    (it is handed the caller thread); checks that no thread is left."""
-    ufunc = getattr(np, name)
-    caller = []
-    raised = []
-
-    class Failing:
-        def __call__(self, *args, **kwargs):
-            if failing(caller[0]):
-                raise MemoryError("injected")
-            return ufunc(*args, **kwargs)
-
-        def __getattr__(self, name):  # a ufunc's .at, say
-            return getattr(ufunc, name)
-
-    def call():
-        caller.append(threading.current_thread())
-        try:
-            _kernel.orbit_roots(1 << len(a), a, b, c)
-        except MemoryError as exc:
-            raised.append(exc)
-
-    threads = threading.active_count()
-    with split_kernel(), mock.patch.object(np, name, Failing()):
-        worker = threading.Thread(target=call)
-        worker.start()
-        worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert threading.active_count() == threads
-    return [str(exc) for exc in raised]
-
-
-@pytest.mark.parametrize("failing_part", [0, 1])
-def test_split_kernel_error_reaches_caller(failing_part):
-    """An error in either part's sweep is raised in the caller once the
-    other part's sweep ends, with no thread left behind."""
-    a, b, c = moves._move_tables(fam("B:10"))
-
-    def failing(caller):
-        return (threading.current_thread() is caller) == (failing_part == 0)
-
-    assert raised_in_caller(a, b, c, "minimum", failing) == ["injected"]
-
-
-def test_split_kernel_jump_error_reaches_caller():
-    """An error in the round of pointer jumps, which runs in the caller once
-    part 1's sweep is joined, is raised in the caller, with no thread left
-    behind."""
-    a, b, c = moves._move_tables(fam("B:10"))
-    assert raised_in_caller(a, b, c, "take", lambda caller: True) == ["injected"]
-
-
-def test_split_kernel_joined_step_error_reaches_caller():
-    """An error in a joined step, which from the second sweep on runs in the
-    caller once part 1's sweep is joined, is raised in the caller, with no
-    thread left behind: on the sigma tables of D:12, whose joined steps
-    hook."""
-    a, b, c = _sigma_tables(fam("D:12"))
-    watched = Watched()
-
-    def failing(caller):
-        return watched.alone and watched.submitted > 0
-
-    with watched.watch():
-        assert raised_in_caller(a, b, c, "minimum", failing) == ["injected"]
-
-
-def test_split_kernel_one_join_per_sweep():
-    """A two-part call builds one pool, submits part 1's sweep to it once
-    per sweep and joins each.  The pointer jumps run only while every sweep
-    is joined, and so do the joined steps: those that open the first sweep
-    before any sweep is submitted, and later ones after a join."""
-    a, b, c = moves._move_tables(fam("B:10"))
-    watched = Watched()
-    calls = []  # (ufunc, first argument, alone, before any submit)
-
-    def recorded(name):
-        ufunc = getattr(np, name)
-
-        def call(*args, **kwargs):
-            calls.append((name, args[0], watched.alone, not watched.submitted))
-            return ufunc(*args, **kwargs)
-
-        return call
-
-    propagate = _kernel._propagate
-    runs = []
-
-    def counted(label, parts):
-        runs.append((propagate(label, parts), parts))
-        return runs[-1][0]
-
-    with watched.watch(), split_kernel(), mock.patch.object(_kernel, "_propagate", counted), \
-            mock.patch.multiple(np, take=recorded("take"), minimum=recorded("minimum"),
-                                not_equal=recorded("not_equal")):
-        _kernel.orbit_roots(1 << 10, a, b, c)
-    [((sweeps, jumps, _), parts)] = runs
-    joined = parts[-1]
-    assert sweeps == 2 and jumps > 0 and joined
-    assert watched.built == 1
-    assert watched.submitted == watched.joins == sweeps
-    assert all(alone for name, _, alone, _ in calls if name == "take")
-    on_joined = [(alone, before) for name, x, alone, before in calls
-                 if name != "take" and any(x is step[0] for step in joined)]
-    # the joined steps' writes open the first sweep, and their comparisons
-    # the second
-    assert set(on_joined) == {(True, True), (True, False)}
-
-
-def test_split_kernel_under_thread_contention():
-    """Four callers at once, eight parts on this machine's cores, switching
-    threads every microsecond: a race between the parts shows as a wrong root.
-    The sigma moves of flower:9 give nine moves that flip the top bit."""
+def test_kernel_under_thread_contention():
+    """Four callers at once, switching threads every microsecond: the
+    kernel holds no state between calls, so each caller gets the roots of
+    a lone call."""
     tables = [moves._move_tables(fam(t)) for t in ("B:10", "flower:9", "affD:9")]
     tables.append(_sigma_tables(fam("flower:9")))
     want = [_kernel.orbit_roots(1 << len(a), a, b, c) for a, b, c in tables]
@@ -1515,12 +1282,11 @@ def test_split_kernel_under_thread_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with split_kernel():
-            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(tables))]
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=120)
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(tables))]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
@@ -1728,7 +1494,7 @@ def test_layout_invisible_on_random_graphs(d):
     check_layout_invisible(d)
 
 
-@pytest.mark.parametrize("n", [6, 9, 12])
+@pytest.mark.parametrize("n", [6, 9, 12, 16])
 def test_layout_invisible_on_relabeled_trees(n):
     d = relabeled_tree(n)
     assert moves._layout(*moves._reduced_game(d).reduced) is not None
@@ -1777,16 +1543,6 @@ def test_layout_keeps_preorder_on_chorded_tree():
     assert tables == moves._relabeled(order, a, b, c)
 
 
-@pytest.mark.parametrize("target", ["E6-tree:12", "E6-tree:16", "three-trees-pinned-leaf"])
-def test_split_kernel_in_postorder_layout(target):
-    """The two-part kernel, from 4 states on, in a tree's postorder layout:
-    the far end's bit is the top bit, which the parts split on."""
-    d = parse_dsl(THREE_TREES) if target == "three-trees-pinned-leaf" \
-        else relabeled_tree(int(target.split(":")[1]))
-    with split_kernel(4):
-        check_layout_invisible(d)
-
-
 def test_layout_lowers_sweeps_on_criterion_5_trees():
     """The 200 random E6 trees of acceptance criterion 5 take fewer kernel
     sweeps, and their first hook sweeps hook fewer pairs, in the chosen
@@ -1795,8 +1551,8 @@ def test_layout_lowers_sweeps_on_criterion_5_trees():
     propagate = _kernel._propagate
     runs = []
 
-    def counted(label, parts):
-        runs.append(propagate(label, parts))
+    def counted(label, steps):
+        runs.append(propagate(label, steps))
         return runs[-1]
 
     trees = list(classifiers.random_e6_trees(200, max_vertices=20, seed=12345))
@@ -1827,12 +1583,10 @@ def full_closure_count(d):
     return _kernel.orbit_count(_kernel.orbit_roots(1 << len(a), a, b, c))
 
 
-@pytest.mark.parametrize("threshold", [_kernel._SPLIT_STATES, 4])
-def test_count_classes_matches_enumeration_on_corpus(threshold):
+def test_count_classes_matches_enumeration_on_corpus():
     for name, d in family_corpus(14):
         want = full_closure_count(d)
-        with split_kernel(threshold):
-            assert moves.enumerate_classes(d).class_count == want, name
+        assert moves.enumerate_classes(d).class_count == want, name
         if len(d.free_vertices) <= 8:
             assert want == len(oracle_classes(d)), name
 
@@ -1942,39 +1696,37 @@ def partition_digests(part):
 
 def check_lift_matches_full_closure(d):
     """The lifted partition against the partition of the kernel over all 2^f
-    states in index order, in one part and with the two-part split from 4
-    states on; and the member the lift gives each position, whose state is
-    the XOR of the basis states at its bits, in that position's class."""
+    states in index order; and the member the lift gives each position,
+    whose state is the XOR of the basis states at its bits, in that
+    position's class."""
     a, b, c = moves._move_tables(d)
     roots = _kernel.orbit_roots(1 << len(a), a, b, c)
     want = partition_digests(moves.ClassPartition(d, roots.copy()))
-    for threshold in (_kernel._SPLIT_STATES, 4):
-        with split_kernel(threshold):
-            assert partition_digests(moves.enumerate_classes(d)) == want, threshold
+    assert partition_digests(moves.enumerate_classes(d)) == want
     members, basis = moves.enumerate_classes(d)._lifted()
     states = moves.span_states(0, basis)
     assert np.array_equal(roots[states], roots[states[members]])
 
 
-def test_split_kernel_lift_matches_full_closure_on_corpus():
+def test_lift_matches_full_closure_on_corpus():
     for name, d in family_corpus(14):
         check_lift_matches_full_closure(d)
 
 
 @settings(deadline=None, max_examples=80)
 @given(dsl_graphs())
-def test_split_kernel_lift_matches_full_closure_on_random_graphs(d):
+def test_lift_matches_full_closure_on_random_graphs(d):
     check_lift_matches_full_closure(d)
 
 
-def test_split_kernel_lift_matches_full_closure_on_criterion_5_trees():
+def test_lift_matches_full_closure_on_criterion_5_trees():
     trees = list(classifiers.random_e6_trees(200, max_vertices=20, seed=12345))
     assert sum(bool(deletable(t)) for t in trees) >= 100
     for t in trees:
         check_lift_matches_full_closure(t)
 
 
-def test_split_kernel_lift_matches_full_closure_with_many_conditions():
+def test_lift_matches_full_closure_with_many_conditions():
     """Ten unread bits, each reading its own set of the path 0-1-2-3 through
     doubled edges: ten conditions, so the firing pass keeps a uint16 word."""
     lines = ["vertices 14", "edge 0 1", "edge 1 2", "edge 2 3"]
@@ -1999,7 +1751,7 @@ def perfbench_dsl_graph(seed):
     return parse_dsl(workloads.cyclic_graph_dsl(seed))
 
 
-def test_split_kernel_lift_matches_full_closure_on_perfbench_graphs():
+def test_lift_matches_full_closure_on_perfbench_graphs():
     graphs = [perfbench_dsl_graph(seed) for seed in range(1, 21)]
     assert {len(deletable(d)) for d in graphs} >= {0, 1, 2}
     for d in graphs:

@@ -12,7 +12,7 @@ from reeder import families, moves, sigma
 from reeder.cli import main
 from reeder.diagram import Diagram, DiagramError, Edge, Labeling, parse_dsl
 from reeder.f2 import F2Matrix
-from conftest import check_kernels, check_split_schedule, oracle_classes
+from conftest import check_kernels, oracle_classes
 
 
 def fam(text):
@@ -274,17 +274,6 @@ def check_sigma_kernels(d):
 )
 def test_sigma_kernels_match_oracle(d):
     check_sigma_kernels(d)
-
-
-def test_split_schedule_parts_sigma_moves_that_flip_the_top_bit():
-    """The sigma moves at the top vertex's neighbors all flip the top state
-    bit, so their pairs join the two halves and go whole into the joined
-    steps: on flower:9, the moves at the nine petals, one pair each."""
-    b, a, c = moves._move_tables(fam("flower:9"))  # the sigma moves
-    f = len(a)
-    assert sum(x >> (f - 1) & 1 for x in b) == 9
-    *_, joined = check_split_schedule(1 << f, a, b, c)
-    assert len(joined) == 9
 
 
 @st.composite
