@@ -16,6 +16,7 @@ classes for the class table.
 from __future__ import annotations
 
 import os
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -111,7 +112,7 @@ def require_ranking(diagram: Diagram, cap: int | None = None) -> None:
     not fit: a caller that reads the class table calls it before
     enumerate_classes, since the closure holds far less than the ranking's
     bytes per state over all 2^f states (see ClassPartition)."""
-    f = len(diagram.free_vertices)
+    f = diagram.n_vertices - len(diagram.pinned)
     require_states(f, _RANK_BYTES_PER_STATE << f, cap)
 
 
@@ -213,7 +214,11 @@ def fixed_states(diagram: Diagram, cap: int | None = None) -> np.ndarray:
     if x0 is None:
         return np.empty(0, dtype=np.int64)
     basis = m.nullspace_basis()
-    require_states(len(basis), 8 << len(basis), cap, "nullity")  # int64 states
+    # int64 states; past 62 bits (see span_states) a pointer to a Python
+    # int of the states' width each, in pymalloc's 16-byte-aligned blocks
+    width = max([x0, *basis]).bit_length()
+    per_state = 8 if width < 63 else 8 + (sys.getsizeof((1 << width) - 1) + 15) // 16 * 16
+    require_states(len(basis), per_state << len(basis), cap, "nullity")
     states = span_states(x0, basis)
     states.sort()
     return states
@@ -261,19 +266,6 @@ def _move_tables(diagram: Diagram):
     return list(m.rows), [1 << j for j in range(f)], [rhs >> j & 1 for j in range(f)]
 
 
-def _strided_runs(a, b, c) -> int:
-    """The kernel's strided-run count for moves (a, b, c): the sum over the
-    moves with views of 2^(f - 1 - l), for l the lowest bit their views fix
-    (b's bits, and a's bits for a move swept on sub-views)."""
-    f = len(a)
-    runs = 0
-    for am, bm, cm in zip(a, b, c):
-        if bm and (am or cm):  # a move with a = c = 0 fires nowhere
-            fixed = bm if _kernel._masked(am, bm) else am | bm
-            runs += 1 << (f - (fixed & -fixed).bit_length())
-    return runs
-
-
 def _bits(x: int):
     """The set bits of x, least first."""
     while x:
@@ -287,22 +279,22 @@ def _layout(a, b, c) -> tuple[list[int], tuple[list, list, list]] | None:
     free bit order[i]; or None for index order.
 
     Index order stays when it is a connected-prefix order already, as on the
-    paper's families: every free bit but the least of its component has a
-    neighbour at a lower bit.  The least bit of a component never has one,
-    so that holds exactly when the bits with no lower neighbour number the
-    components, that is when no bit joins two components of the bits below
-    it, which one pass over the bits decides before any traversal.
+    paper's families and their reduced games: every free bit but the least
+    of its component has a neighbour at a lower bit.  The least bit of a
+    component never has one, so that holds exactly when the bits with no
+    lower neighbour number the components, that is when no bit joins two
+    components of the bits below it, which one pass over the bits decides
+    before any traversal.
     Otherwise each component, in the order of its least bit, is walked from
     one end of a longest path: start, the farthest bit from the least bit
-    (the least such).  A forest lays each tree out in postorder from start,
-    heaviest subtree first and the larger bit first among equal ones, so
-    start takes the tree's top bit; the kernel's hooks and pointer jumps
-    then do less work than in a preorder, at about the same sweep count (see
-    README).  That postorder is the reverse of the preorder that visits the
-    lightest child first.  A graph with a cycle takes the DFS preorder from
-    start, children in increasing bit order.  Either candidate is taken only
-    if it lowers _strided_runs, which keeps the flower, whose masked centre
-    would fix a low bit, in index order.
+    (the least such).  The walk is a DFS from start that visits children
+    lightest first, by the size of their subtree in the breadth-first tree
+    hung from start, the smaller bit first among equal ones.  A forest lays
+    each tree out in the reverse of that walk, the postorder that visits
+    the heaviest subtree first, so start takes the tree's top bit; the
+    kernel's hooks and pointer jumps then do less work than in a preorder,
+    at about the same sweep count.  A graph with a cycle keeps the walk,
+    which closes faster there than its reverse (see README).
     """
     f = len(a)
     near = [0] * f  # the free effective graph, both ways, as bit masks
@@ -337,20 +329,17 @@ def _layout(a, b, c) -> tuple[list[int], tuple[list, list, list]] | None:
     forest = sum(m.bit_count() for m in near) == 2 * (f - len(starts))
     order, seen = [], [False] * f
     for start in starts:
-        key = None  # children in increasing bit order
-        if forest:
-            # subtree sizes, with the tree hung from start
-            above = {start: start}
-            queue = [start]
-            for j in queue:
-                for k in _bits(near[j]):
-                    if k not in above:
-                        above[k] = j
-                        queue.append(k)
-            size = dict.fromkeys(queue, 1)
-            for j in reversed(queue[1:]):
-                size[above[j]] += size[j]
-            key = lambda k: (size[k], k)
+        # subtree sizes in the breadth-first tree hung from start
+        above = {start: start}
+        queue = [start]
+        for j in queue:
+            for k in _bits(near[j]):
+                if k not in above:
+                    above[k] = j
+                    queue.append(k)
+        size = dict.fromkeys(queue, 1)
+        for j in reversed(queue[1:]):
+            size[above[j]] += size[j]
         walk, stack = [], [start]
         while stack:
             j = stack.pop()
@@ -358,11 +347,11 @@ def _layout(a, b, c) -> tuple[list[int], tuple[list, list, list]] | None:
                 continue
             seen[j] = True
             walk.append(j)
-            # pushed so that the least key pops first
-            stack += sorted((k for k in _bits(near[j]) if not seen[k]), key=key, reverse=True)
+            # pushed so that the lightest child pops first
+            stack += sorted((k for k in _bits(near[j]) if not seen[k]),
+                            key=lambda k: (size[k], k), reverse=True)
         order += walk[::-1] if forest else walk
-    tables = _relabeled(order, a, b, c)
-    return (order, tables) if _strided_runs(*tables) < _strided_runs(a, b, c) else None
+    return order, _relabeled(order, a, b, c)
 
 
 def _bit_map(order, f: int):

@@ -495,17 +495,20 @@ def test_entry_points_share_state_gate(entry, monkeypatch):
 
 @pytest.mark.parametrize(
     "entry",
-    [moves.enumerate_classes, sigma.enumerate_sigma_orbits, sigma.orbit_bijection_check],
-    ids=["classes", "sigma", "duality"],
+    [moves.enumerate_classes, sigma.enumerate_sigma_orbits, sigma.orbit_bijection_check,
+     moves.require_ranking],
+    ids=["classes", "sigma", "duality", "ranking"],
 )
 def test_cap_checked_before_anything_grows(entry, monkeypatch):
-    """The move tables grow as f^2 bits and det A as n^2: each entry point
-    refuses on the vertex count first, and never writes 2^f out."""
+    """The move tables grow as f^2 bits, det A as n^2 and the tuple of free
+    vertices as n: each entry point refuses on the vertex count first, and
+    never writes 2^f out."""
     def grows(*args, **kwargs):
         raise AssertionError("work that grows with the diagram ran before the cap")
 
     monkeypatch.setattr(moves, "_move_tables", grows)
     monkeypatch.setattr(F2Matrix, "rank", grows)
+    monkeypatch.setattr(Diagram, "free_vertices", property(grows))
     d = Diagram(100000, [Edge(0, 1), Edge(1, 2)])
     with pytest.raises(ResourceError, match=r"100000 free vertices exceed the cap of 26: "
                                             r"would require 2\^100000 states"):
@@ -563,6 +566,32 @@ def test_fixed_states_fail_before_allocating(monkeypatch):
         moves.fixed_states(d, cap=18)
     monkeypatch.setattr(moves, "available_memory", lambda: need)
     assert len(moves.fixed_states(d)) == 1 << 19
+
+
+def test_fixed_states_past_62_bits_within_their_charge(monkeypatch):
+    """Past 62 bits each fixed state is a Python int in an object array: it
+    is charged a pointer and the int's block, and the traced peak stays
+    within that charge, so memory just short of the peak is refused."""
+    from reeder.diagram import disjoint_union
+
+    d = disjoint_union(fam("A:52"), fam("flower:16"))  # nullity 15, 68 bits
+    d.effective_system()
+    needs = []
+    require = moves.require_states
+    monkeypatch.setattr(moves, "require_states",
+                        lambda f, need, *args: needs.append(need) or require(f, need, *args))
+    tracemalloc.start()
+    try:
+        states = moves.fixed_states(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.dtype == object and len(states) == 1 << 15
+    [need] = needs
+    assert peak <= need
+    monkeypatch.setattr(moves, "available_memory", lambda: peak - 1)
+    with pytest.raises(ResourceError, match="memory is available"):
+        moves.fixed_states(d)
 
 
 def test_available_memory_sources(monkeypatch, tmp_path):
@@ -1424,13 +1453,10 @@ def index_layout():
 
 
 def test_families_keep_index_layout():
-    """Every family is numbered in a connected-prefix order, or a traversal
-    order would add strided runs (the flower), and so is its reduced game, so
-    its roots are the index-order kernel's on the reduced tables, byte for
-    byte."""
+    """Every family's reduced game is numbered in a connected-prefix order,
+    so its roots are the index-order kernel's on the reduced tables, byte
+    for byte."""
     for name, d in family_corpus(14):
-        a, b, c = moves._move_tables(d)
-        assert moves._layout(a, b, c) is None, name
         game = moves._reduced_game(d)
         assert moves._layout(*game.reduced) is None, name
         part = moves.enumerate_classes(d)
@@ -1448,22 +1474,10 @@ def test_layout_rule_on_small_diagrams():
     order, tables = moves._layout(a, b, c)
     assert order == [0, 2, 1, 3]
     assert tables == moves._relabeled(order, a, b, c)
-    assert moves._strided_runs(a, b, c) == 8 + 4 + 8 + 4
-    assert moves._strided_runs(*tables) == 8 + 8 + 4 + 2
-    # the path 1-2-0 fails the prefix test too, but its postorder lowers no
-    # run count
+    # the path 1-2-0 fails the prefix test too: bit 2 joins bits 0 and 1
     d = parse_dsl("vertices 3\nedge 1 2\nedge 0 2\n")
     a, b, c = moves._move_tables(d)
-    assert moves._strided_runs(*moves._relabeled([0, 2, 1], a, b, c)) \
-        == moves._strided_runs(a, b, c) == 4 + 2 + 4
-    assert moves._layout(a, b, c) is None
-    # DFS would fix a low bit for the flower's masked centre: index order stays
-    d = fam("flower:17")
-    a, b, c = moves._move_tables(d)
-    order = [0, 17, *range(1, 17)]  # the DFS preorder
-    assert (moves._strided_runs(a, b, c), moves._strided_runs(*moves._relabeled(order, a, b, c))) \
-        == ((1 << 18) - 1, 19 << 16)
-    assert moves._layout(a, b, c) is None
+    assert moves._layout(a, b, c)[0] == [0, 2, 1]
 
 
 def kernel_order(part):
@@ -1513,7 +1527,6 @@ def test_layout_postorder_on_spider():
     order, tables = moves._layout(a, b, c)
     assert order == [7, 0, 5, 4, 3, 2, 6, 1]
     assert tables == moves._relabeled(order, a, b, c)
-    assert (moves._strided_runs(a, b, c), moves._strided_runs(*tables)) == (608, 382)
     check_layout_invisible(d)
 
 
@@ -1534,13 +1547,24 @@ def test_layout_invisible_on_forests(text):
 
 
 def test_layout_keeps_preorder_on_chorded_tree():
-    """A graph with a cycle keeps the DFS preorder from the far end, children
-    in increasing bit order."""
-    d = chorded_tree(10, 2, seed=0)
+    """A graph with a cycle keeps the DFS preorder from the far end, lightest
+    child first.  Here the far end is 5, whose children 9 and 3 head 4 and 5
+    bits of the breadth-first tree hung from 5, so 9 goes first; in
+    increasing bit order 3 would."""
+    d = chorded_tree(10, 2, seed=1)
     a, b, c = moves._move_tables(d)
     order, tables = moves._layout(a, b, c)
-    assert order == [4, 6, 5, 2, 3, 0, 7, 8, 1, 9]
+    assert order == [5, 9, 7, 4, 0, 1, 8, 6, 2, 3]
     assert tables == moves._relabeled(order, a, b, c)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 13])
+def test_layout_invisible_on_perfbench_graphs(seed):
+    """perfbench's cyclic DSL graphs fail the prefix test, and their reduced
+    games are closed in the lightest-first walk, with the same partition."""
+    d = perfbench_dsl_graph(seed)
+    assert moves._layout(*moves._reduced_game(d).reduced) is not None
+    check_layout_invisible(d)
 
 
 def test_layout_lowers_sweeps_on_criterion_5_trees():
